@@ -1,13 +1,12 @@
 //! Criterion: Markov-solver scaling.
 //!
 //! How expensive are the analytic solves as the process count grows?
-//! The full chain is 2ⁿ+1 states — dense LU through n = 10, CSR
-//! Gauss–Seidel through n = 13, matrix-free Krylov beyond — the lumped
-//! chain n+2 states, and the density solve is uniformization over the
-//! full chain. The `mean_interval/strategy` group pits sparse
-//! Gauss–Seidel against the matrix-free path on identical models at
-//! the sizes where they hand over (the CI perf-smoke job runs this
-//! group on every PR).
+//! The full chain is 2ⁿ+1 states — dense LU through n = 8, matrix-free
+//! Krylov beyond — the lumped chain n+2 states, and the density solve is
+//! uniformization over the full chain. The `mean_interval/strategy`
+//! group times the default path on symmetric and skewed models next to
+//! forced sparse Gauss–Seidel on the symmetric ones (the CI perf-smoke
+//! job runs this group on every PR).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbmarkov::paper::{mean_interval_symmetric, AsyncParams, SplitChain};
@@ -39,11 +38,24 @@ fn bench_mean_interval_lumped(c: &mut Criterion) {
     g.finish();
 }
 
+/// μᵢ = 0.5 + 1.5·i/n; the k-th of the m pairs has
+/// λ = (0.2 + 0.6·k/(m−1))/(n−1). The popcount aggregation of the
+/// matrix-free preconditioner is not exact here, unlike at symmetric
+/// rates.
+fn skewed(n: usize) -> AsyncParams {
+    let mu = (0..n).map(|i| 0.5 + 1.5 * i as f64 / n as f64).collect();
+    let m = n * (n - 1) / 2;
+    let lambda = (0..m)
+        .map(|k| (0.2 + 0.6 * k as f64 / (m - 1) as f64) / (n - 1) as f64)
+        .collect();
+    AsyncParams::new(mu, lambda).expect("skewed rates are valid")
+}
+
 fn bench_solver_strategies(c: &mut Criterion) {
-    // Identical models (ρ = 1), two backends. Gauss–Seidel stops at its
-    // n = 13 cap — beyond it the CSR alone is the problem — while the
-    // matrix-free operator continues to n = 16 here (n = 20 lives in
-    // the fig2/fig3 sweeps and the matfree_scale gates).
+    // Symmetric models (ρ = 1): forced Gauss–Seidel at the sizes it
+    // still finishes, against the default matrix-free path to n = 16
+    // (n = 20 lives in the fig2/fig3 sweeps and the matfree_scale
+    // gates). Skewed models go through the default path only.
     let mut g = c.benchmark_group("mean_interval/strategy");
     for n in [12usize, 13] {
         let params = AsyncParams::symmetric(n, 1.0, 1.0 / (n as f64 - 1.0));
@@ -53,8 +65,13 @@ fn bench_solver_strategies(c: &mut Criterion) {
     }
     for n in [12usize, 13, 14, 16] {
         let params = AsyncParams::symmetric(n, 1.0, 1.0 / (n as f64 - 1.0));
-        g.bench_with_input(BenchmarkId::new("matrix_free", n), &params, |b, p| {
-            b.iter(|| black_box(p.mean_interval_with(SolverStrategy::MatrixFree)))
+        g.bench_with_input(BenchmarkId::new("auto_sym", n), &params, |b, p| {
+            b.iter(|| black_box(p.mean_interval()))
+        });
+    }
+    for n in [10usize, 12, 14] {
+        g.bench_with_input(BenchmarkId::new("auto_skew", n), &skewed(n), |b, p| {
+            b.iter(|| black_box(p.mean_interval()))
         });
     }
     g.finish();

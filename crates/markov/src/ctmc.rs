@@ -7,7 +7,8 @@
 //! experiments need:
 //!
 //! * the **mean absorption time** E\[X\] from the linear system
-//!   (−Q_TT)·τ = 1 (dense LU for small chains, Gauss–Seidel for large);
+//!   (−Q_TT)·τ = 1 (dense LU for small chains, operator-interface
+//!   BiCGSTAB for large);
 //! * the **absorption-time density** f_X(t) (paper Figure 6) via
 //!   uniformization, as the probability flux into the absorbing states.
 
@@ -165,8 +166,8 @@ impl Ctmc {
     /// Mean time to absorption starting from `start`.
     ///
     /// Solves (−Q_TT)·τ = 1 over the transient states with the backend
-    /// [`SolverStrategy::auto`] picks for the block size: dense LU,
-    /// CSR Gauss–Seidel, or operator-interface BiCGSTAB.
+    /// [`SolverStrategy::auto`] picks for the block size: dense LU or
+    /// operator-interface BiCGSTAB.
     ///
     /// # Panics
     /// Panics if the chain has no absorbing state, or if `start` is
@@ -385,40 +386,84 @@ impl Ctmc {
             ts.iter().all(|t| t.is_finite()),
             "invalid CDF evaluation time"
         );
-        let eps = 1e-12;
+        let mut seq = self.absorption_cdf_seq(start);
+        ts.iter().map(|&t| seq.eval(t)).collect()
+    }
+
+    /// The absorption CDF from `start` as a lazily extended
+    /// uniformization of this chain (see [`AbsorptionCdf`]).
+    pub(crate) fn absorption_cdf_seq(&self, start: usize) -> AbsorptionCdf<'_> {
         let lambda = self.uniformization_constant();
-        let t_max = ts.iter().cloned().fold(0.0_f64, f64::max);
         let absorbing: Vec<usize> = (0..self.n).filter(|&s| self.is_absorbing(s)).collect();
-        if lambda == 0.0 || t_max <= 0.0 {
-            // No movement (or no positive query): F(t) is the initial
-            // absorbed mass for t ≥ 0, and 0 below.
-            let f0: f64 = if absorbing.contains(&start) { 1.0 } else { 0.0 };
-            return ts
-                .iter()
-                .map(|&t| if t >= 0.0 { f0 } else { 0.0 })
-                .collect();
-        }
-        let p = self.uniformized(lambda);
-        let lt_max = lambda * t_max;
-        let k_max = (lt_max + 10.0 * lt_max.sqrt() + 64.0) as usize;
         let mut v = vec![0.0; self.n];
         v[start] = 1.0;
-        let mut absorbed = Vec::with_capacity(k_max + 1);
-        absorbed.push(absorbing.iter().map(|&s| v[s]).sum::<f64>());
-        for _ in 0..k_max {
-            // The absorbed mass is non-decreasing; once it is within eps
-            // of 1 the remaining steps cannot change any mixture by more
-            // than eps, so stop propagating (keeps the pass bounded by
-            // the chain's mixing time, not by t_max).
-            if 1.0 - absorbed[absorbed.len() - 1] <= eps {
-                break;
-            }
+        let absorbed0 = absorbing.iter().map(|&s| v[s]).sum();
+        // Built on the first step: a chain that never moves (Λ = 0), or
+        // queries at t ≤ 0 only, never need it.
+        let mut p = None;
+        let step = move || {
+            let p = p.get_or_insert_with(|| self.uniformized(lambda));
             v = p.vec_mul(&v);
-            absorbed.push(absorbing.iter().map(|&s| v[s]).sum::<f64>());
+            absorbing.iter().map(|&s| v[s]).sum()
+        };
+        AbsorptionCdf::new(lambda, absorbed0, Box::new(step))
+    }
+}
+
+/// Truncation mass of the absorption-CDF Poisson mixtures.
+const CDF_EPS: f64 = 1e-12;
+
+/// An absorption CDF F(t) as Poisson mixtures over one jump-chain
+/// propagation: `absorbed[k]` is the absorbed mass after `k` uniformized
+/// jumps, extended lazily to the horizon the largest queried `t` needs.
+/// A batch of evaluations — or the dozens of probes a quantile search
+/// makes — therefore pays for a single propagation to the final
+/// horizon, then O(Λ·t) scalars per query. Shared by the materialised
+/// chain and the matrix-free flag-chain operator; only the jump step
+/// differs.
+pub(crate) struct AbsorptionCdf<'a> {
+    lambda: f64,
+    absorbed: Vec<f64>,
+    /// Advances the jump-chain distribution one step and returns its
+    /// absorbed mass.
+    step: Box<dyn FnMut() -> f64 + 'a>,
+}
+
+impl<'a> AbsorptionCdf<'a> {
+    /// A sequence starting from absorbed mass `absorbed0` under
+    /// uniformization constant `lambda`.
+    pub(crate) fn new(
+        lambda: f64,
+        absorbed0: f64,
+        step: Box<dyn FnMut() -> f64 + 'a>,
+    ) -> AbsorptionCdf<'a> {
+        AbsorptionCdf {
+            lambda,
+            absorbed: vec![absorbed0],
+            step,
         }
-        ts.iter()
-            .map(|&t| poisson_mixture(lambda * t, &absorbed, eps))
-            .collect()
+    }
+
+    /// F(t); negative `t` evaluates to 0 (the absorption time is a.s.
+    /// non-negative), so left-limit points `x⁻` pass through unclamped.
+    pub(crate) fn eval(&mut self, t: f64) -> f64 {
+        if t < 0.0 {
+            return 0.0;
+        }
+        let lt = self.lambda * t;
+        let k_need = (lt + 10.0 * lt.sqrt() + 64.0) as usize;
+        // The absorbed mass is non-decreasing; once it is within eps of
+        // 1 the remaining steps cannot change any mixture by more than
+        // eps, so stop propagating (keeps the pass bounded by the
+        // chain's mixing time, not by the largest t).
+        while lt > 0.0
+            && self.absorbed.len() <= k_need
+            && 1.0 - self.absorbed[self.absorbed.len() - 1] > CDF_EPS
+        {
+            let a = (self.step)();
+            self.absorbed.push(a);
+        }
+        poisson_mixture(lt, &self.absorbed, CDF_EPS)
     }
 }
 

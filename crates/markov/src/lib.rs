@@ -15,8 +15,8 @@
 //! * [`dtmc`] — embedded/uniformized discrete chains, fundamental-matrix
 //!   expected-visit counts;
 //! * [`solver`] — the [`solver::SolverStrategy`] dispatch every
-//!   absorption solve goes through (dense LU ≤ 2¹⁰ transient states,
-//!   CSR Gauss–Seidel ≤ 2¹³, matrix-free Krylov above);
+//!   absorption solve goes through (dense LU ≤ 2⁸ transient states,
+//!   matrix-free Krylov above; CSR Gauss–Seidel only when forced);
 //! * [`matfree`] — the flag chain as a never-materialised bit-mask
 //!   operator plus two-level-preconditioned BiCGSTAB, scaling the full
 //!   chain to n ≥ 20 (2²⁰+1 states) in O(2ⁿ) memory;

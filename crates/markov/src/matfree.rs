@@ -16,15 +16,24 @@
 //! absorption CDF/density via uniformization — scaling the Markov layer
 //! to n ≥ 20 (2²⁰+1 ≈ 10⁶ states).
 //!
+//! **Kernels.** Each rule acts on masks that differ in one or two fixed
+//! bits, so every operator here — the forward and transposed applies,
+//! the uniformized jump step, the smoother — is a few slice-to-slice
+//! updates per process (R1) or pair (R2/R3) over contiguous runs of
+//! masks, with no per-mask branching.
+//!
 //! **Preconditioning.** Jacobi (the exit-rate diagonal) alone leaves
 //! BiCGSTAB struggling when E\[X\] is large, so the default
-//! preconditioner is *two-level*: one Jacobi smoothing step plus a
-//! coarse-grid correction over the paper's own popcount aggregates —
-//! exactly the lumped chain of Figure 3 built from averaged rates. For
-//! homogeneous parameters the aggregation is exact (the lumpability
-//! theorem behind Figure 3), so the preconditioner is a near-inverse
-//! and BiCGSTAB converges in a handful of iterations; for skewed rates
-//! it still captures the dominant popcount dynamics.
+//! preconditioner is *two-level*: a coarse-grid correction over the
+//! paper's own popcount aggregates — exactly the lumped chain of
+//! Figure 3 built from averaged rates — between two Gauss–Seidel
+//! sweeps. For homogeneous parameters the aggregation is exact (the
+//! lumpability theorem behind Figure 3), so the preconditioner is a
+//! near-inverse and BiCGSTAB converges in one iteration. For skewed
+//! rates the sweeps, which follow the chain's own direction (R1 up the
+//! mask order, R2/R3 down), absorb what the averaged coarse level
+//! misses: about ten iterations at n = 14 on the skewed families the
+//! tests pin.
 //!
 //! ```
 //! use rbmarkov::matfree::FlagChainOp;
@@ -36,6 +45,7 @@
 //! assert!((op.mean_absorption_time() - p.mean_interval()).abs() < 1e-9);
 //! ```
 
+use crate::ctmc::AbsorptionCdf;
 use crate::linalg::{LuFactors, Matrix};
 use crate::paper::{AsyncParams, SymmetricChain};
 
@@ -266,15 +276,16 @@ fn bicgstab_recurrence(
 const KRYLOV_TOL: f64 = 1e-13;
 
 /// Hard acceptance bound: a solve whose true relative residual exceeds
-/// this is treated as failed (panic), mirroring the Gauss–Seidel path's
-/// convergence panic. On badly conditioned models (the domino regime,
+/// this is treated as failed (panic) rather than returned as an answer
+/// with no correct digits. On badly conditioned models (the domino regime,
 /// where E\[X\] approaches 1/ε) *no* f64 backend — dense LU included —
 /// can do better than κ·ε, so the bound stops at 1e-8 rather than
 /// machine precision.
 const KRYLOV_ACCEPT: f64 = 1e-8;
 
-/// Iteration cap. Each iteration costs four operator applies (two in
-/// the Krylov recurrence, two inside the two-level preconditioner).
+/// Iteration cap. Each iteration costs two operator applies in the
+/// Krylov recurrence plus two preconditioner applies of about two
+/// operator applies each (residual and smoothing sweeps).
 const KRYLOV_MAX_ITER: usize = 2000;
 
 /// One strictly-positive pairwise interaction, with its bit masks
@@ -282,30 +293,198 @@ const KRYLOV_MAX_ITER: usize = 2000;
 #[derive(Clone, Copy, Debug)]
 struct PairRate {
     /// `(1 << i) | (1 << j)`.
-    bits: u32,
+    bits: usize,
     /// `1 << i` (i < j).
-    bit_i: u32,
+    bit_i: usize,
     /// `1 << j`.
-    bit_j: u32,
+    bit_j: usize,
     /// λᵢⱼ > 0.
     rate: f64,
 }
 
-impl PairRate {
-    /// Destination mask of this pair's R2/R3 transition from `m`
-    /// (clears the flags of the pair's flag-1 members), or `None` when
-    /// both flags are already 0 and the interaction changes nothing.
-    /// Shared by the forward apply, the transpose apply, and the jump
-    /// propagation so the three operators can never desynchronise.
-    #[inline]
-    fn r23_target(&self, m: u32) -> Option<u32> {
-        match (m & self.bit_i != 0, m & self.bit_j != 0) {
-            (true, true) => Some(m & !self.bits),
-            (true, false) => Some(m & !self.bit_i),
-            (false, true) => Some(m & !self.bit_j),
-            (false, false) => None,
+// Block-loop kernels over mask-indexed slices.
+//
+// Every R1–R3 transition moves between masks that differ in one or two
+// fixed bits, so each rule is a handful of slice-to-slice updates over
+// contiguous runs of masks rather than a branchy per-mask loop. The
+// forward apply, the transposed apply, the jump propagation and the
+// Gauss–Seidel smoother all go through the four kernels below, so the
+// operators can never desynchronise.
+//
+// Slices are indexed by the mask itself and may stop short of the
+// all-ones mask (in the transient block that mask is the absorbing
+// state). Masks are walked in chunks of 2·bit: the first half has the
+// bit clear, the second half set. Only the very last chunk can be one
+// short: the R1 kernels zip its halves, so the missing mask drops out,
+// and the pair kernels finish that chunk's quads separately.
+//
+// The `match` on the bit in each kernel hands the short runs (1, 2, 4
+// masks, where loop overhead would dominate) to copies of the kernel
+// with the run length known at compile time.
+
+/// R1, source-to-target orientation: `y[m] += c·x[m|bit]` for every
+/// mask `m` with `bit` clear.
+fn r1_pull(y: &mut [f64], x: &[f64], bit: usize, c: f64) {
+    #[inline(always)]
+    fn kernel(y: &mut [f64], x: &[f64], bit: usize, c: f64) {
+        for (yc, xc) in y.chunks_mut(2 * bit).zip(x.chunks(2 * bit)) {
+            for (y, &x) in yc[..bit].iter_mut().zip(&xc[bit..]) {
+                *y += c * x;
+            }
         }
     }
+    debug_assert_eq!(x.len(), y.len());
+    match bit {
+        1 => kernel(y, x, 1, c),
+        2 => kernel(y, x, 2, c),
+        4 => kernel(y, x, 4, c),
+        _ => kernel(y, x, bit, c),
+    }
+}
+
+/// R1, target-to-source orientation: `y[m|bit] += c·x[m]` for every
+/// mask `m` with `bit` clear.
+fn r1_push(y: &mut [f64], x: &[f64], bit: usize, c: f64) {
+    #[inline(always)]
+    fn kernel(y: &mut [f64], x: &[f64], bit: usize, c: f64) {
+        for (yc, xc) in y.chunks_mut(2 * bit).zip(x.chunks(2 * bit)) {
+            for (y, &x) in yc[bit..].iter_mut().zip(&xc[..bit]) {
+                *y += c * x;
+            }
+        }
+    }
+    debug_assert_eq!(x.len(), y.len());
+    match bit {
+        1 => kernel(y, x, 1, c),
+        2 => kernel(y, x, 2, c),
+        4 => kernel(y, x, 4, c),
+        _ => kernel(y, x, bit, c),
+    }
+}
+
+/// Masks per cache tile: 2¹¹ f64s (16 KB) per vector, so a tile of the
+/// source and of the target stay in L1 together.
+const TILE: usize = 1 << 11;
+
+/// Runs `kernel(y, x, pr)` for every pair. A pair pass streams both
+/// vectors once, so from about 2¹² masks up the passes are bound by
+/// cache bandwidth. A pair whose two bits both lie below [`TILE`] keeps
+/// each of its quads inside one aligned tile, so those pairs run tile by
+/// tile, all of them sweeping a tile while it is hot; the rest stream
+/// the whole slice.
+fn for_each_pair_tiled(
+    pairs: &[PairRate],
+    y: &mut [f64],
+    x: &[f64],
+    kernel: impl Fn(&mut [f64], &[f64], &PairRate),
+) {
+    for (y, x) in y.chunks_mut(TILE).zip(x.chunks(TILE)) {
+        for pr in pairs.iter().filter(|pr| pr.bit_j < TILE) {
+            kernel(y, x, pr);
+        }
+    }
+    for pr in pairs.iter().filter(|pr| pr.bit_j >= TILE) {
+        kernel(y, x, pr);
+    }
+}
+
+/// Calls `f(lo, hi)` for every block of pair `pr`: `lo` the masks with
+/// bit j clear, `hi` the next ones, with bit j set (one short when the
+/// slice ends before the all-ones mask). In both halves, chunks of
+/// 2·bᵢ masks split the same way on bit i, so chunk k of `lo` holds a
+/// run of quad bases followed by the `base|bᵢ` masks, and chunk k of
+/// `hi` the `base|bⱼ` and `base|bᵢ|bⱼ` masks of the same quads: an
+/// interaction of the pair drops all three to `base` (R2 clears both
+/// flags, R3 the one set).
+#[inline(always)]
+fn pair_blocks(pr: &PairRate, n_masks: usize, mut f: impl FnMut(usize, usize)) {
+    let mut lo = 0;
+    while lo + pr.bit_j < n_masks {
+        f(lo, lo + pr.bit_j);
+        lo += 2 * pr.bit_j;
+    }
+}
+
+/// R2/R3, source-to-target orientation: `y[s] += c·x[base]` for the
+/// three masks `s` of every quad.
+fn pair_pull(y: &mut [f64], x: &[f64], pr: &PairRate, c: f64) {
+    #[inline(always)]
+    fn kernel(lo: &mut [f64], hi: &mut [f64], x: &[f64], bi: usize, c: f64) {
+        let chunks = lo.chunks_exact_mut(2 * bi).zip(hi.chunks_exact_mut(2 * bi));
+        for ((lo, hi), x) in chunks.zip(x.chunks_exact(2 * bi)) {
+            let (hi_j, hi_ij) = hi.split_at_mut(bi);
+            let quads = lo[bi..].iter_mut().zip(hi_j).zip(hi_ij);
+            for (((y_i, y_j), y_ij), &x) in quads.zip(&x[..bi]) {
+                *y_i += c * x;
+                *y_j += c * x;
+                *y_ij += c * x;
+            }
+        }
+    }
+    debug_assert_eq!(x.len(), y.len());
+    let (bi, n_masks) = (pr.bit_i, y.len());
+    pair_blocks(pr, n_masks, |lo, hi| {
+        let end = (hi + pr.bit_j).min(n_masks);
+        let (ylo, yhi) = y[lo..end].split_at_mut(pr.bit_j);
+        let x = &x[lo..hi];
+        let exact = yhi.len() - yhi.len() % (2 * bi);
+        let (ylo, ylo_tail) = ylo.split_at_mut(exact);
+        let (yhi, yhi_tail) = yhi.split_at_mut(exact);
+        match bi {
+            1 => kernel(ylo, yhi, x, 1, c),
+            2 => kernel(ylo, yhi, x, 2, c),
+            4 => kernel(ylo, yhi, x, 4, c),
+            _ => kernel(ylo, yhi, x, bi, c),
+        }
+        // The last block lacks the all-ones mask when the slice stops
+        // before it: its final quad has no third member.
+        if !ylo_tail.is_empty() {
+            for (k, &x) in x[exact..exact + bi].iter().enumerate() {
+                ylo_tail[bi + k] += c * x;
+                yhi_tail[k] += c * x;
+                if let Some(y) = yhi_tail.get_mut(bi + k) {
+                    *y += c * x;
+                }
+            }
+        }
+    });
+}
+
+/// R2/R3, target-to-source orientation:
+/// `y[base] += c·(x[base|bᵢ] + x[base|bⱼ] + x[base|bᵢ|bⱼ])`.
+fn pair_push(y: &mut [f64], x: &[f64], pr: &PairRate, c: f64) {
+    #[inline(always)]
+    fn kernel(y: &mut [f64], lo: &[f64], hi: &[f64], bi: usize, c: f64) {
+        let chunks = y.chunks_exact_mut(2 * bi).zip(lo.chunks_exact(2 * bi));
+        for ((y, lo), hi) in chunks.zip(hi.chunks_exact(2 * bi)) {
+            let (hi_j, hi_ij) = hi.split_at(bi);
+            let quads = lo[bi..].iter().zip(hi_j).zip(hi_ij);
+            for (y, ((&a, &b), &d)) in y[..bi].iter_mut().zip(quads) {
+                *y += c * (a + b + d);
+            }
+        }
+    }
+    debug_assert_eq!(x.len(), y.len());
+    let (bi, n_masks) = (pr.bit_i, x.len());
+    pair_blocks(pr, n_masks, |lo, hi| {
+        let end = (hi + pr.bit_j).min(n_masks);
+        let (xlo, xhi) = x[lo..end].split_at(pr.bit_j);
+        let exact = xhi.len() - xhi.len() % (2 * bi);
+        let (y, y_tail) = y[lo..hi].split_at_mut(exact);
+        match bi {
+            1 => kernel(y, xlo, xhi, 1, c),
+            2 => kernel(y, xlo, xhi, 2, c),
+            4 => kernel(y, xlo, xhi, 4, c),
+            _ => kernel(y, xlo, xhi, bi, c),
+        }
+        // The last block lacks the all-ones mask when the slice stops
+        // before it: its final quad has no third member.
+        let (xlo, xhi) = (&xlo[exact..], &xhi[exact..]);
+        for (k, y) in y_tail.iter_mut().take(bi).enumerate() {
+            let d = xhi.get(bi + k).copied().unwrap_or(0.0);
+            *y += c * (xlo[bi + k] + xhi[k] + d);
+        }
+    });
 }
 
 /// The full flag chain of [`AsyncParams`] as a matrix-free operator.
@@ -434,14 +613,21 @@ impl FlagChainOp {
         self.exit[0]
     }
 
-    fn full(&self) -> u32 {
-        (1u32 << self.n) - 1
+    /// The all-ones mask, 2ⁿ − 1: the absorbing state S_{r+1}.
+    fn full(&self) -> usize {
+        (1 << self.n) - 1
+    }
+
+    /// Transient index of the mask S_r's interaction `pr` drops to (R2
+    /// from the all-ones vector).
+    #[inline]
+    fn entry_target(&self, pr: &PairRate) -> usize {
+        (self.full() & !pr.bits) + 1
     }
 
     /// `y = (−Q_TT)·x` over the transient block, regenerated from the
     /// R1–R4 rules — no stored matrix.
     pub fn apply_neg_qtt(&self, x: &[f64], y: &mut [f64]) {
-        let full = self.full();
         debug_assert_eq!(x.len(), self.n_transient());
         debug_assert_eq!(y.len(), self.n_transient());
 
@@ -453,64 +639,39 @@ impl FlagChainOp {
         // transient block entirely).
         let mut acc = 0.0;
         for pr in &self.pairs {
-            acc += pr.rate * x[(full & !pr.bits) as usize + 1];
+            acc += pr.rate * x[self.entry_target(pr)];
         }
         y[0] -= acc;
-        // R1: a flag-0 process checkpoints, mask → mask|bit. The
-        // line-completing transition (to the all-ones mask) leaves the
-        // transient block and is skipped.
+        // Masks: R1 checkpoints (mask → mask|bit; the line-completing
+        // transition leaves the transient block), then R2/R3
+        // interactions clearing the flags of the pair's flag-1 members.
+        let (ym, xm) = (&mut y[1..], &x[1..]);
         for (i, &mi) in self.mu.iter().enumerate() {
-            let bit = 1u32 << i;
-            for m in 0..full {
-                if m & bit == 0 {
-                    let to = m | bit;
-                    if to != full {
-                        y[m as usize + 1] -= mi * x[to as usize + 1];
-                    }
-                }
-            }
+            r1_pull(ym, xm, 1 << i, -mi);
         }
-        // R2/R3: an interaction clears the flags of its flag-1 members.
-        for pr in &self.pairs {
-            for m in 0..full {
-                if let Some(to) = pr.r23_target(m) {
-                    y[m as usize + 1] -= pr.rate * x[to as usize + 1];
-                }
-            }
-        }
+        for_each_pair_tiled(&self.pairs, ym, xm, |y, x, pr| {
+            pair_pull(y, x, pr, -pr.rate)
+        });
     }
 
     /// `y = (−Q_TT)ᵀ·x` over the transient block.
     pub fn apply_neg_qtt_transpose(&self, x: &[f64], y: &mut [f64]) {
-        let full = self.full();
         debug_assert_eq!(x.len(), self.n_transient());
         debug_assert_eq!(y.len(), self.n_transient());
 
         for ((y, &e), &x) in y.iter_mut().zip(&self.exit).zip(x) {
             *y = e * x;
         }
-        let x0 = x[0];
         for pr in &self.pairs {
-            y[(full & !pr.bits) as usize + 1] -= pr.rate * x0;
+            y[self.entry_target(pr)] -= pr.rate * x[0];
         }
+        let (ym, xm) = (&mut y[1..], &x[1..]);
         for (i, &mi) in self.mu.iter().enumerate() {
-            let bit = 1u32 << i;
-            for m in 0..full {
-                if m & bit == 0 {
-                    let to = m | bit;
-                    if to != full {
-                        y[to as usize + 1] -= mi * x[m as usize + 1];
-                    }
-                }
-            }
+            r1_push(ym, xm, 1 << i, -mi);
         }
-        for pr in &self.pairs {
-            for m in 0..full {
-                if let Some(to) = pr.r23_target(m) {
-                    y[to as usize + 1] -= pr.rate * x[m as usize + 1];
-                }
-            }
-        }
+        for_each_pair_tiled(&self.pairs, ym, xm, |y, x, pr| {
+            pair_push(y, x, pr, -pr.rate)
+        });
     }
 
     /// One uniformized jump-chain propagation `out = π·P` with
@@ -535,33 +696,19 @@ impl FlagChainOp {
         let p0 = pi[0];
         out[nt] += p0 * self.total_mu * inv;
         for pr in &self.pairs {
-            out[(full & !pr.bits) as usize + 1] += p0 * pr.rate * inv;
+            out[self.entry_target(pr)] += p0 * pr.rate * inv;
         }
-        // R1 (checkpoints), completing transitions absorb.
+        // Over all 2ⁿ+1 states the mask slice ends with the all-ones
+        // mask, i.e. S_{r+1} itself, so line-completing R1 checkpoints
+        // land there with no special case. Absorbed mass must not
+        // interact, so R2/R3 run over the transient masks only.
+        let (om, pm) = (&mut out[1..], &pi[1..]);
         for (i, &mi) in self.mu.iter().enumerate() {
-            let bit = 1u32 << i;
-            let w = mi * inv;
-            for m in 0..full {
-                if m & bit == 0 {
-                    let from = pi[m as usize + 1];
-                    let to = m | bit;
-                    if to == full {
-                        out[nt] += from * w;
-                    } else {
-                        out[to as usize + 1] += from * w;
-                    }
-                }
-            }
+            r1_push(om, pm, 1 << i, mi * inv);
         }
-        // R2/R3 (interactions).
-        for pr in &self.pairs {
-            let w = pr.rate * inv;
-            for m in 0..full {
-                if let Some(to) = pr.r23_target(m) {
-                    out[to as usize + 1] += pi[m as usize + 1] * w;
-                }
-            }
-        }
+        for_each_pair_tiled(&self.pairs, &mut om[..full], &pm[..full], |y, x, pr| {
+            pair_push(y, x, pr, pr.rate * inv)
+        });
         out
     }
 
@@ -639,8 +786,7 @@ impl FlagChainOp {
     ///
     /// # Panics
     /// Panics if the Krylov solve fails to reach the acceptance
-    /// residual — the matrix-free analogue of the Gauss–Seidel
-    /// convergence panic.
+    /// residual ([`KRYLOV_ACCEPT`]).
     fn solve_transient(&self, b: &[f64], transpose: bool) -> Vec<f64> {
         let (x, outcome) = self.solve(b, transpose);
         assert!(
@@ -712,29 +858,22 @@ impl FlagChainOp {
             ts.iter().all(|t| t.is_finite()),
             "invalid CDF evaluation time"
         );
-        let eps = 1e-12;
-        let nt = self.n_transient();
+        let mut seq = self.absorption_cdf_seq();
+        ts.iter().map(|&t| seq.eval(t)).collect()
+    }
+
+    /// The absorption CDF from S_r as a lazily extended matrix-free
+    /// uniformization (see [`crate::ctmc::AbsorptionCdf`]).
+    pub(crate) fn absorption_cdf_seq(&self) -> AbsorptionCdf<'_> {
         let lambda = self.uniformization_constant();
-        let t_max = ts.iter().cloned().fold(0.0_f64, f64::max);
-        if t_max <= 0.0 {
-            return ts.iter().map(|_| 0.0).collect();
-        }
-        let lt_max = lambda * t_max;
-        let k_max = (lt_max + 10.0 * lt_max.sqrt() + 64.0) as usize;
+        let nt = self.n_transient();
         let mut v = vec![0.0; nt + 1];
         v[0] = 1.0;
-        let mut absorbed = Vec::with_capacity(k_max + 1);
-        absorbed.push(0.0);
-        for _ in 0..k_max {
-            if 1.0 - absorbed[absorbed.len() - 1] <= eps {
-                break;
-            }
+        let step = move || {
             v = self.jump_propagate(&v, lambda);
-            absorbed.push(v[nt]);
-        }
-        ts.iter()
-            .map(|&t| crate::ctmc::poisson_mixture(lambda * t, &absorbed, eps))
-            .collect()
+            v[nt]
+        };
+        AbsorptionCdf::new(lambda, 0.0, Box::new(step))
     }
 
     /// The survival (tail) function S(t) = P(X > t) at **many** times
@@ -817,8 +956,7 @@ impl FlagChainOp {
                 let pi = self.transient_distribution(t, 1e-12);
                 let mut f = pi[0] * self.total_mu;
                 for (i, &mi) in self.mu.iter().enumerate() {
-                    let m = full & !(1u32 << i);
-                    f += pi[m as usize + 1] * mi;
+                    f += pi[(full & !(1 << i)) + 1] * mi;
                 }
                 f
             })
@@ -902,19 +1040,27 @@ impl LinOp for NegQttTransposed<'_> {
     }
 }
 
-/// Two-level preconditioner: Jacobi smoothing plus a coarse-grid
-/// correction over the popcount aggregates (S_r, then masks grouped by
-/// number of set flags) — the aggregation/disaggregation scheme the
-/// lumped chain of Figure 3 makes exact for homogeneous rates.
+/// Two-level preconditioner: a coarse-grid correction over the popcount
+/// aggregates (S_r, then masks grouped by number of set flags) between
+/// two Gauss–Seidel sweeps — iterative aggregation–disaggregation
+/// (Koury–McAllister–Stewart) with the aggregation the lumped chain of
+/// Figure 3 makes exact for homogeneous rates.
 ///
 /// The coarse operator is the lumped chain's `−Q̃_TT` built from the
 /// *averaged* rates μ̄, λ̄ ((n+1)×(n+1), factorised once). The
 /// Galerkin-consistent coarse solve uses aggregate means against the
 /// forward operator and size-weighted sums against the transpose.
+///
+/// The smoother is what carries heterogeneous rates: R1 moves to a
+/// higher mask and R2/R3 to a lower one, so a sweep in reverse mask
+/// order sees every R1 neighbour already updated. It is therefore one
+/// block-loop R2/R3 pass on the old values followed by an R1
+/// back-substitution — a row-wise Gauss–Seidel sweep at about the cost
+/// of one operator apply. The transposed system sweeps in forward mask
+/// order for the same reason.
 struct TwoLevel<'a> {
     op: &'a FlagChainOp,
     transpose: bool,
-    inv_diag: Vec<f64>,
     /// LU of the coarse `−Q̃_TT` (transposed first when preconditioning
     /// the transposed fine system).
     coarse: LuFactors,
@@ -949,10 +1095,92 @@ impl<'a> TwoLevel<'a> {
         TwoLevel {
             op,
             transpose,
-            inv_diag: op.exit.iter().map(|&e| 1.0 / e).collect(),
             coarse,
             sizes,
         }
+    }
+
+    /// One Gauss–Seidel sweep on the (possibly transposed) fine system
+    /// `A·z = r`, in place. A `cold` sweep starts from z = 0: it skips
+    /// the pass over old values and never reads `z` before writing it.
+    fn sweep(&self, r: &[f64], z: &mut [f64], cold: bool) {
+        if self.transpose {
+            self.sweep_transposed(r, z, cold);
+        } else {
+            self.sweep_forward(r, z, cold);
+        }
+    }
+
+    /// Reverse mask order on `−Q_TT`: every R2/R3 neighbour of a mask is
+    /// lower (old value), every R1 neighbour higher (already updated),
+    /// and S_r, whose neighbours are all masks, comes last.
+    fn sweep_forward(&self, r: &[f64], z: &mut [f64], cold: bool) {
+        let op = self.op;
+        let mut c = r.to_vec();
+        if !cold {
+            for_each_pair_tiled(&op.pairs, &mut c[1..], &z[1..], |c, z, pr| {
+                pair_pull(c, z, pr, pr.rate)
+            });
+        }
+        self.r1_substitute(&mut c[1..], &mut z[1..], 0, op.n, false);
+        let mut acc = r[0];
+        for pr in &op.pairs {
+            acc += pr.rate * z[op.entry_target(pr)];
+        }
+        z[0] = acc / op.exit[0];
+    }
+
+    /// Forward order on `(−Q_TT)ᵀ`: S_r first (nothing enters it), then
+    /// masks ascending, so every R1 source (lower mask) is already
+    /// updated and every R2/R3 source (higher mask) is old.
+    fn sweep_transposed(&self, r: &[f64], z: &mut [f64], cold: bool) {
+        let op = self.op;
+        let mut c = r.to_vec();
+        if !cold {
+            for_each_pair_tiled(&op.pairs, &mut c[1..], &z[1..], |c, z, pr| {
+                pair_push(c, z, pr, pr.rate)
+            });
+        }
+        z[0] = r[0] / op.exit[0];
+        for pr in &op.pairs {
+            c[op.entry_target(pr)] += pr.rate * z[0];
+        }
+        self.r1_substitute(&mut c[1..], &mut z[1..], 0, op.n, true);
+    }
+
+    /// Solves the R1 part of a sweep, `exit[m]·z[m] − Σ μᵢ·z[m′] = c[m]`
+    /// (m′ = m with bit i set, or with bit i cleared when `transposed`),
+    /// over the masks `lo..lo + 2ᵏ` of the mask-indexed slices, whose
+    /// couplings through bits ≥ k are already folded into `c`. Splitting
+    /// on bit k−1, the half every R1 neighbour lies in is solved first
+    /// and then folded into the other half as one slice update — a
+    /// Gauss–Seidel substitution in mask order, vectorised per bit. The
+    /// absent all-ones mask (past the slice end) is skipped.
+    fn r1_substitute(&self, c: &mut [f64], z: &mut [f64], lo: usize, k: usize, transposed: bool) {
+        let len = z.len();
+        if lo >= len {
+            return;
+        }
+        if k == 0 {
+            z[lo] = c[lo] / self.op.exit[lo + 1];
+            return;
+        }
+        let half = 1 << (k - 1);
+        let (first, second) = if transposed {
+            (lo, lo + half)
+        } else {
+            (lo + half, lo)
+        };
+        self.r1_substitute(c, z, first, k - 1, transposed);
+        let run = half.min(len.saturating_sub(lo + half));
+        let mu = self.op.mu[k - 1];
+        for (c, &z) in c[second..second + run]
+            .iter_mut()
+            .zip(&z[first..first + run])
+        {
+            *c += mu * z;
+        }
+        self.r1_substitute(c, z, second, k - 1, transposed);
     }
 
     /// Aggregate id of transient state `t`: 0 for S_r, 1 + popcount for
@@ -978,10 +1206,8 @@ fn binomial(n: usize, k: usize) -> f64 {
 
 impl Precond for TwoLevel<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        // Level 1: Jacobi smoothing.
-        for ((z, &inv), &r) in z.iter_mut().zip(&self.inv_diag).zip(r) {
-            *z = inv * r;
-        }
+        // Level 1: pre-smoothing from z = 0.
+        self.sweep(r, z, true);
         // Residual after smoothing: rr = r − A·z.
         let mut rr = vec![0.0; r.len()];
         if self.transpose {
@@ -1017,6 +1243,9 @@ impl Precond for TwoLevel<'_> {
         for (t, z) in z.iter_mut().enumerate() {
             *z += ec[Self::agg(t)];
         }
+        // Post-smoothing: damps what the averaged-rate coarse solve
+        // left within each aggregate.
+        self.sweep(r, z, false);
     }
 }
 
@@ -1048,26 +1277,122 @@ mod tests {
         a
     }
 
+    /// [`skewed_params`] with the middle pair's rate set to zero, so the
+    /// operator's pair list has a gap the materialised chain skips too.
+    fn skewed_params_with_idle_pair(n: usize) -> AsyncParams {
+        let base = skewed_params(n);
+        let mut lambda: Vec<f64> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .map(|(i, j)| base.lambda(i, j))
+            .collect();
+        let mid = lambda.len() / 2;
+        lambda[mid] = 0.0;
+        AsyncParams::new(base.mu().to_vec(), lambda).unwrap()
+    }
+
+    /// One dense Gauss–Seidel sweep on `a·z = r`, rows in `order`.
+    fn dense_sweep(a: &Matrix, r: &[f64], z: &mut [f64], order: impl Iterator<Item = usize>) {
+        for k in order {
+            let mut acc = r[k];
+            for (j, &zj) in z.iter().enumerate() {
+                if j != k {
+                    acc -= a[(k, j)] * zj;
+                }
+            }
+            z[k] = acc / a[(k, k)];
+        }
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (s, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() < 1e-12, "{what}, state {s}: {g} vs {w}");
+        }
+    }
+
     #[test]
     fn apply_matches_materialised_chain() {
-        for n in [2usize, 3, 5] {
-            let params = skewed_params(n);
+        // Every block-loop kernel against the dense materialised chain:
+        // forward and transposed applies, one uniformized jump step, and
+        // one smoother sweep in each orientation.
+        for n in [2usize, 3, 5, 7] {
+            let params = skewed_params_with_idle_pair(n);
             let chain = params.build_full_chain();
             let op = FlagChainOp::new(&params);
             let a = dense_neg_qtt(&chain);
+            let at = a.transpose();
             let nt = op.n_transient();
             let x: Vec<f64> = (0..nt).map(|k| ((k * 37 + 11) % 17) as f64 - 8.0).collect();
-            let want = a.mul_vec(&x);
-            let want_t = a.transpose().mul_vec(&x);
+
             let mut got = vec![0.0; nt];
             op.apply_neg_qtt(&x, &mut got);
-            let mut got_t = vec![0.0; nt];
-            op.apply_neg_qtt_transpose(&x, &mut got_t);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-10, "n={n}: {g} vs {w}");
+            assert_close(&got, &a.mul_vec(&x), &format!("n={n} apply"));
+            op.apply_neg_qtt_transpose(&x, &mut got);
+            assert_close(&got, &at.mul_vec(&x), &format!("n={n} transpose"));
+
+            // π·P with P = I + Q/Λ over all 2ⁿ+1 states.
+            let lambda = op.uniformization_constant();
+            let pi: Vec<f64> = (0..=nt)
+                .map(|k| ((k * 13 + 5) % 11) as f64 / 11.0)
+                .collect();
+            let mut want = pi.clone();
+            for (r, &p) in pi.iter().enumerate() {
+                for (c, q) in chain.ctmc.generator().row(r) {
+                    want[c] += p * q / lambda;
+                }
             }
-            for (g, w) in got_t.iter().zip(&want_t) {
-                assert!((g - w).abs() < 1e-10, "n={n} transpose: {g} vs {w}");
+            assert_close(
+                &op.jump_propagate(&pi, lambda),
+                &want,
+                &format!("n={n} jump"),
+            );
+
+            // Warm sweeps (z ≠ 0) exercise both the pass on old values
+            // and the R1 substitution.
+            let r: Vec<f64> = (0..nt).map(|k| ((k * 7 + 3) % 5) as f64 - 1.0).collect();
+            let mut got = x.clone();
+            TwoLevel::new(&op, false).sweep(&r, &mut got, false);
+            let mut want = x.clone();
+            dense_sweep(&a, &r, &mut want, (1..nt).rev().chain([0]));
+            assert_close(&got, &want, &format!("n={n} sweep"));
+            let mut got = x.clone();
+            TwoLevel::new(&op, true).sweep(&r, &mut got, false);
+            let mut want = x.clone();
+            dense_sweep(&at, &r, &mut want, 0..nt);
+            assert_close(&got, &want, &format!("n={n} transposed sweep"));
+        }
+    }
+
+    #[test]
+    fn tiled_pair_passes_match_untiled() {
+        // n = 12 spans two tiles, the last one stopping short of the
+        // all-ones mask like every transient slice; the dense checks
+        // above fit in a single tile.
+        let op = FlagChainOp::new(&skewed_params_with_idle_pair(12));
+        let len = op.full();
+        assert!(len > TILE);
+        let x: Vec<f64> = (0..len)
+            .map(|k| ((k * 37 + 11) % 17) as f64 - 8.0)
+            .collect();
+        for push in [false, true] {
+            let kernel = |y: &mut [f64], x: &[f64], pr: &PairRate| {
+                if push {
+                    pair_push(y, x, pr, pr.rate)
+                } else {
+                    pair_pull(y, x, pr, pr.rate)
+                }
+            };
+            let mut tiled = vec![0.0; len];
+            for_each_pair_tiled(&op.pairs, &mut tiled, &x, kernel);
+            let mut whole = vec![0.0; len];
+            for pr in &op.pairs {
+                kernel(&mut whole, &x, pr);
+            }
+            for (m, (t, w)) in tiled.iter().zip(&whole).enumerate() {
+                assert!(
+                    (t - w).abs() < 1e-12 * w.abs().max(1.0),
+                    "push={push}, mask {m}: {t} vs {w}"
+                );
             }
         }
     }

@@ -14,7 +14,7 @@
 //! interval `X` of the paper; Figures 2–6 and Table 1 all derive from
 //! this chain and its embedded discrete version `Y_d`.
 
-use crate::ctmc::Ctmc;
+use crate::ctmc::{AbsorptionCdf, Ctmc};
 use crate::dtmc::Dtmc;
 use crate::matfree::FlagChainOp;
 use crate::solver::SolverStrategy;
@@ -187,8 +187,8 @@ impl AsyncParams {
     }
 
     /// The backend [`SolverStrategy::auto`] picks for this model's 2ⁿ
-    /// transient states: dense LU through n = 10, CSR Gauss–Seidel
-    /// through n = 13, matrix-free Krylov beyond.
+    /// transient states: dense LU through n = 8, matrix-free Krylov
+    /// beyond.
     pub fn solver_strategy(&self) -> SolverStrategy {
         SolverStrategy::auto(1usize << self.n())
     }
@@ -311,6 +311,10 @@ impl AsyncParams {
     /// e.g. `interval_quantile(0.99)` bounds the rollback exposure a
     /// time-critical task must budget for under the asynchronous
     /// scheme.
+    ///
+    /// Every probe of the bracket-and-bisect search is a Poisson mixture
+    /// over one lazily extended uniformization, so the whole search
+    /// costs a single jump-chain propagation to the bracket's horizon.
     pub fn interval_quantile(&self, p: f64) -> f64 {
         self.interval_quantile_with(self.solver_strategy(), p)
     }
@@ -324,7 +328,8 @@ impl AsyncParams {
             "quantile level out of (0,1)"
         );
         let solver = self.chain_solver(strategy);
-        let cdf = |t: f64| solver.interval_cdf(t);
+        let mut seq = solver.cdf_seq();
+        let mut cdf = |t: f64| seq.eval(t);
         // Bracket: double until F(hi) > p.
         let mut hi = 1.0 / self.total_mu();
         let mut guard = 0;
@@ -398,6 +403,15 @@ impl ChainSolver {
                 chain.ctmc.absorption_cdf_batch(FlagChain::START, ts)
             }
             ChainSolver::MatrixFree(op) => op.absorption_cdf_batch(ts),
+        }
+    }
+
+    /// The absorption CDF as a lazily extended uniformization, for
+    /// searches that probe it many times.
+    fn cdf_seq(&self) -> AbsorptionCdf<'_> {
+        match self {
+            ChainSolver::Materialized(chain, _) => chain.ctmc.absorption_cdf_seq(FlagChain::START),
+            ChainSolver::MatrixFree(op) => op.absorption_cdf_seq(),
         }
     }
 
@@ -1248,36 +1262,38 @@ mod tests {
 
     #[test]
     fn auto_strategy_tracks_state_count() {
-        assert_eq!(
-            AsyncParams::symmetric(3, 1.0, 1.0).solver_strategy(),
-            SolverStrategy::Dense
-        );
-        assert_eq!(
-            AsyncParams::symmetric(12, 1.0, 1.0).solver_strategy(),
-            SolverStrategy::GaussSeidel
-        );
-        assert_eq!(
-            AsyncParams::symmetric(14, 1.0, 1.0).solver_strategy(),
-            SolverStrategy::MatrixFree
-        );
+        for (n, want) in [
+            (3, SolverStrategy::Dense),
+            (8, SolverStrategy::Dense),
+            (9, SolverStrategy::MatrixFree),
+            (12, SolverStrategy::MatrixFree),
+            (14, SolverStrategy::MatrixFree),
+        ] {
+            assert_eq!(
+                AsyncParams::symmetric(n, 1.0, 1.0).solver_strategy(),
+                want,
+                "n = {n}"
+            );
+        }
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "minutes in debug; run with --release")]
-    fn large_n_sparse_gauss_seidel_matches_lumped() {
-        // n = 12 ⇒ 4097 states > the dense limit: exercises the sparse
-        // Gauss–Seidel absorption solve against the exact lumped chain.
+    fn forced_sparse_gauss_seidel_matches_lumped() {
+        // n = 12 ⇒ 4097 states: the CSR Gauss–Seidel backend, which the
+        // dispatch never picks but callers may force as a reference,
+        // against the exact lumped chain.
         let (n, mu, lambda) = (12usize, 1.0, 0.1);
         let p = AsyncParams::symmetric(n, mu, lambda);
-        let full = p.mean_interval();
+        let gs = p.mean_interval_with(SolverStrategy::GaussSeidel);
         let lumped = mean_interval_symmetric(n, mu, lambda);
         assert!(
-            (full - lumped).abs() < 1e-6 * lumped,
-            "sparse GS {full} vs lumped {lumped}"
+            (gs - lumped).abs() < 1e-6 * lumped,
+            "sparse GS {gs} vs lumped {lumped}"
         );
-        // The matrix-free Krylov path, forced onto the same model, must
-        // land on the same answer without ever materialising the chain.
-        let mf = p.mean_interval_with(SolverStrategy::MatrixFree);
+        // The default matrix-free Krylov path must land on the same
+        // answer without ever materialising the chain.
+        let mf = p.mean_interval();
         assert!(
             (mf - lumped).abs() < 1e-9 * lumped,
             "matrix-free {mf} vs lumped {lumped}"
@@ -1285,9 +1301,9 @@ mod tests {
     }
 
     #[test]
-    fn beyond_gauss_seidel_matrix_free_matches_lumped() {
-        // n = 14 ⇒ 2¹⁴+1 states: past the CSR Gauss–Seidel cap, so the
-        // auto dispatch goes matrix-free — and must still reproduce the
+    fn large_n_matrix_free_matches_lumped() {
+        // n = 14 ⇒ 2¹⁴+1 states, far past the dense cap, so the auto
+        // dispatch goes matrix-free — and must still reproduce the
         // exact lumped chain. Cheap enough for debug runs (≈ 20 ms in
         // release) because the popcount aggregation is exact here.
         let (n, mu) = (14usize, 1.0);

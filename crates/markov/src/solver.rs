@@ -8,30 +8,30 @@
 //!
 //! | strategy | transient states | memory | work |
 //! |----------|------------------|--------|------|
-//! | [`SolverStrategy::Dense`] | ≤ 2¹⁰ | O(S²) | O(S³) LU factorisation |
-//! | [`SolverStrategy::GaussSeidel`] | ≤ 2¹³ | O(nnz) CSR | O(nnz) per sweep |
+//! | [`SolverStrategy::Dense`] | ≤ 2⁸ | O(S²) | O(S³) LU factorisation |
 //! | [`SolverStrategy::MatrixFree`] | above | O(S) vectors | O(nnz) per [`crate::matfree`] operator apply — the matrix is never stored |
+//! | [`SolverStrategy::GaussSeidel`] | forced only | O(nnz) CSR | O(nnz) per sweep |
 //!
-//! [`SolverStrategy::auto`] picks the cheapest backend that fits;
-//! benches and conformance tests force specific backends to compare
-//! them on identical problems.
+//! [`SolverStrategy::auto`] picks dense LU or matrix-free Krylov;
+//! Gauss–Seidel is never picked (on skewed flag chains its sweep count
+//! explodes) but stays available to callers that force it, as an
+//! independent reference. Benches and conformance tests force specific
+//! backends to compare them on identical problems.
 
-/// Largest transient-state count solved by dense LU (2¹⁰ — the n = 10
-/// full flag chain).
-pub const DENSE_MAX_STATES: usize = 1 << 10;
-
-/// Largest transient-state count solved by CSR Gauss–Seidel (2¹³ — the
-/// n = 13 full flag chain). Beyond this the CSR itself (O(n²·2ⁿ)
-/// entries for the flag chain) dominates memory and the matrix-free
-/// path wins.
-pub const GAUSS_SEIDEL_MAX_STATES: usize = 1 << 13;
+/// Largest transient-state count solved by dense LU (2⁸ — the n = 8
+/// full flag chain). From n = 9 on, the matrix-free solve with its
+/// Gauss–Seidel-smoothed two-level preconditioner is faster on
+/// symmetric and skewed rates alike.
+pub const DENSE_MAX_STATES: usize = 1 << 8;
 
 /// Which backend an absorption solve runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverStrategy {
     /// Dense partially-pivoted LU over the materialised transient block.
     Dense,
-    /// Gauss–Seidel sweeps over the materialised CSR generator.
+    /// Gauss–Seidel sweeps over the materialised CSR generator. Never
+    /// chosen by [`SolverStrategy::auto`]; callers force it as a
+    /// reference.
     GaussSeidel,
     /// Preconditioned BiCGSTAB touching the matrix only through
     /// operator applies ([`crate::matfree::LinOp`]); for the flag chain
@@ -42,13 +42,10 @@ pub enum SolverStrategy {
 
 impl SolverStrategy {
     /// The default backend for a system with `n_transient` transient
-    /// states: dense ≤ [`DENSE_MAX_STATES`], Gauss–Seidel ≤
-    /// [`GAUSS_SEIDEL_MAX_STATES`], matrix-free Krylov above.
+    /// states: dense ≤ [`DENSE_MAX_STATES`], matrix-free Krylov above.
     pub fn auto(n_transient: usize) -> SolverStrategy {
         if n_transient <= DENSE_MAX_STATES {
             SolverStrategy::Dense
-        } else if n_transient <= GAUSS_SEIDEL_MAX_STATES {
-            SolverStrategy::GaussSeidel
         } else {
             SolverStrategy::MatrixFree
         }
@@ -72,16 +69,12 @@ mod tests {
     #[test]
     fn auto_thresholds() {
         assert_eq!(SolverStrategy::auto(4), SolverStrategy::Dense);
-        assert_eq!(SolverStrategy::auto(1 << 10), SolverStrategy::Dense);
+        assert_eq!(SolverStrategy::auto(1 << 8), SolverStrategy::Dense);
         assert_eq!(
-            SolverStrategy::auto((1 << 10) + 1),
-            SolverStrategy::GaussSeidel
-        );
-        assert_eq!(SolverStrategy::auto(1 << 13), SolverStrategy::GaussSeidel);
-        assert_eq!(
-            SolverStrategy::auto((1 << 13) + 1),
+            SolverStrategy::auto((1 << 8) + 1),
             SolverStrategy::MatrixFree
         );
+        assert_eq!(SolverStrategy::auto(1 << 13), SolverStrategy::MatrixFree);
         assert_eq!(SolverStrategy::auto(1 << 20), SolverStrategy::MatrixFree);
     }
 

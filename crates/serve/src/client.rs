@@ -105,10 +105,13 @@ impl Session {
     fn connect(cfg: &ClientConfig) -> Result<Session, String> {
         let stream =
             TcpStream::connect(&cfg.addr).map_err(|e| format!("connect {}: {e}", cfg.addr))?;
+        // Requests are single small writes; without TCP_NODELAY one
+        // can sit behind the server's delayed ACK for about 40 ms.
         stream
             .set_read_timeout(Some(cfg.io_timeout))
             .and_then(|()| stream.set_write_timeout(Some(cfg.io_timeout)))
-            .map_err(|e| format!("socket timeouts: {e}"))?;
+            .and_then(|()| stream.set_nodelay(true))
+            .map_err(|e| format!("socket options: {e}"))?;
         let reader = stream
             .try_clone()
             .map(BufReader::new)
@@ -324,6 +327,20 @@ mod tests {
             Disposition::Normal
         ));
         assert!(matches!(classify("not json"), Disposition::Normal));
+    }
+
+    #[test]
+    fn both_ends_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = ClientConfig {
+            addr: listener.local_addr().unwrap().to_string(),
+            ..ClientConfig::default()
+        };
+        let session = Session::connect(&cfg).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        crate::server::configure_accepted(&accepted, Duration::from_secs(5)).unwrap();
+        assert!(session.writer.nodelay().unwrap(), "client stream");
+        assert!(accepted.nodelay().unwrap(), "accepted stream");
     }
 
     #[test]

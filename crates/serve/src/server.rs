@@ -499,15 +499,7 @@ fn accept_loop(
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                // The listener is non-blocking; accepted streams must
-                // not inherit that (handlers block on reads, bounded
-                // by the io timeout so the idle reaper gets a say and
-                // a stalled client can't pin the writer forever).
-                let io = Some(shared.cfg.io_timeout);
-                if stream.set_nonblocking(false).is_err()
-                    || stream.set_read_timeout(io).is_err()
-                    || stream.set_write_timeout(io).is_err()
-                {
+                if configure_accepted(&stream, shared.cfg.io_timeout).is_err() {
                     continue;
                 }
                 let shared = Arc::clone(shared);
@@ -529,6 +521,21 @@ fn accept_loop(
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
+}
+
+/// Socket options for an accepted connection. The listener is
+/// non-blocking; accepted streams must not inherit that (handlers block
+/// on reads, bounded by the io timeout so the idle reaper gets a say
+/// and a stalled client can't pin the writer forever). Every event is
+/// one small write, so Nagle's algorithm is off: otherwise a write
+/// issued while the previous one awaits the peer's delayed ACK stalls
+/// for about 40 ms.
+pub(crate) fn configure_accepted(stream: &TcpStream, io_timeout: Duration) -> std::io::Result<()> {
+    let io = Some(io_timeout);
+    stream.set_nonblocking(false)?;
+    stream.set_read_timeout(io)?;
+    stream.set_write_timeout(io)?;
+    stream.set_nodelay(true)
 }
 
 fn send_line(out: &mut TcpStream, line: &str) -> bool {

@@ -191,8 +191,8 @@ impl SchemeConformance {
         let params = sc.params();
         let mut checks = Vec::new();
 
-        // Path A: full-chain CTMC absorption solve (dense LU or sparse
-        // Gauss–Seidel).
+        // Path A: full-chain CTMC absorption solve on the default
+        // backend (dense LU at the matrix's sizes).
         let ex_ctmc = params.mean_interval();
 
         // Path B: embedded discrete chain with state splitting — an
