@@ -1,61 +1,11 @@
 //! Criterion: threaded-runtime primitive costs — checkpoint
-//! save/restore, logged-channel round trips, raw channel throughput
-//! under producer contention, recovery-block retries, and the PRP
-//! implantation broadcast.
+//! save/restore, logged-channel round trips, recovery-block retries,
+//! and the PRP implantation broadcast.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rbruntime::prp::PrpGroup;
 use rbruntime::{logged_pair, CheckpointStore, RecoveryBlock};
 use std::hint::black_box;
-
-/// The previous shim channel — one global Mutex + Condvar around a
-/// `VecDeque` — kept here as the in-bench baseline so the
-/// `channel_mpsc` group measures the segmented ticket queue against
-/// exactly what it replaced, on the same host, forever.
-mod baseline {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
-        ready: Condvar,
-    }
-
-    #[derive(Clone)]
-    pub struct Tx<T>(Arc<Inner<T>>);
-    pub struct Rx<T>(Arc<Inner<T>>);
-
-    pub fn pair<T>() -> (Tx<T>, Rx<T>) {
-        let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        });
-        (Tx(Arc::clone(&inner)), Rx(inner))
-    }
-
-    impl<T> Tx<T> {
-        pub fn send(&self, msg: T) {
-            self.0.queue.lock().unwrap().push_back(msg);
-            self.0.ready.notify_one();
-        }
-    }
-
-    impl<T> Rx<T> {
-        /// One message per lock acquisition, Condvar-parking when empty
-        /// — exactly the old shim's `Receiver::recv` shape, so the
-        /// comparison replays the replaced per-message cost rather than
-        /// an amortised drain.
-        pub fn recv(&self) -> T {
-            let mut q = self.0.queue.lock().unwrap();
-            loop {
-                if let Some(m) = q.pop_front() {
-                    return m;
-                }
-                q = self.0.ready.wait(q).unwrap();
-            }
-        }
-    }
-}
 
 fn bench_checkpoint(c: &mut Criterion) {
     let mut g = c.benchmark_group("checkpoint");
@@ -87,60 +37,6 @@ fn bench_logged_channel(c: &mut Criterion) {
             black_box(acc)
         })
     });
-}
-
-fn bench_channel_mpsc(c: &mut Criterion) {
-    // 4 producers × 10k messages into one consumer: the contention
-    // shape the segmented ticket queue exists for. `segmented` is the
-    // crossbeam-shim channel `rbruntime` runs on; `mutex_condvar` is
-    // the previous implementation (see `baseline`).
-    const PRODUCERS: usize = 4;
-    const PER_PRODUCER: usize = 10_000;
-    let mut g = c.benchmark_group("channel_mpsc/4prod_x10k");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements((PRODUCERS * PER_PRODUCER) as u64));
-    g.bench_function("segmented", |b| {
-        b.iter(|| {
-            let (tx, rx) = crossbeam::channel::unbounded::<u64>();
-            std::thread::scope(|s| {
-                for p in 0..PRODUCERS {
-                    let tx = tx.clone();
-                    s.spawn(move || {
-                        for k in 0..PER_PRODUCER {
-                            tx.send((p * PER_PRODUCER + k) as u64).unwrap();
-                        }
-                    });
-                }
-                drop(tx);
-                let mut acc = 0u64;
-                for _ in 0..PRODUCERS * PER_PRODUCER {
-                    acc = acc.wrapping_add(rx.recv().unwrap());
-                }
-                black_box(acc)
-            })
-        })
-    });
-    g.bench_function("mutex_condvar", |b| {
-        b.iter(|| {
-            let (tx, rx) = baseline::pair::<u64>();
-            std::thread::scope(|s| {
-                for p in 0..PRODUCERS {
-                    let tx = tx.clone();
-                    s.spawn(move || {
-                        for k in 0..PER_PRODUCER {
-                            tx.send((p * PER_PRODUCER + k) as u64);
-                        }
-                    });
-                }
-                let mut acc = 0u64;
-                for _ in 0..PRODUCERS * PER_PRODUCER {
-                    acc = acc.wrapping_add(rx.recv());
-                }
-                black_box(acc)
-            })
-        })
-    });
-    g.finish();
 }
 
 fn bench_recovery_block(c: &mut Criterion) {
@@ -200,7 +96,6 @@ criterion_group!(
     benches,
     bench_checkpoint,
     bench_logged_channel,
-    bench_channel_mpsc,
     bench_recovery_block,
     bench_prp_implantation
 );

@@ -40,47 +40,5 @@ fn bench_sweep(c: &mut Criterion) {
     assert_eq!(spec.run(1).to_json(), spec.run(threads).to_json());
 }
 
-fn bench_tiny_cell_batching(c: &mut Criterion) {
-    // 4096 cells of a few hundred nanoseconds each: the regime where
-    // per-cell dispatch overhead (cursor claims, bookkeeping) is
-    // comparable to the work itself, and `run_batched` earns its keep.
-    use rbbench::sweep::{Metric, SweepCell, Workload};
-    struct TinyCell {
-        k: u64,
-    }
-    impl Workload for TinyCell {
-        fn label(&self) -> String {
-            format!("tiny/{}", self.k)
-        }
-        fn run(&self, seed: u64) -> Vec<Metric> {
-            let mut acc = seed ^ self.k;
-            for _ in 0..32 {
-                acc = acc
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-            }
-            vec![Metric::exact("v", acc as f64)]
-        }
-    }
-    let spec = rbbench::sweep::SweepSpec::new(
-        "bench-tiny",
-        7,
-        (0..4096).map(|k| SweepCell::new(TinyCell { k })).collect(),
-    );
-    let threads = available_threads();
-    let mut g = c.benchmark_group("scenario_sweep/4096_tiny_cells");
-    g.throughput(Throughput::Elements(4096));
-    for min_batch in [1usize, 64] {
-        g.bench_function(format!("batch{min_batch}/{threads}_threads"), |b| {
-            b.iter(|| black_box(spec.run_batched(threads, min_batch)))
-        });
-    }
-    g.finish();
-    assert_eq!(
-        spec.run(1).to_json(),
-        spec.run_batched(threads, 64).to_json()
-    );
-}
-
-criterion_group!(benches, bench_sweep, bench_tiny_cell_batching);
+criterion_group!(benches, bench_sweep);
 criterion_main!(benches);

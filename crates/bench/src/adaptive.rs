@@ -7,7 +7,7 @@
 //! points whose metric values differ by more than a tolerance, under a
 //! global cell budget. Each refinement round is an ordinary
 //! [`SweepSpec`] riding the existing [`Workload`]/[`SweepCell`] seam,
-//! so rounds parallelise, journal and resume exactly like any other
+//! so rounds parallelise, cache and resume exactly like any other
 //! sweep.
 //!
 //! ## Determinism
@@ -36,14 +36,15 @@
 //! ascending`)` before the budget truncates them, so the whole
 //! [`AdaptiveReport`] — rounds, points, every derived seed — is a pure
 //! function of the spec: byte-identical at any thread count and
-//! through the [`AdaptiveSpec::run_resumable`] journal path (pinned by
+//! through a killed-then-resumed [`AdaptiveSpec::run_cached`] (pinned by
 //! `tests/sweep_determinism.rs` and `tests/sweep_resume.rs`).
 
 use std::path::Path;
+use std::sync::Mutex;
 
 use serde::Serialize;
 
-use crate::journal::JournalError;
+use crate::cache::ResultCache;
 use crate::sweep::{CellReport, SweepCell, SweepReport, SweepSpec, Workload};
 
 /// Builds the workload evaluated at one axis coordinate.
@@ -58,7 +59,7 @@ pub const MAX_DEPTH_LIMIT: u32 = 30;
 /// jump tolerance, and a global cell budget.
 pub struct AdaptiveSpec {
     /// Sweep name; round `k` runs as a [`SweepSpec`] named
-    /// `{name}#r{k}` (and journals to `{name}#r{k}.wal`).
+    /// `{name}#r{k}`.
     pub name: String,
     /// Master seed shared by every round.
     pub master_seed: u64,
@@ -243,35 +244,23 @@ impl AdaptiveSpec {
     /// The report is a pure function of the spec — byte-identical at
     /// any thread count.
     pub fn run(&self, threads: usize) -> AdaptiveReport {
-        self.drive(|spec| Ok::<_, JournalError>(spec.run(threads)))
-            .expect("in-memory rounds cannot fail")
+        self.drive(|spec| spec.run(threads))
     }
 
-    /// [`AdaptiveSpec::run`] with a write-ahead journal per round:
-    /// round `k` journals to `<journal_dir>/{name}#r{k}.wal` through
-    /// [`SweepSpec::run_resumable`]. A killed refinement resumes
-    /// byte-identically: finished rounds replay wholesale, the
-    /// interrupted round replays its finished cells and re-runs the
-    /// rest, and — because every cell's seed index is
-    /// position-determined, not round-determined — the reassembled
-    /// report matches an uninterrupted run exactly.
-    pub fn run_resumable(
-        &self,
-        threads: usize,
-        journal_dir: &Path,
-    ) -> Result<AdaptiveReport, JournalError> {
-        self.drive(|spec| {
-            let path = journal_dir.join(format!("{}.wal", spec.name));
-            spec.run_resumable(threads, &path)
-        })
+    /// [`AdaptiveSpec::run`] with every round routed through the result
+    /// cache ([`SweepSpec::run_cached`]). A killed refinement resumes
+    /// byte-identically by re-running against the same cache: finished
+    /// rounds are served wholesale from it, the interrupted round
+    /// solves only its missing cells, and — because every cell's seed
+    /// index is position-determined, not round-determined — the
+    /// reassembled report matches an uninterrupted run exactly.
+    pub fn run_cached(&self, threads: usize, cache: &Mutex<ResultCache>) -> AdaptiveReport {
+        self.drive(|spec| spec.run_cached(threads, cache).report)
     }
 
     /// The refinement loop, parameterized over how one round's spec is
     /// executed.
-    fn drive<E>(
-        &self,
-        mut run_round: impl FnMut(&SweepSpec) -> Result<SweepReport, E>,
-    ) -> Result<AdaptiveReport, E> {
+    fn drive(&self, mut run_round: impl FnMut(&SweepSpec) -> SweepReport) -> AdaptiveReport {
         // Round 0: the coarse axis, seeded exactly like a plain sweep.
         let cells = self
             .axis
@@ -284,8 +273,7 @@ impl AdaptiveSpec {
             })
             .collect();
         let spec = SweepSpec::new(format!("{}#r0", self.name), self.master_seed, cells);
-        let report = run_round(&spec)?;
-        let mut rounds = vec![report];
+        let mut rounds = vec![run_round(&spec)];
         let mut points: Vec<PointRec> = self
             .axis
             .iter()
@@ -331,7 +319,7 @@ impl AdaptiveSpec {
                 .map(|cand| self.midpoint(cand, &points, round))
                 .unzip();
             let spec = SweepSpec::new(format!("{}#r{round}", self.name), self.master_seed, cells);
-            let report = run_round(&spec)?;
+            let report = run_round(&spec);
             for (i, (_, rec)) in recs.iter_mut().enumerate() {
                 rec.point.value = self.lookup(&report.cells[i], round);
             }
@@ -344,7 +332,7 @@ impl AdaptiveSpec {
         }
 
         debug_assert!(points.windows(2).all(|w| w[0].key() < w[1].key()));
-        Ok(AdaptiveReport {
+        AdaptiveReport {
             name: self.name.clone(),
             master_seed: self.master_seed,
             metric: self.metric.clone(),
@@ -353,7 +341,7 @@ impl AdaptiveSpec {
             converged,
             rounds,
             points: points.into_iter().map(|r| r.point).collect(),
-        })
+        }
     }
 
     /// Every gap whose metric jump exceeds `tol` and whose midpoint
@@ -469,6 +457,13 @@ mod tests {
     impl Workload for FnWork {
         fn label(&self) -> String {
             "fn".into()
+        }
+        fn cache_params(&self) -> Option<String> {
+            Some(format!(
+                "x={};f={:p}",
+                rbcore::workload::canon_f64(self.x),
+                self.f as *const ()
+            ))
         }
         fn run(&self, _seed: u64) -> Vec<Metric> {
             vec![Metric::exact("f", (self.f)(self.x))]
@@ -595,20 +590,23 @@ mod tests {
     }
 
     #[test]
-    fn resumable_refinement_matches_the_in_memory_run() {
+    fn cached_refinement_matches_the_in_memory_run() {
         let dir = std::env::temp_dir().join(format!("rbbench-adaptive-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let mk = || {
             AdaptiveSpec::new("unit-resume", 23, vec![0.0, 2.0], "f", 0.4, 20, {
                 factory(|x| x * x)
             })
         };
-        let journalled = mk().run_resumable(4, &dir).expect("resumable");
-        assert_eq!(journalled.to_json(), mk().run(1).to_json());
-        // Re-running replays every round byte-identically.
-        let replayed = mk().run_resumable(2, &dir).expect("replay");
-        assert_eq!(replayed.to_json(), journalled.to_json());
+        let cache = Mutex::new(ResultCache::open(&dir).unwrap());
+        let cached = mk().run_cached(4, &cache);
+        assert_eq!(cached.to_json(), mk().run(1).to_json());
+        let stored = cache.lock().unwrap().len();
+        assert_eq!(stored, cached.points.len(), "one entry per evaluated point");
+        // Re-running serves every round from the cache, byte-identically.
+        let replayed = mk().run_cached(2, &cache);
+        assert_eq!(replayed.to_json(), cached.to_json());
+        assert_eq!(cache.lock().unwrap().len(), stored, "nothing re-solved");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,6 +14,7 @@
 use rbbench::cli::BenchArgs;
 use rbbench::sweep::{Metric, SweepCell, SweepSpec, Workload};
 use rbbench::workloads::MatrixFreeLumpability;
+use rbcore::workload::canon_async_params;
 use rbmarkov::paper::{AsyncParams, Rule};
 use serde::Serialize;
 
@@ -27,6 +28,10 @@ struct ChainAudit {
 impl Workload for ChainAudit {
     fn label(&self) -> String {
         format!("chain-audit/n{}", self.params.n())
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(canon_async_params(&self.params))
     }
 
     fn run(&self, _seed: u64) -> Vec<Metric> {
@@ -169,4 +174,21 @@ fn main() {
             matrix_free_scaling: scaling,
         },
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn chain_audit_cache_params_bind_the_rates() {
+        let key = |lambda| {
+            ChainAudit {
+                params: AsyncParams::symmetric(3, 1.0, lambda),
+            }
+            .cache_params()
+            .expect("cacheable")
+        };
+        assert_ne!(key(1.0), key(1.5));
+    }
 }

@@ -15,6 +15,7 @@
 use rbbench::cli::BenchArgs;
 use rbbench::sweep::{Metric, SweepCell, SweepSpec, Workload};
 use rbbench::workloads::MatrixFreeLumpability;
+use rbcore::workload::canon_f64;
 use rbmarkov::paper::{mean_interval_symmetric, AsyncParams, SymmetricChain};
 use serde::Serialize;
 
@@ -29,6 +30,15 @@ struct LumpabilityAudit {
 impl Workload for LumpabilityAudit {
     fn label(&self) -> String {
         format!("lumpability/n{}", self.n)
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "n={};mu={};lambda={}",
+            self.n,
+            canon_f64(self.mu),
+            canon_f64(self.lambda)
+        ))
     }
 
     fn run(&self, _seed: u64) -> Vec<Metric> {
@@ -61,6 +71,15 @@ struct ScalingPoint {
 impl Workload for ScalingPoint {
     fn label(&self) -> String {
         format!("scaling/n{}", self.n)
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "n={};mu={};lambda={}",
+            self.n,
+            canon_f64(self.mu),
+            canon_f64(self.lambda)
+        ))
     }
 
     fn run(&self, _seed: u64) -> Vec<Metric> {
@@ -216,4 +235,22 @@ fn main() {
             large_n_lumpability: large_rows,
         },
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn audit_and_scaling_cache_params_bind_every_field() {
+        type Key = fn(usize, f64, f64) -> Option<String>;
+        let audit: Key = |n, mu, lambda| LumpabilityAudit { n, mu, lambda }.cache_params();
+        let point: Key = |n, mu, lambda| ScalingPoint { n, mu, lambda }.cache_params();
+        for key in [audit, point] {
+            let base = key(3, 1.0, 1.0).expect("cacheable");
+            for flip in [key(4, 1.0, 1.0), key(3, 2.0, 1.0), key(3, 1.0, 2.0)] {
+                assert_ne!(Some(&base), flip.as_ref());
+            }
+        }
+    }
 }

@@ -17,7 +17,9 @@
 //! * `--adaptive <budget>` — additionally refine the tail-quantile
 //!   curve t*(λ) (the `tail/threshold` metric) over a λ axis with the
 //!   adaptive engine (`rbbench::adaptive`) under the given cell
-//!   budget, emitting a second artifact `fig_tails_adaptive`.
+//!   budget, emitting a second artifact `fig_tails_adaptive`; with
+//!   `--cache <dir>` every refinement round goes through the result
+//!   cache, so a killed refinement resumes where it stopped.
 
 use rbbench::adaptive::AdaptiveSpec;
 use rbbench::cli::BenchArgs;
@@ -124,15 +126,9 @@ fn main() {
             }),
         )
         .with_max_depth(8);
-        let refined = match &args.journal {
+        let refined = match args.open_cache() {
             None => spec.run(args.threads()),
-            Some(dir) => {
-                std::fs::create_dir_all(dir).expect("create journal dir");
-                spec.run_resumable(args.threads(), dir).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                })
-            }
+            Some(cache) => spec.run_cached(args.threads(), &cache),
         };
         println!(
             "\nAdaptive λ profile of the tail quantile t*(λ) at p = {p_profile:e} \

@@ -4,8 +4,8 @@
 //!
 //! The `sweep-resume` CI job (and the release test in
 //! `crates/bench/tests/sweep_resume.rs`) runs this binary three ways:
-//! once without `--journal` as the reference, once with `--journal`
-//! SIGKILLed mid-sweep, and once more with the same `--journal` to
+//! once without `--cache` as the reference, once with `--cache`
+//! SIGKILLed mid-sweep, and once more with the same `--cache` to
 //! resume — then diffs `sweep_resume_probe.json` between the reference
 //! and the resumed run. The grid is sized so a kill lands partway
 //! through: 24 cells of `RB_PROBE_LINES` (default 60 000) simulated

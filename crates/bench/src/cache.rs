@@ -1,12 +1,15 @@
-//! The content-addressed result cache: repeated cells cost a hash
-//! lookup, not a solve.
+//! The content-addressed result cache: the one durable store behind
+//! cached sweeps, resumed sweeps and `rbserve`.
 //!
-//! Under multi-user load the common case is a **repeated** cell — the
-//! same workload, same parameters, same derived seed. Because
-//! [`Workload::run`](crate::sweep::Workload::run) is pure in `(self, seed)` (the sweep contract),
-//! its [`CellReport`] is a pure function of the triple
-//! `(label, canonical params, seed)` — so a finished report can be
-//! stored once and served forever, bit-exactly.
+//! Because [`Workload::run`](crate::sweep::Workload::run) is pure in
+//! `(self, seed)` (the sweep contract), a cell's [`CellReport`] is a
+//! pure function of the triple `(label, canonical params, seed)` — so a
+//! finished report can be stored once and served forever, bit-exactly.
+//! Repeated cells cost a hash lookup, not a solve, and a killed sweep
+//! **resumes** by re-running through the same cache: every cell that
+//! finished before the kill is a hit, only the rest are solved, and the
+//! reassembled report is byte-identical to an uninterrupted `spec.run(1)`
+//! (the kill gate in `tests/sweep_resume.rs` diffs the artifact bytes).
 //!
 //! ## Cache keys
 //!
@@ -21,47 +24,63 @@
 //!
 //! and its FNV-1a-64 hash. Length-prefixing makes the material
 //! injective (`("ab","c")` ≠ `("a","bc")`); the params string comes
-//! from [`Workload::cache_params`](crate::sweep::Workload::cache_params), which renders floats as raw
-//! IEEE-754 bits so no two distinct configurations collide. Workloads
-//! that do not implement `cache_params` (returning `None`) are simply
-//! never cached — opt-in, safe by default.
+//! from [`Workload::cache_params`](crate::sweep::Workload::cache_params),
+//! which renders floats as raw IEEE-754 bits so no two distinct
+//! configurations collide. Every production workload is cacheable; a
+//! workload whose `cache_params` is `None` (test probes) simply re-runs
+//! every time.
 //!
 //! Hashes address the in-memory index, but a **hit requires full key
 //! material equality** — a 64-bit hash collision can never serve the
-//! wrong payload.
+//! wrong payload. Because the key binds every parameter, the seed and
+//! the format version, an edited spec (a changed parameter, master
+//! seed, or seed index) is a clean **miss**, never a stale replay: the
+//! store has no notion of "the sweep", only of computations.
 //!
 //! ## On-disk format
 //!
 //! One append-only file (`results.wal`) of [`rbruntime::wal`] frames:
 //! a header frame binding the cache format and code version, then one
 //! frame per entry (`[tag][material length: u32][material][payload]`)
-//! where the payload is the journal's bit-exact report codec
-//! (`f64`s as raw bits — NaN quantiles round-trip). Entries are
-//! appended and flushed as produced, so a SIGKILLed server restarts
-//! warm: the recovery rules are the journal's — a torn tail is
-//! truncated (those solves re-run and re-append), an intact but
-//! undecodable or self-contradictory record **refuses** the cache with
-//! an error naming the file, and a header written by a different
-//! format or code version is refused rather than misread.
+//! where the payload is the bit-exact report codec below (`f64`s as
+//! raw bits — NaN quantiles round-trip). Entries are appended and
+//! flushed as produced.
 //!
-//! One writer at a time: like the journal, the cache has no
-//! inter-process lock; drive a given cache directory from a single
-//! process. [`entry_count`] / [`wal_stats`] are the read-only
-//! exception — they scan the framing without opening for append, so
-//! tests (and humans) can poll a live server's cache file.
+//! ## Recovery rules
+//!
+//! One policy for every reader that opens the file:
+//!
+//! * a **torn tail** (killed mid-write) or a checksum-mismatched frame
+//!   ends the scan: the file is truncated at the last intact frame and
+//!   the cells it covered simply re-solve and re-append;
+//! * an **intact but undecodable or self-contradictory** record (two
+//!   payloads under one key) **refuses** the cache with an error naming
+//!   the file and frame — re-running "around" it could mask a real
+//!   fault;
+//! * a header written by a different format or code version is refused
+//!   rather than misread;
+//! * a byte-identical duplicate frame (two workers racing one key) is
+//!   benign: replay keeps the first.
+//!
+//! One writer at a time: the cache has no inter-process lock, so drive
+//! a given cache directory from a single process — including two figure
+//! binaries pointed at one `--cache` dir, which must run one after the
+//! other. [`entry_count`] / [`wal_stats`] are the read-only exception —
+//! they scan the framing without opening for append, so tests (and
+//! humans) can poll a live process's cache file.
 //!
 //! ## Lifecycle
 //!
 //! The WAL only ever appends during serving, so it accretes benign
-//! duplicate frames (two workers racing the same key) that replay
-//! skips but disk keeps. [`ResultCache::compact`] reclaims them: it
-//! writes a fresh image — header plus exactly one frame per distinct
-//! key, in first-seen order — to a temp file
-//! ([`compact_temp_path`]), fsyncs it, and **atomically renames** it
-//! over `results.wal`. A crash anywhere mid-compaction therefore
-//! leaves either the old file (rename not reached; the stale temp is
-//! inert — never read at open) or the new one (rename landed), never
-//! a hybrid, and both replay under the same refuse-don't-guess rules.
+//! duplicate frames that replay skips but disk keeps.
+//! [`ResultCache::compact`] reclaims them: it writes a fresh image —
+//! header plus exactly one frame per distinct key, in first-seen order —
+//! to a temp file ([`compact_temp_path`]), fsyncs it, and **atomically
+//! renames** it over `results.wal`. A crash anywhere mid-compaction
+//! therefore leaves either the old file (rename not reached; the stale
+//! temp is inert — never read at open) or the new one (rename landed),
+//! never a hybrid, and both replay under the same refuse-don't-guess
+//! rules.
 //!
 //! In front of the byte store sits an optional **hot tier**
 //! ([`ResultCache::set_hot_capacity`]): a bounded LRU of decoded
@@ -75,16 +94,21 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use rbcore::metrics::{DistSummary, Metric, Quantile};
 use rbruntime::faultio::{append_durably, FileIo, Fs, RealFs};
 use rbruntime::wal::{fnv1a64, write_frame, FrameScan, FRAME_OVERHEAD};
 
-use crate::journal::{decode_report_payload, encode_report_payload};
 use crate::sweep::{CellReport, SweepCell};
 
 /// Version of the cache's key derivation **and** on-disk entry layout;
 /// bumped together (a key from an old derivation must never hit a new
 /// store). Part of both the key material and the file header.
 pub const CACHE_FORMAT_VERSION: u16 = 1;
+
+/// Transient write failures absorbed per append stage before an
+/// insert surfaces as [`CacheError::Io`] — the store's own small
+/// recovery block.
+pub const TRANSIENT_RETRIES: u32 = 3;
 
 /// File name of the cache WAL inside the cache directory.
 pub const CACHE_FILE: &str = "results.wal";
@@ -134,8 +158,9 @@ pub fn cache_key(label: &str, params: &str, seed: u64) -> CacheKey {
 }
 
 /// The cache key of a sweep cell under its derived seed, or `None` if
-/// the cell's workload is not cacheable (no
-/// [`Workload::cache_params`](crate::sweep::Workload::cache_params)).
+/// the cell's workload is not cacheable (its
+/// [`Workload::cache_params`](crate::sweep::Workload::cache_params) is
+/// `None`).
 pub fn cell_key(cell: &SweepCell, seed: u64) -> Option<CacheKey> {
     cell.workload
         .cache_params()
@@ -273,6 +298,215 @@ fn decode_entry(frame: &[u8]) -> Result<(Vec<u8>, Vec<u8>), String> {
     // can trust stored bytes unconditionally.
     decode_report_payload(payload)?;
     Ok((material.to_vec(), payload.to_vec()))
+}
+
+// --- report payload codec ---------------------------------------------
+//
+// Little-endian throughout; strings are u32-length-prefixed UTF-8;
+// f64s are stored as raw IEEE-754 bits so a hit is bit-exact.
+
+struct Enc(Vec<u8>);
+
+impl Enc {
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    fn str(&mut self, s: &str) {
+        self.u32(u32::try_from(s.len()).expect("string exceeds u32::MAX bytes"));
+        self.0.extend_from_slice(s.as_bytes());
+    }
+}
+
+struct Dec<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Dec<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Dec { bytes, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.bytes.len())
+            .ok_or_else(|| format!("record truncated at byte {}", self.pos))?;
+        let out = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
+    }
+    fn u32(&mut self) -> Result<u32, String> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+    fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+    fn f64(&mut self) -> Result<f64, String> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+    fn str(&mut self) -> Result<String, String> {
+        let len = self.u32()? as usize;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 in record string".into())
+    }
+
+    fn finish(self) -> Result<(), String> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} trailing bytes after record body",
+                self.bytes.len() - self.pos
+            ))
+        }
+    }
+}
+
+fn encode_metric(enc: &mut Enc, m: &Metric) {
+    match m {
+        Metric::Scalar {
+            name,
+            value,
+            std_err,
+            count,
+            ok,
+        } => {
+            enc.u8(0);
+            enc.str(name);
+            enc.f64(*value);
+            enc.f64(*std_err);
+            enc.u64(*count);
+            enc.u8(*ok as u8);
+        }
+        Metric::Distribution { name, dist, ok } => {
+            enc.u8(1);
+            enc.str(name);
+            enc.u8(*ok as u8);
+            enc.f64(dist.lo);
+            enc.f64(dist.hi);
+            enc.u32(dist.counts.len() as u32);
+            for &c in &dist.counts {
+                enc.u64(c);
+            }
+            enc.u64(dist.underflow);
+            enc.u64(dist.overflow);
+            enc.u64(dist.count);
+            enc.f64(dist.mean);
+            enc.u32(dist.quantiles.len() as u32);
+            for q in &dist.quantiles {
+                enc.f64(q.p);
+                enc.f64(q.x);
+            }
+        }
+    }
+}
+
+fn decode_metric(dec: &mut Dec) -> Result<Metric, String> {
+    match dec.u8()? {
+        0 => Ok(Metric::Scalar {
+            name: dec.str()?,
+            value: dec.f64()?,
+            std_err: dec.f64()?,
+            count: dec.u64()?,
+            ok: dec.u8()? != 0,
+        }),
+        1 => {
+            let name = dec.str()?;
+            let ok = dec.u8()? != 0;
+            let lo = dec.f64()?;
+            let hi = dec.f64()?;
+            let n_counts = dec.u32()? as usize;
+            let mut counts = Vec::with_capacity(n_counts.min(1 << 20));
+            for _ in 0..n_counts {
+                counts.push(dec.u64()?);
+            }
+            let underflow = dec.u64()?;
+            let overflow = dec.u64()?;
+            let count = dec.u64()?;
+            let mean = dec.f64()?;
+            let n_q = dec.u32()? as usize;
+            let mut quantiles = Vec::with_capacity(n_q.min(1 << 20));
+            for _ in 0..n_q {
+                quantiles.push(Quantile {
+                    p: dec.f64()?,
+                    x: dec.f64()?,
+                });
+            }
+            Ok(Metric::Distribution {
+                name,
+                ok,
+                dist: DistSummary {
+                    lo,
+                    hi,
+                    counts,
+                    underflow,
+                    overflow,
+                    count,
+                    mean,
+                    quantiles,
+                },
+            })
+        }
+        tag => Err(format!("unknown metric tag {tag}")),
+    }
+}
+
+/// Encodes a [`CellReport`] — id, seed, metric vector with `f64`s as
+/// raw bits — as the payload of a cache entry.
+pub(crate) fn encode_report_payload(report: &CellReport) -> Vec<u8> {
+    let mut enc = Enc(Vec::new());
+    enc.str(&report.id);
+    enc.u64(report.seed);
+    enc.u32(report.metrics.len() as u32);
+    for m in &report.metrics {
+        encode_metric(&mut enc, m);
+    }
+    enc.0
+}
+
+/// Decodes a payload written by [`encode_report_payload`], rejecting
+/// trailing bytes.
+pub(crate) fn decode_report_payload(payload: &[u8]) -> Result<CellReport, String> {
+    let mut dec = Dec::new(payload);
+    let id = dec.str()?;
+    let seed = dec.u64()?;
+    let n = dec.u32()? as usize;
+    let mut metrics = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        metrics.push(decode_metric(&mut dec)?);
+    }
+    dec.finish()?;
+    Ok(CellReport { id, seed, metrics })
+}
+
+/// Validates that `report` survives the payload codec bit-exactly:
+/// encode → decode → re-encode must reproduce the same bytes. This is
+/// the *acceptance test* the recovery-block layers run on a freshly
+/// solved cell before committing it (rbserve's cell-retry loop, chaos
+/// harnesses): a report this check rejects could never be cached or
+/// replayed faithfully.
+pub fn validate_report_roundtrip(report: &CellReport) -> Result<(), String> {
+    let bytes = encode_report_payload(report);
+    let back = decode_report_payload(&bytes)?;
+    if encode_report_payload(&back) != bytes {
+        return Err("payload codec round-trip diverged".into());
+    }
+    Ok(())
 }
 
 /// Which tier served a [`ResultCache::lookup_tiered`] hit.
@@ -595,9 +829,7 @@ impl ResultCache {
         let written = tmp_file
             .set_len(0)
             .and_then(|()| tmp_file.seek_to(0))
-            .and_then(|()| {
-                append_durably(tmp_file.as_mut(), &image, crate::journal::TRANSIENT_RETRIES)
-            })
+            .and_then(|()| append_durably(tmp_file.as_mut(), &image, TRANSIENT_RETRIES))
             .and_then(|()| tmp_file.sync_all());
         drop(tmp_file);
         if let Err(source) = written {
@@ -677,13 +909,13 @@ impl ResultCache {
         // transient *write* failure landed nothing and may retry the
         // whole buffer, but once the write succeeded only the flush
         // may retry — re-issuing the buffer there appends it twice.
-        append_durably(self.file.as_mut(), bytes, crate::journal::TRANSIENT_RETRIES).map_err(
-            |source| CacheError::Io {
+        append_durably(self.file.as_mut(), bytes, TRANSIENT_RETRIES).map_err(|source| {
+            CacheError::Io {
                 path: self.path.clone(),
                 op,
                 source,
-            },
-        )?;
+            }
+        })?;
         self.file_len += bytes.len() as u64;
         Ok(())
     }
@@ -817,7 +1049,6 @@ pub fn entry_count(dir: &Path) -> Result<usize, CacheError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbcore::metrics::{DistSummary, Metric, Quantile};
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rbbench-cache-{name}-{}", std::process::id()));
@@ -893,6 +1124,26 @@ mod tests {
         assert_eq!(a.lo.to_bits(), b.lo.to_bits(), "-0.0 support survives");
         assert_eq!(a.quantiles[0].x.to_bits(), b.quantiles[0].x.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn payload_decode_rejects_trailing_bytes_truncation_and_bad_tags() {
+        let bytes = encode_report_payload(&weird_report());
+        let mut trailing = bytes.clone();
+        trailing.push(0xAB);
+        assert!(decode_report_payload(&trailing)
+            .unwrap_err()
+            .contains("trailing"));
+        assert!(decode_report_payload(&bytes[..bytes.len() - 3])
+            .unwrap_err()
+            .contains("truncated"));
+        // The first metric's tag sits right after id, seed and count.
+        let mut bad_tag = bytes.clone();
+        bad_tag[4 + "n3/mu1/lam0.5".len() + 8 + 4] = 0x77;
+        assert!(decode_report_payload(&bad_tag)
+            .unwrap_err()
+            .contains("unknown metric tag"));
+        assert!(validate_report_roundtrip(&weird_report()).is_ok());
     }
 
     #[test]

@@ -12,18 +12,13 @@
 //! * `--out <dir>` — redirect the JSON artifacts (threaded explicitly
 //!   through [`BenchArgs::emit_json`]; the parser never mutates the
 //!   process environment);
-//! * `--journal <dir>` — journal completed sweep cells to
-//!   `<dir>/<sweep name>.wal` and resume from it on re-run
-//!   ([`crate::sweep::SweepSpec::run_resumable`] via
-//!   [`BenchArgs::run_sweep`]); the resumed artifact is byte-identical
-//!   to an uninterrupted run;
 //! * `--cache <dir>` — route the sweep through the content-addressed
 //!   result cache at `<dir>` ([`crate::cache`] via
 //!   [`crate::sweep::SweepSpec::run_cached`]): cells already stored
 //!   under `(label, params, seed)` skip their solves, freshly solved
 //!   cells are appended, and the emitted artifact is byte-identical
-//!   either way (mutually exclusive with `--journal` — the cache *is*
-//!   persistence, keyed by content rather than by sweep);
+//!   either way — so re-running a killed binary with the same `--cache`
+//!   resumes it; `--journal <dir>` is an alias;
 //! * `--cache-hot <n>` — capacity of the cache's in-memory hot tier of
 //!   decoded reports (`0` disables it; requires `--cache`);
 //! * `--compact` — after a cached run, compact the cache WAL
@@ -45,9 +40,11 @@
 //! ```
 
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use rbsim::par::available_threads;
 
+use crate::cache::ResultCache;
 use crate::sweep::{SweepReport, SweepSpec};
 
 /// Parsed common flags of a figure binary.
@@ -59,9 +56,8 @@ pub struct BenchArgs {
     pub threads: Option<usize>,
     /// `--out`: artifact directory override.
     pub out: Option<PathBuf>,
-    /// `--journal`: directory for resumable sweep journals.
-    pub journal: Option<PathBuf>,
-    /// `--cache`: directory of the content-addressed result cache.
+    /// `--cache` (or its alias `--journal`): directory of the
+    /// content-addressed result cache.
     pub cache: Option<PathBuf>,
     /// `--cache-hot`: hot-tier capacity (decoded reports in memory).
     pub cache_hot: Option<usize>,
@@ -95,7 +91,7 @@ impl BenchArgs {
     /// The usage text printed for `--help`.
     pub fn usage(bin: &str) -> String {
         format!(
-            "usage: {bin} [--seed <u64>] [--threads <n>] [--out <dir>] [--journal <dir>]\n\
+            "usage: {bin} [--seed <u64>] [--threads <n>] [--out <dir>]\n\
              \x20          [--cache <dir>] [--cache-hot <n>] [--compact]\n\
              \x20          [--adaptive <budget>] [--splitting <trials>]\n\
              \n\
@@ -105,13 +101,12 @@ impl BenchArgs {
              \x20               all cores; output is byte-identical at any value)\n\
              --out <dir>     directory for JSON artifacts (default: results/,\n\
              \x20               or RB_RESULTS_DIR)\n\
-             --journal <dir> journal completed cells to <dir>/<sweep>.wal and\n\
-             \x20               resume from it on re-run; a resumed run's artifact\n\
-             \x20               is byte-identical to an uninterrupted one\n\
              --cache <dir>   serve repeated cells from the content-addressed\n\
              \x20               result cache at <dir> (and store fresh solves);\n\
-             \x20               the artifact is byte-identical either way;\n\
-             \x20               mutually exclusive with --journal\n\
+             \x20               the artifact is byte-identical either way, so a\n\
+             \x20               killed run resumes by re-running with the same\n\
+             \x20               <dir> (one process per <dir> at a time)\n\
+             --journal <dir> alias of --cache <dir>\n\
              --cache-hot <n> keep up to <n> decoded reports in the cache's\n\
              \x20               in-memory hot tier (0 disables; requires --cache)\n\
              --compact       compact the cache WAL after the run: duplicate\n\
@@ -142,8 +137,7 @@ impl BenchArgs {
                     out.threads = Some(t);
                 }
                 "--out" => out.out = Some(Self::dir(&arg, args.next())?),
-                "--journal" => out.journal = Some(Self::dir(&arg, args.next())?),
-                "--cache" => out.cache = Some(Self::dir(&arg, args.next())?),
+                "--cache" | "--journal" => out.cache = Some(Self::dir(&arg, args.next())?),
                 "--cache-hot" => out.cache_hot = Some(Self::value(&arg, args.next())?),
                 "--compact" => out.compact = true,
                 "--adaptive" => {
@@ -154,14 +148,6 @@ impl BenchArgs {
                 }
                 other => return Err(ParseError::Invalid(format!("unknown argument `{other}`"))),
             }
-        }
-        if out.journal.is_some() && out.cache.is_some() {
-            return Err(ParseError::Invalid(
-                "--journal and --cache are mutually exclusive: the cache already persists \
-                 every completed cell (keyed by content), so journalling on top of it would \
-                 write the same results twice under two recovery policies"
-                    .into(),
-            ));
         }
         if out.cache.is_none() {
             if out.cache_hot.is_some() {
@@ -222,77 +208,56 @@ impl BenchArgs {
         self.out.as_deref()
     }
 
-    /// The journal file a sweep named `sweep_name` would use under
-    /// `--journal` (one file per sweep, so binaries running several
-    /// specs share one flag without header collisions).
-    pub fn journal_file(&self, sweep_name: &str) -> Option<PathBuf> {
-        self.journal
-            .as_ref()
-            .map(|dir| dir.join(format!("{sweep_name}.wal")))
+    /// Opens the `--cache` store with its `--cache-hot` tier, or `None`
+    /// without `--cache`. A cache that cannot be used (refused
+    /// corruption, I/O failure) prints its error and exits 2 —
+    /// binaries have no recovery path.
+    pub fn open_cache(&self) -> Option<Mutex<ResultCache>> {
+        let dir = self.cache.as_ref()?;
+        match ResultCache::open(dir) {
+            Ok(mut cache) => {
+                if let Some(hot) = self.cache_hot {
+                    cache.set_hot_capacity(hot);
+                }
+                Some(Mutex::new(cache))
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// Runs a sweep honouring the shared flags: plain
-    /// [`SweepSpec::run`] without `--journal`/`--cache`, resumable
-    /// ([`SweepSpec::run_resumable`]) with `--journal`, cache-routed
-    /// ([`SweepSpec::run_cached`]) with `--cache` (hit/miss counts are
-    /// reported on stderr; the artifact is byte-identical either way).
-    /// A journal or cache that cannot be used (spec mismatch, refused
-    /// corruption, I/O failure) prints its error and exits 2 —
-    /// binaries have no recovery path.
+    /// [`SweepSpec::run`] without `--cache`, cache-routed
+    /// ([`SweepSpec::run_cached`]) with it — hit/miss counts are
+    /// reported on stderr, `--compact` compacts the WAL afterwards, and
+    /// the artifact is byte-identical either way.
     pub fn run_sweep(&self, spec: &SweepSpec) -> SweepReport {
-        if let Some(dir) = &self.cache {
-            let cache = match crate::cache::ResultCache::open(dir) {
-                Ok(mut cache) => {
-                    if let Some(hot) = self.cache_hot {
-                        cache.set_hot_capacity(hot);
-                    }
-                    std::sync::Mutex::new(cache)
-                }
+        let Some(cache) = self.open_cache() else {
+            return spec.run(self.threads());
+        };
+        let out = spec.run_cached(self.threads(), &cache);
+        eprintln!(
+            "[cache] {}: {} hits, {} misses, {} uncacheable",
+            spec.name, out.hits, out.misses, out.uncacheable
+        );
+        if self.compact {
+            let mut cache = cache
+                .into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            match cache.compact() {
+                Ok(stats) => eprintln!(
+                    "[cache] {}: compacted {} -> {} bytes ({} entries)",
+                    spec.name, stats.bytes_before, stats.bytes_after, stats.entries
+                ),
                 Err(e) => {
                     eprintln!("error: {e}");
                     std::process::exit(2);
                 }
-            };
-            let out = spec.run_cached(self.threads(), &cache);
-            eprintln!(
-                "[cache] {}: {} hits, {} misses, {} uncacheable",
-                spec.name, out.hits, out.misses, out.uncacheable
-            );
-            if self.compact {
-                let mut cache = cache
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                match cache.compact() {
-                    Ok(stats) => eprintln!(
-                        "[cache] {}: compacted {} -> {} bytes ({} entries)",
-                        spec.name, stats.bytes_before, stats.bytes_after, stats.entries
-                    ),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            return out.report;
-        }
-        match self.journal_file(&spec.name) {
-            None => spec.run(self.threads()),
-            Some(path) => {
-                if let Some(dir) = path.parent() {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("error: create journal dir {}: {e}", dir.display());
-                        std::process::exit(2);
-                    }
-                }
-                match spec.run_resumable(self.threads(), &path) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
             }
         }
+        out.report
     }
 
     /// Writes an artifact honouring `--out` ([`crate::emit_json_in`]).
@@ -333,7 +298,6 @@ mod tests {
         assert_eq!(a.master_seed(1983), 1983);
         assert!(a.threads() >= 1);
         assert!(a.out_dir().is_none());
-        assert!(a.journal_file("s").is_none());
     }
 
     #[test]
@@ -345,35 +309,35 @@ mod tests {
             "3",
             "--out",
             "/tmp/x",
-            "--journal",
-            "/tmp/j",
+            "--cache",
+            "/tmp/c",
             "--adaptive",
             "128",
             "--splitting",
             "4096",
         ])
         .unwrap();
-        assert!(a.cache.is_none());
         assert_eq!(a.seed, Some(42));
         assert_eq!(a.threads, Some(3));
         assert_eq!(a.out_dir(), Some(Path::new("/tmp/x")));
         assert_eq!(a.master_seed(1983), 42);
         assert_eq!(a.threads(), 3);
-        assert_eq!(
-            a.journal_file("fig7_sync_sweep"),
-            Some(PathBuf::from("/tmp/j/fig7_sync_sweep.wal"))
-        );
+        assert_eq!(a.cache, Some(PathBuf::from("/tmp/c")));
         assert_eq!(a.adaptive, Some(128));
         assert_eq!(a.splitting, Some(4096));
     }
 
     #[test]
-    fn cache_flag_parses_and_excludes_journal() {
-        let a = parse(&["--cache", "/tmp/c"]).unwrap();
-        assert_eq!(a.cache, Some(PathBuf::from("/tmp/c")));
+    fn journal_is_an_alias_of_cache() {
+        let a = parse(&["--journal", "/tmp/j"]).unwrap();
+        assert_eq!(a, parse(&["--cache", "/tmp/j"]).unwrap());
         assert!(invalid(&["--cache", ""]).contains("requires a directory"));
-        let msg = invalid(&["--cache", "/tmp/c", "--journal", "/tmp/j"]);
-        assert!(msg.contains("mutually exclusive"), "{msg}");
+        // The alias satisfies the cache-only flags too.
+        assert!(
+            parse(&["--journal", "/tmp/j", "--compact"])
+                .unwrap()
+                .compact
+        );
     }
 
     #[test]

@@ -16,18 +16,15 @@
 //!   where a metric jumps, under a global cell budget, with
 //!   path-determined per-point seeds so the refined profile is
 //!   byte-identical at any thread count and through kill/resume;
-//! * [`journal`] — the WAL-style sweep journal behind
-//!   [`sweep::SweepSpec::run_resumable`]: completed cells are appended
-//!   to an on-disk log and replayed on restart, byte-identical to an
-//!   uninterrupted run;
 //! * [`cache`] — the content-addressed result cache behind
 //!   [`sweep::SweepSpec::run_cached`] and the `rbserve` server: completed
 //!   cells stored under `(label, canonical params, seed, format version)`
 //!   keys in a WAL-backed store, so repeated cells cost a hash lookup,
-//!   not a solve — and a killed server restarts warm;
+//!   not a solve — a killed sweep resumes through it byte-identically,
+//!   and a killed server restarts warm;
 //! * [`cli`] — the shared `--seed` / `--threads` / `--out` /
-//!   `--journal` / `--cache` / `--adaptive` / `--splitting` flag parser
-//!   every binary uses;
+//!   `--cache` / `--adaptive` / `--splitting` flag parser every binary
+//!   uses;
 //! * [`emit_json`] / [`emit_json_in`] / [`artifact_json`] — the one
 //!   JSON artifact writer every binary funnels through
 //!   (machine-readable twins of the printed tables, under `results/`);
@@ -41,7 +38,7 @@
 //!     1983,
 //!     &AsyncGrid { n: vec![3], mu: vec![1.0], lambda: vec![1.0], lines: 300 },
 //! );
-//! let report = spec.run_parallel(); // bit-identical to spec.run(1)
+//! let report = spec.run(4); // bit-identical to spec.run(1)
 //! assert!(report.cells[0].value("EX") > 0.0);
 //! ```
 
@@ -51,7 +48,6 @@
 pub mod adaptive;
 pub mod cache;
 pub mod cli;
-pub mod journal;
 pub mod sweep;
 pub mod workloads;
 

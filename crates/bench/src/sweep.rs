@@ -48,7 +48,7 @@
 use rbcore::workload::AsyncIntervals;
 use rbmarkov::paper::AsyncParams;
 use rbsim::derive_seed;
-use rbsim::par::{available_threads, par_map_batched, par_map_sparse};
+use rbsim::par::par_map;
 use rbtestutil::{standard_matrix, ConformanceWorkload, SchemeConformance};
 use serde::Serialize;
 
@@ -246,10 +246,9 @@ impl SweepSpec {
     ///
     /// # Panics
     /// Panics if two cells share an id. Ids are how binaries look cells
-    /// up ([`SweepReport::cell`] returns the *first* match) and how the
-    /// resume journal re-slots replayed records — a duplicate would
-    /// silently shadow one cell's results, so it is rejected here, at
-    /// construction, naming the offending id.
+    /// up ([`SweepReport::cell`] returns the *first* match) — a
+    /// duplicate would silently shadow one cell's results, so it is
+    /// rejected here, at construction, naming the offending id.
     pub fn new(name: impl Into<String>, master_seed: u64, cells: Vec<SweepCell>) -> Self {
         let name = name.into();
         let mut seen = std::collections::HashSet::with_capacity(cells.len());
@@ -274,8 +273,8 @@ impl SweepSpec {
 
     /// The seed-derivation index of cell `idx`: its explicit
     /// [`SweepCell::seed_index`] override, or its grid position. Part
-    /// of the sweep's identity — the journal binds it into the header
-    /// hash and validates every record's seed against it.
+    /// of the sweep's identity: it fixes the cell's derived seed, and
+    /// through it the cell's cache key.
     pub fn seed_index(&self, idx: usize) -> u64 {
         self.cells[idx].seed_index.unwrap_or(idx as u64)
     }
@@ -306,128 +305,38 @@ impl SweepSpec {
     /// Runs every cell on up to `threads` threads.
     ///
     /// The report is a pure function of the spec: per-cell seeds are
-    /// derived from `(master_seed, cell index)` and results are
+    /// derived from `(master_seed, seed index)` and results are
     /// reassembled in grid order, so any `threads` value produces the
     /// same report — byte-identical once serialized.
     pub fn run(&self, threads: usize) -> SweepReport {
-        self.run_batched(threads, 1)
-    }
-
-    /// [`SweepSpec::run`] with a minimum number of cells per worker
-    /// dispatch ([`rbsim::par::par_map_batched`]).
-    ///
-    /// Sweeps whose cells are *individually tiny* — closed-form
-    /// evaluations, small lumped-chain solves — pay more for the
-    /// per-pull dispatch (an atomic claim plus loop bookkeeping) than
-    /// for the cells themselves; batching amortises that cost over
-    /// `min_batch` cells at a time. Batching is invisible in the
-    /// report: per-cell seeds still derive from `(master_seed, index)`
-    /// alone and results are reassembled in grid order, so
-    /// `run_batched(k, b)` is byte-identical to `run(1)` for every
-    /// `(k, b)` — pinned by `tests/sweep_determinism.rs`. Keep
-    /// `min_batch = 1` for sweeps with expensive cells: a batch is the
-    /// unit of work stealing.
-    pub fn run_batched(&self, threads: usize, min_batch: usize) -> SweepReport {
-        let master = self.master_seed;
-        let cells = par_map_batched(&self.cells, threads, min_batch, |idx, cell: &SweepCell| {
-            cell.run(derive_seed(master, cell.seed_index.unwrap_or(idx as u64)))
-        });
-        SweepReport {
-            sweep: self.name.clone(),
-            master_seed: master,
-            cells,
-        }
-    }
-
-    /// [`SweepSpec::run`] with a write-ahead journal: completed cells
-    /// are appended to `journal_path` as they finish, and a re-run of
-    /// the same spec against the same journal **resumes** — intact
-    /// records are replayed, a torn tail is discarded, and only the
-    /// missing cell indices are dispatched (through the same sparse
-    /// cursor, under the same `(master_seed, index)` seeds), so the
-    /// reassembled report is byte-identical to an uninterrupted
-    /// `spec.run(1)`. See [`crate::journal`] for the record format and
-    /// the recovery rules; a journal written by a *different* spec is
-    /// refused rather than replayed.
-    pub fn run_resumable(
-        &self,
-        threads: usize,
-        journal_path: &std::path::Path,
-    ) -> Result<SweepReport, crate::journal::JournalError> {
-        self.run_resumable_in(&rbruntime::faultio::RealFs, threads, journal_path)
-    }
-
-    /// [`SweepSpec::run_resumable`] with an injectable filesystem: the
-    /// chaos harness passes an [`rbruntime::faultio::FaultyFs`] here so
-    /// the journal's truncate-vs-refuse policy is exercised by sweeps
-    /// over seeded fault schedules. A mid-run journal append failure
-    /// still panics (that panic *is* the simulated crash — the caller
-    /// catches it and resumes against the real filesystem).
-    pub fn run_resumable_in(
-        &self,
-        fs: &dyn rbruntime::faultio::Fs,
-        threads: usize,
-        journal_path: &std::path::Path,
-    ) -> Result<SweepReport, crate::journal::JournalError> {
-        let (journal, replayed) = crate::journal::SweepJournal::open_in(fs, journal_path, self)?;
-        let mut slots: Vec<Option<CellReport>> = vec![None; self.cells.len()];
-        for (idx, report) in replayed {
-            slots[idx] = Some(report);
-        }
-        let missing: Vec<usize> = (0..self.cells.len())
-            .filter(|&i| slots[i].is_none())
-            .collect();
-
-        let master = self.master_seed;
-        let journal = std::sync::Mutex::new(journal);
-        let fresh = par_map_sparse(
-            &self.cells,
-            &missing,
-            threads,
-            1,
-            |idx, cell: &SweepCell| {
-                let report = cell.run(derive_seed(master, cell.seed_index.unwrap_or(idx as u64)));
-                journal
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .append(idx, &report)
-                    .unwrap_or_else(|e| panic!("sweep `{}`: {e}", self.name));
-                report
-            },
-        );
-        for (p, report) in fresh.into_iter().enumerate() {
-            slots[missing[p]] = Some(report);
-        }
-        Ok(SweepReport {
-            sweep: self.name.clone(),
-            master_seed: master,
-            cells: slots
-                .into_iter()
-                .map(|s| s.expect("every cell replayed or run"))
-                .collect(),
-        })
+        self.run_cells(threads, SweepCell::run)
     }
 
     /// [`SweepSpec::run`] through a content-addressed result cache
     /// ([`crate::cache`]): each cacheable cell (one whose workload
-    /// implements [`Workload::cache_params`]) is looked up under
+    /// returns [`Workload::cache_params`]) is looked up under
     /// `(label, canonical params, derived seed, format version)` before
     /// being solved, and freshly solved cells are appended to the cache
     /// (and flushed) as they finish. Uncacheable cells always run.
     ///
-    /// The report is **byte-identical** to `spec.run(1)` whatever mix
-    /// of hits and misses served it: the stored payload is the
-    /// bit-exact report codec (`f64`s as raw bits), and a hit is
-    /// re-labelled with *this* spec's cell id — the key binds the
-    /// workload's identity, not the cell's display name, so two sweeps
-    /// naming the same computation differently share entries without
-    /// perturbing each other's artifacts.
+    /// This is also the **resume** path: re-running a killed sweep
+    /// against the same cache serves every cell that finished before
+    /// the kill as a hit and solves only the rest. The report is
+    /// **byte-identical** to `spec.run(1)` whatever mix of hits and
+    /// misses served it: the stored payload is the bit-exact report
+    /// codec (`f64`s as raw bits), and a hit is re-labelled with *this*
+    /// spec's cell id — the key binds the workload's identity, not the
+    /// cell's display name, so two sweeps naming the same computation
+    /// differently share entries without perturbing each other's
+    /// artifacts. An edited cell (any parameter changed) keys
+    /// differently, so it is a miss and re-solves.
     ///
     /// The cache is `Mutex`-wrapped because workers share it; lock
     /// poisoning is ignored (the cache's own WAL recovery handles a
     /// worker that died mid-append). A cache I/O failure panics,
-    /// naming the sweep — like a journal append failure, losing the
-    /// store mid-run has no recovery path worth masking.
+    /// naming the sweep — losing the store mid-run has no recovery path
+    /// worth masking, and a panic mid-append is exactly the crash a
+    /// later resume recovers from.
     pub fn run_cached(
         &self,
         threads: usize,
@@ -444,9 +353,7 @@ impl SweepSpec {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
         };
-        let master = self.master_seed;
-        let cells = par_map_batched(&self.cells, threads, 1, |idx, cell: &SweepCell| {
-            let seed = derive_seed(master, cell.seed_index.unwrap_or(idx as u64));
+        let report = self.run_cells(threads, |cell, seed| {
             let Some(key) = crate::cache::cell_key(cell, seed) else {
                 uncacheable.fetch_add(1, Ordering::Relaxed);
                 return cell.run(seed);
@@ -465,25 +372,27 @@ impl SweepSpec {
             report
         });
         CachedSweep {
-            report: SweepReport {
-                sweep: self.name.clone(),
-                master_seed: master,
-                cells,
-            },
+            report,
             hits: hits.into_inner(),
             misses: misses.into_inner(),
             uncacheable: uncacheable.into_inner(),
         }
     }
 
-    /// [`SweepSpec::run`] on a single thread (the serial reference path).
-    pub fn run_serial(&self) -> SweepReport {
-        self.run(1)
-    }
-
-    /// [`SweepSpec::run`] on every available hardware thread.
-    pub fn run_parallel(&self) -> SweepReport {
-        self.run(available_threads())
+    /// The one sweep body: `serve(cell, derived seed)` for every cell
+    /// over [`par_map`], reassembled in grid order.
+    fn run_cells<F>(&self, threads: usize, serve: F) -> SweepReport
+    where
+        F: Fn(&SweepCell, u64) -> CellReport + Sync,
+    {
+        let cells = par_map(&self.cells, threads, |idx, cell: &SweepCell| {
+            serve(cell, derive_seed(self.master_seed, self.seed_index(idx)))
+        });
+        SweepReport {
+            sweep: self.name.clone(),
+            master_seed: self.master_seed,
+            cells,
+        }
     }
 }
 
@@ -609,7 +518,7 @@ mod tests {
 
     #[test]
     fn async_cells_agree_with_the_markov_solve() {
-        let report = small_grid().run_parallel();
+        let report = small_grid().run(4);
         for cell in &report.cells {
             let ex = cell.metric("EX").unwrap();
             assert!(ex.count() >= 150);
@@ -657,7 +566,7 @@ mod tests {
                 ),
             ],
         );
-        let report = spec.run_parallel();
+        let report = spec.run(4);
         report.assert_ok();
 
         let sync = report.cell("sync").unwrap();
@@ -687,6 +596,9 @@ mod tests {
         impl Workload for SeedEcho {
             fn label(&self) -> String {
                 "seed-echo".into()
+            }
+            fn cache_params(&self) -> Option<String> {
+                None
             }
             fn run(&self, seed: u64) -> Vec<Metric> {
                 vec![Metric::exact("seed_lo32", (seed & 0xFFFF_FFFF) as f64)]
@@ -718,6 +630,9 @@ mod tests {
         impl Workload for SeedEcho {
             fn label(&self) -> String {
                 "seed-echo".into()
+            }
+            fn cache_params(&self) -> Option<String> {
+                None
             }
             fn run(&self, seed: u64) -> Vec<Metric> {
                 vec![Metric::exact("seed_lo32", (seed & 0xFFFF_FFFF) as f64)]
@@ -761,6 +676,9 @@ mod tests {
         impl Workload for Nop {
             fn label(&self) -> String {
                 "nop".into()
+            }
+            fn cache_params(&self) -> Option<String> {
+                None
             }
             fn run(&self, _seed: u64) -> Vec<Metric> {
                 Vec::new()
@@ -826,6 +744,9 @@ mod tests {
         impl Workload for Uncacheable {
             fn label(&self) -> String {
                 "uncacheable".into()
+            }
+            fn cache_params(&self) -> Option<String> {
+                None
             }
             fn run(&self, _seed: u64) -> Vec<Metric> {
                 self.0.fetch_add(1, Ordering::Relaxed);
@@ -913,21 +834,6 @@ mod tests {
         assert!(msg.contains("cell `c0`"), "{msg}");
         assert!(msg.contains("`EY`"), "{msg}");
         assert!(msg.contains("EX, EL0"), "{msg}");
-    }
-
-    #[test]
-    fn run_resumable_on_a_fresh_journal_matches_serial_bytes() {
-        let dir = std::env::temp_dir().join("rbbench-unit-resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("unit-grid.wal");
-        let _ = std::fs::remove_file(&path);
-        let spec = small_grid();
-        let resumable = spec.run_resumable(4, &path).expect("resumable run");
-        assert_eq!(resumable.to_json(), spec.run(1).to_json());
-        // Re-open: everything replays, nothing re-runs, bytes identical.
-        let replayed = spec.run_resumable(4, &path).expect("replay run");
-        assert_eq!(replayed.to_json(), resumable.to_json());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

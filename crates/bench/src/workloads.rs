@@ -13,7 +13,7 @@ use rbanalysis::sync_loss;
 use rbanalysis::tradeoff::{recommend, Scheme, TradeoffInputs};
 use rbcore::metrics::Metric;
 use rbcore::schemes::synchronized::{run_sync_timeline, simulate_commit_losses, SyncStrategy};
-use rbcore::workload::Workload;
+use rbcore::workload::{canon_async_params, canon_f64, canon_f64s, Workload};
 use rbmarkov::paper::{mean_interval_symmetric, AsyncParams};
 use rbmarkov::solver::SolverStrategy;
 
@@ -42,7 +42,7 @@ impl Workload for SyncLoss {
     fn cache_params(&self) -> Option<String> {
         Some(format!(
             "mu=[{}];rounds={}",
-            rbcore::workload::canon_f64s(&self.mu),
+            canon_f64s(&self.mu),
             self.rounds
         ))
     }
@@ -108,6 +108,17 @@ impl Workload for TradeoffCell {
         format!("tradeoff/eps{}", self.error_rate)
     }
 
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};error_rate={};t_r={};sync_period={};deadline={}",
+            canon_async_params(&self.params),
+            canon_f64(self.error_rate),
+            canon_f64(self.t_r),
+            canon_f64(self.sync_period),
+            canon_f64(self.deadline)
+        ))
+    }
+
     fn run(&self, _seed: u64) -> Vec<Metric> {
         let inputs = TradeoffInputs {
             params: self.params.clone(),
@@ -152,6 +163,16 @@ pub struct OptimalPeriodCell {
 impl Workload for OptimalPeriodCell {
     fn label(&self) -> String {
         format!("optimal-period/eps{}", self.error_rate)
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "mu=[{}];error_rate={};search_upper={};sim_horizon={}",
+            canon_f64s(&self.mu),
+            canon_f64(self.error_rate),
+            canon_f64(self.search_upper),
+            canon_f64(self.sim_horizon)
+        ))
     }
 
     fn run(&self, seed: u64) -> Vec<Metric> {
@@ -199,6 +220,10 @@ pub struct MatrixFreeLumpability {
 impl Workload for MatrixFreeLumpability {
     fn label(&self) -> String {
         format!("matfree-vs-lumped/n{}", self.n)
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!("n={}", self.n))
     }
 
     fn run(&self, _seed: u64) -> Vec<Metric> {
@@ -281,6 +306,68 @@ mod tests {
             (sim - waiting).abs() < 0.15 * waiting + 1e-4,
             "sim {sim} vs model {waiting}"
         );
+    }
+
+    #[test]
+    fn cache_params_cover_every_config_field() {
+        let sync = SyncLoss {
+            mu: vec![1.0, 2.0],
+            rounds: 10,
+        };
+        assert_distinct(&flips(&sync, &[|w| w.mu[1] = 2.5, |w| w.rounds = 11]));
+        let trade = TradeoffCell {
+            params: AsyncParams::symmetric(3, 1.0, 0.5),
+            error_rate: 1e-3,
+            t_r: 0.01,
+            sync_period: 2.0,
+            deadline: 2.0,
+        };
+        assert_distinct(&flips(
+            &trade,
+            &[
+                |w| w.params = AsyncParams::symmetric(3, 1.0, 0.75),
+                |w| w.error_rate = 2e-3,
+                |w| w.t_r = 0.02,
+                |w| w.sync_period = 3.0,
+                |w| w.deadline = 3.0,
+            ],
+        ));
+        let opt = OptimalPeriodCell {
+            mu: vec![1.0; 3],
+            error_rate: 0.01,
+            search_upper: 100.0,
+            sim_horizon: 50.0,
+        };
+        assert_distinct(&flips(
+            &opt,
+            &[
+                |w| w.mu[2] = 2.0,
+                |w| w.error_rate = 0.02,
+                |w| w.search_upper = 200.0,
+                |w| w.sim_horizon = 60.0,
+            ],
+        ));
+        assert_distinct(&flips(&MatrixFreeLumpability { n: 8 }, &[|w| w.n = 9]));
+    }
+
+    /// `base`'s cache params followed by those of one copy per edit.
+    fn flips<W: Workload + Clone>(base: &W, edits: &[fn(&mut W)]) -> Vec<Option<String>> {
+        let edited = edits.iter().map(|edit| {
+            let mut w = base.clone();
+            edit(&mut w);
+            w.cache_params()
+        });
+        std::iter::once(base.cache_params()).chain(edited).collect()
+    }
+
+    /// Every key is present and no two are equal.
+    fn assert_distinct(keys: &[Option<String>]) {
+        for (i, a) in keys.iter().enumerate() {
+            assert!(a.is_some(), "variant {i} is not cacheable");
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "variants {i} and {j} share cache params");
+            }
+        }
     }
 
     #[test]

@@ -1,25 +1,25 @@
-//! The chaos-matrix gate: ≥ 100 seeded fault schedules against the
-//! sweep journal and the result cache, each ending in one of exactly
-//! two outcomes — a `SweepReport` byte-identical to the fault-free
-//! serial run, or a documented refusal (after which deleting the
-//! artifact and re-running reproduces the reference bytes). Zero
-//! divergent-bytes outcomes, ever.
+//! The chaos-matrix gate: 130 seeded fault schedules against the
+//! result cache — the one durable store behind cached and resumed
+//! sweeps — each ending in one of exactly two outcomes: a
+//! `SweepReport` byte-identical to the fault-free serial run, or a
+//! documented refusal (after which deleting the cache and re-running
+//! reproduces the reference bytes). Zero divergent-bytes outcomes,
+//! ever.
 //!
-//! Four arms:
+//! Three arms:
 //!
-//! * **journal-live** — `run_resumable_in` over a
-//!   [`FaultyFs`] (short writes, silent bit flips, transient errors,
-//!   disk-full, injected *while the journal is being written*); the
-//!   mid-run append panic is the simulated crash, and recovery resumes
-//!   on the real filesystem;
-//! * **journal-mangle** — a clean journal damaged afterwards by a
-//!   seeded [`derive_mangle`] schedule (truncation, bit rot, appended
-//!   garbage), then resumed;
-//! * **cache-live** / **cache-mangle** — the same two shapes against
-//!   the content-addressed result cache under `run_cached`;
-//! * **cache-compact** — `compact_in` over a [`FaultyFs`]: a faulted
-//!   compaction must leave the old file serving reference bytes, a
-//!   completed one must publish a file that replays identically.
+//! * **cache-live** (64 schedules) — `run_cached` over a cache opened
+//!   on a [`FaultyFs`] (short writes, silent bit flips, transient
+//!   errors, disk-full, injected *while the cache is being written*);
+//!   the mid-run insert panic is the simulated crash, and recovery
+//!   resumes on the real filesystem;
+//! * **cache-mangle** (46 schedules) — a clean cache damaged afterwards
+//!   by a seeded [`derive_mangle`] schedule (truncation, bit rot,
+//!   appended garbage), then resumed;
+//! * **cache-compact** (20 schedules) — `compact_in` over a
+//!   [`FaultyFs`]: a faulted compaction must leave the old file serving
+//!   reference bytes, a completed one must publish a file that replays
+//!   identically.
 //!
 //! Every fault is pure in `(master seed, schedule index)` — a failing
 //! schedule replays exactly under its printed index.
@@ -29,7 +29,6 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use rbbench::cache::ResultCache;
-use rbbench::journal::JournalError;
 use rbbench::sweep::{Metric, SweepCell, SweepSpec, Workload};
 use rbruntime::faultio::{
     apply_mangle, derive_fault_seed, derive_mangle, FaultKind, FaultPlan, FaultyFs,
@@ -97,132 +96,6 @@ fn plan_for(master: u64, index: u64) -> FaultPlan {
         .with_flush_transients(index % 3)
 }
 
-/// A refusal must be the documented one: a named `Refused` that tells
-/// the operator which file, which frame, and to delete it.
-fn assert_documented_journal_refusal(e: &JournalError, schedule: &str) {
-    let msg = e.to_string();
-    assert!(
-        matches!(e, JournalError::Refused { .. }),
-        "{schedule}: refusal must be JournalError::Refused, got: {msg}"
-    );
-    assert!(
-        msg.contains("delete the journal"),
-        "{schedule}: refusal must name the remedy: {msg}"
-    );
-    assert!(
-        msg.contains("frame"),
-        "{schedule}: refusal must name the frame: {msg}"
-    );
-}
-
-#[test]
-fn journal_live_fault_schedules_recover_or_refuse() {
-    const SCHEDULES: u64 = 40;
-    let spec = echo_spec("chaos-journal", 6);
-    let reference = spec.run(1).to_json();
-    let mut injected_total = 0u64;
-    let mut crashed = 0u64;
-    let mut refused = 0u64;
-
-    for index in 0..SCHEDULES {
-        let schedule = format!("journal-live #{index}");
-        let dir = scratch(&format!("jlive-{index}"));
-        let path = dir.join("chaos-journal.wal");
-        let fs = FaultyFs::new(plan_for(0x0BAD_D15C, index));
-
-        // The live run under fire: it may complete (report must match
-        // the reference), return a named error (open-time fault), or
-        // panic mid-append (the simulated crash).
-        match catch_unwind(AssertUnwindSafe(|| spec.run_resumable_in(&fs, 2, &path))) {
-            Ok(Ok(report)) => assert_eq!(
-                report.to_json(),
-                reference,
-                "{schedule}: live run served divergent bytes"
-            ),
-            Ok(Err(e)) => {
-                assert!(!e.to_string().is_empty());
-                crashed += 1;
-            }
-            Err(_) => crashed += 1,
-        }
-        injected_total += fs.faults_injected();
-
-        // The recovery gate: resume on the real filesystem. Whatever
-        // the fault left on disk, the outcome is byte-identical replay
-        // or the documented refusal — and after taking the refusal's
-        // advice, a fresh run reproduces the reference exactly.
-        match spec.run_resumable(2, &path) {
-            Ok(report) => assert_eq!(
-                report.to_json(),
-                reference,
-                "{schedule}: resumed run diverged from the fault-free reference"
-            ),
-            Err(e) => {
-                assert_documented_journal_refusal(&e, &schedule);
-                refused += 1;
-                std::fs::remove_file(&path).expect("take the refusal's advice");
-                let rerun = spec
-                    .run_resumable(2, &path)
-                    .unwrap_or_else(|e| panic!("{schedule}: fresh rerun failed: {e}"));
-                assert_eq!(
-                    rerun.to_json(),
-                    reference,
-                    "{schedule}: fresh rerun diverged"
-                );
-            }
-        }
-    }
-
-    assert!(
-        injected_total > 0,
-        "the schedules must actually inject faults (got none across {SCHEDULES})"
-    );
-    println!(
-        "journal-live: {SCHEDULES} schedules, {injected_total} faults injected, \
-         {crashed} crashed runs, {refused} refusals — zero divergent"
-    );
-}
-
-#[test]
-fn journal_mangle_schedules_recover_or_refuse() {
-    const SCHEDULES: u64 = 30;
-    let spec = echo_spec("chaos-journal-m", 6);
-    let reference = spec.run(1).to_json();
-    let mut refused = 0u64;
-
-    for index in 0..SCHEDULES {
-        let schedule = format!("journal-mangle #{index}");
-        let dir = scratch(&format!("jmangle-{index}"));
-        let path = dir.join("chaos-journal-m.wal");
-        let clean = spec.run_resumable(1, &path).expect("clean run");
-        assert_eq!(clean.to_json(), reference);
-
-        let len = std::fs::metadata(&path).expect("metadata").len();
-        let mangle = derive_mangle(derive_fault_seed(0x05EE_D0FF, index), len);
-        apply_mangle(&path, &mangle).expect("apply mangle");
-
-        match spec.run_resumable(2, &path) {
-            Ok(report) => assert_eq!(
-                report.to_json(),
-                reference,
-                "{schedule} ({mangle}): resumed run diverged"
-            ),
-            Err(e) => {
-                assert_documented_journal_refusal(&e, &schedule);
-                refused += 1;
-                std::fs::remove_file(&path).expect("take the refusal's advice");
-                let rerun = spec.run_resumable(2, &path).expect("fresh rerun");
-                assert_eq!(
-                    rerun.to_json(),
-                    reference,
-                    "{schedule}: fresh rerun diverged"
-                );
-            }
-        }
-    }
-    println!("journal-mangle: {SCHEDULES} schedules, {refused} refusals — zero divergent");
-}
-
 /// The cache-side recovery gate shared by both cache arms: reopen on
 /// the real filesystem, and either the cached run reproduces the
 /// reference bytes or the open is the documented refusal — after which
@@ -257,7 +130,7 @@ fn assert_cache_recovers(dir: &PathBuf, spec: &SweepSpec, reference: &str, sched
 
 #[test]
 fn cache_live_fault_schedules_recover_or_refuse() {
-    const SCHEDULES: u64 = 24;
+    const SCHEDULES: u64 = 64;
     let spec = echo_spec("chaos-cache", 6);
     let reference = spec.run(1).to_json();
     let mut injected_total = 0u64;
@@ -297,7 +170,7 @@ fn cache_live_fault_schedules_recover_or_refuse() {
 
 #[test]
 fn cache_mangle_schedules_recover_or_refuse() {
-    const SCHEDULES: u64 = 16;
+    const SCHEDULES: u64 = 46;
     let spec = echo_spec("chaos-cache-m", 6);
     let reference = spec.run(1).to_json();
 
@@ -366,39 +239,4 @@ fn cache_compaction_fault_schedules_keep_the_old_file_or_publish_clean() {
         "cache-compact: {SCHEDULES} schedules, {injected_total} faults injected, \
          {failed} failed compactions — zero divergent"
     );
-}
-
-/// The splice case a seeded mangle can't produce by chance: intact
-/// frames, valid header, but a *duplicated record index* — the exact
-/// "intact but contradictory" shape the journal must refuse rather
-/// than guess about.
-#[test]
-fn spliced_duplicate_record_is_refused_with_frame_index() {
-    let spec = echo_spec("chaos-splice", 4);
-    let reference = spec.run(1).to_json();
-    let dir = scratch("splice");
-    let path = dir.join("chaos-splice.wal");
-    spec.run_resumable(1, &path).expect("clean run");
-
-    let stats = rbbench::journal::inspect(&path).expect("inspect");
-    let bytes = std::fs::read(&path).expect("read journal");
-    let record0 = bytes[stats.record_offsets[0]..stats.record_offsets[1]].to_vec();
-    apply_mangle(
-        &path,
-        &rbruntime::faultio::Mangle::Append { bytes: record0 },
-    )
-    .expect("splice duplicate");
-
-    let e = spec
-        .run_resumable(1, &path)
-        .expect_err("duplicate record must refuse");
-    assert_documented_journal_refusal(&e, "splice");
-    assert!(e.to_string().contains("duplicate record"), "{e}");
-    // The refusal names the offending frame: header is 0, records 1..,
-    // and the splice landed after 4 records → frame 5.
-    assert!(e.to_string().contains("frame 5"), "{e}");
-
-    std::fs::remove_file(&path).expect("take the refusal's advice");
-    let rerun = spec.run_resumable(1, &path).expect("fresh rerun");
-    assert_eq!(rerun.to_json(), reference);
 }

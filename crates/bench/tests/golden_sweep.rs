@@ -54,7 +54,7 @@ fn golden_spec() -> SweepSpec {
 
 #[test]
 fn small_sweep_report_matches_golden_bytes() {
-    let got = golden_spec().run_serial().to_json();
+    let got = golden_spec().run(1).to_json();
     if std::env::var_os("RB_BLESS").is_some() {
         std::fs::write(GOLDEN, &got).expect("write golden");
     }

@@ -67,45 +67,6 @@ fn conformance_matrix_sweep_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn batched_runs_are_byte_identical_to_serial() {
-    let _serial = serial_guard();
-    // A many-tiny-cells sweep — the shape `run_batched` exists for.
-    // Every (threads, min_batch) combination must reproduce the serial
-    // bytes exactly: batching only changes how indices are claimed,
-    // never what any index computes.
-    use rbbench::sweep::{Metric, Workload};
-    struct TinyCell {
-        k: u64,
-    }
-    impl Workload for TinyCell {
-        fn label(&self) -> String {
-            format!("tiny/{}", self.k)
-        }
-        fn run(&self, seed: u64) -> Vec<Metric> {
-            vec![Metric::exact(
-                "v",
-                (seed ^ self.k).wrapping_mul(0x9E37_79B9) as f64,
-            )]
-        }
-    }
-    let spec = SweepSpec::new(
-        "batched_determinism",
-        0xBA7C,
-        (0..500).map(|k| SweepCell::new(TinyCell { k })).collect(),
-    );
-    let serial = spec.run(1).to_json();
-    for threads in [2, 4, 8] {
-        for min_batch in [1, 8, 64, 1000] {
-            assert_eq!(
-                serial,
-                spec.run_batched(threads, min_batch).to_json(),
-                "threads={threads} min_batch={min_batch} diverged from serial"
-            );
-        }
-    }
-}
-
-#[test]
 fn distribution_metrics_are_byte_identical_across_thread_counts() {
     let _serial = serial_guard();
     // Cells carrying first-class `Metric::Distribution` payloads
@@ -268,7 +229,7 @@ fn sweep_report_json_shape_is_stable() {
             lines: 100,
         },
     );
-    let json = spec.run_serial().to_json();
+    let json = spec.run(1).to_json();
     for key in [
         "\"sweep\"",
         "\"master_seed\"",

@@ -1,42 +1,46 @@
 //! The resumable-sweep contract, end to end.
 //!
-//! Three layers of guarantee, mirroring `rbbench::journal`'s recovery
-//! rules:
+//! Resume is a property of the content-addressed result cache
+//! (`rbbench::cache`): re-running a sweep against the cache it was
+//! filling serves every finished cell as a hit and solves only the
+//! rest. Five layers of guarantee:
 //!
-//! 1. **Replay equivalence** — a sweep resumed from a journal (fresh,
+//! 1. **Replay equivalence** — a sweep resumed from a cache (fresh,
 //!    complete, torn, or partially corrupt) reassembles a
 //!    `SweepReport` whose JSON is byte-identical to an uninterrupted
 //!    serial run, and resume *skips* completed cells (verified by a
 //!    run-count probe workload, not just by timing).
-//! 2. **Corruption handling** — a truncated tail record and a flipped
-//!    checksum bit cleanly re-run the affected cells; a header/spec
-//!    mismatch (wrong master seed, name, cell count or cell-id list)
-//!    and a corrupt header are refused with a clear error. No case
-//!    produces a divergent report. All damage goes through
-//!    [`rbruntime::faultio::apply_mangle`] — the same corruption
+//! 2. **Corruption handling** — a truncated tail frame and a flipped
+//!    checksum bit cleanly re-run the affected cells. All damage goes
+//!    through [`rbruntime::faultio::apply_mangle`] — the same corruption
 //!    vocabulary the seeded chaos matrix (`chaos_matrix.rs`) sweeps —
 //!    so these named cases and the schedule-driven sweep can't drift
 //!    apart.
-//! 3. **Kill realism** — a release-only test SIGKILLs the
+//! 3. **No stale replay** — editing one cell's configuration under an
+//!    unchanged id re-solves exactly that cell: the key binds every
+//!    parameter, so the edit is a clean miss.
+//! 4. **Kill realism** — a release-only test SIGKILLs the
 //!    `sweep_resume_probe` binary mid-sweep (a real child process, not
-//!    a simulated panic), resumes it, and byte-diffs the artifact
-//!    against an uninterrupted run — the CI `sweep-resume` job's gate.
-//! 4. **Refinement resume** — an adaptive refinement killed mid-round
-//!    (torn journal for the interrupted round, later rounds' journals
-//!    never written) resumes byte-for-byte: finished rounds replay
-//!    wholesale, the torn round re-runs only its missing cells, and
-//!    re-discovered midpoints land on their path-determined seed
-//!    indices.
+//!    a simulated panic), resumes it with the same `--cache`, and
+//!    byte-diffs the artifact against an uninterrupted run — the CI
+//!    `sweep-resume` job's gate.
+//! 5. **Refinement resume** — an adaptive refinement killed mid-round
+//!    resumes byte-for-byte: finished rounds are served from the cache,
+//!    the torn round re-runs only its missing cell, and re-discovered
+//!    midpoints land on their path-determined seed indices.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use rbbench::journal::{inspect, JournalError};
-use rbbench::sweep::{AsyncGrid, Metric, SweepCell, SweepSpec, Workload};
+use rbbench::cache::{wal_stats, ResultCache, CACHE_FILE};
+use rbbench::cli::BenchArgs;
+use rbbench::sweep::{AsyncGrid, CachedSweep, Metric, SweepCell, SweepSpec, Workload};
 use rbbench::workloads::{AsyncIntervals, DistSpec};
+use rbcore::workload::canon_f64;
 use rbmarkov::paper::AsyncParams;
 use rbruntime::faultio::{apply_mangle, Mangle};
+use rbruntime::wal::FrameScan;
 
 /// A fresh scratch directory per test (removed up front, so reruns are
 /// clean even after a crash).
@@ -47,11 +51,35 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
+/// One run against the cache under `dir`, reopened from disk — what a
+/// restarted process does.
+fn resume(spec: &SweepSpec, threads: usize, dir: &Path) -> CachedSweep {
+    let cache = ResultCache::open(dir).expect("open cache");
+    spec.run_cached(threads, &Mutex::new(cache))
+}
+
+/// Byte offset where each entry frame of the cache WAL starts (the
+/// header frame ends at `[0]`).
+fn entry_offsets(dir: &Path) -> Vec<u64> {
+    let bytes = std::fs::read(dir.join(CACHE_FILE)).expect("read cache file");
+    let mut scan = FrameScan::new(&bytes);
+    scan.next().expect("header frame");
+    let mut offsets = Vec::new();
+    loop {
+        let at = scan.offset() as u64;
+        if scan.next().is_none() {
+            return offsets;
+        }
+        offsets.push(at);
+    }
+}
+
 /// Deterministic echo workload that counts how many times it actually
-/// ran — the probe that distinguishes "replayed from the journal" from
+/// ran — the probe that distinguishes "served from the cache" from
 /// "recomputed".
 #[derive(Clone)]
 struct CountingEcho {
+    k: u64,
     runs: Arc<AtomicUsize>,
 }
 
@@ -62,9 +90,13 @@ impl Workload for CountingEcho {
     fn run(&self, seed: u64) -> Vec<Metric> {
         self.runs.fetch_add(1, Ordering::Relaxed);
         vec![
+            Metric::exact("k", self.k as f64),
             Metric::exact("seed_lo32", (seed & 0xFFFF_FFFF) as f64),
             Metric::exact("seed_hi32", (seed >> 32) as f64),
         ]
+    }
+    fn cache_params(&self) -> Option<String> {
+        Some(format!("k={}", self.k))
     }
 }
 
@@ -77,6 +109,7 @@ fn counting_spec(name: &str, cells: usize, runs: &Arc<AtomicUsize>) -> SweepSpec
                 SweepCell::named(
                     format!("c{k}"),
                     CountingEcho {
+                        k: k as u64,
                         runs: Arc::clone(runs),
                     },
                 )
@@ -87,7 +120,7 @@ fn counting_spec(name: &str, cells: usize, runs: &Arc<AtomicUsize>) -> SweepSpec
 
 /// A small but *real* sweep — simulation cells with a distribution
 /// metric — so replay fidelity is proven on the payloads the figure
-/// bins actually journal.
+/// bins actually store.
 fn sim_spec() -> SweepSpec {
     let grid = AsyncGrid {
         n: vec![2, 3],
@@ -105,115 +138,104 @@ fn sim_spec() -> SweepSpec {
 }
 
 #[test]
-fn fresh_then_replayed_journal_matches_serial_bytes() {
+fn fresh_then_replayed_cache_matches_serial_bytes() {
     let dir = scratch("fresh");
-    let path = dir.join("resume-sim.wal");
     let spec = sim_spec();
     let reference = spec.run(1).to_json();
 
-    // Fresh journal, parallel run: identical bytes.
-    let first = spec.run_resumable(4, &path).expect("fresh run");
-    assert_eq!(first.to_json(), reference);
+    // Fresh cache, parallel run: identical bytes.
+    let first = resume(&spec, 4, &dir);
+    assert_eq!(first.misses, spec.cells.len());
+    assert_eq!(first.report.to_json(), reference);
 
-    // Complete journal: pure replay, still identical (including the
+    // Complete cache: pure replay, still identical (including the
     // distribution payload's bit-exact f64s).
-    let replayed = spec.run_resumable(4, &path).expect("replay run");
-    assert_eq!(replayed.to_json(), reference);
+    let replayed = resume(&spec, 4, &dir);
+    assert_eq!(replayed.hits, spec.cells.len());
+    assert_eq!(replayed.report.to_json(), reference);
 }
 
 #[test]
 fn resume_skips_completed_cells() {
     let dir = scratch("skip");
-    let path = dir.join("count.wal");
     let cells = 8;
 
     let runs = Arc::new(AtomicUsize::new(0));
     let spec = counting_spec("count", cells, &runs);
-    let full = spec.run_resumable(1, &path).expect("initial run");
+    let full = resume(&spec, 1, &dir).report;
     assert_eq!(runs.load(Ordering::Relaxed), cells, "all cells ran once");
 
-    // Keep only the first 3 records — as if the run died after cell 2.
-    let stats = inspect(&path).expect("inspect");
-    assert_eq!(stats.records(), cells);
+    // Keep only the first 3 entries — as if the run died after cell 2.
+    let offsets = entry_offsets(&dir);
+    assert_eq!(offsets.len(), cells);
     let keep = 3;
     apply_mangle(
-        &path,
-        &Mangle::Truncate {
-            len: stats.keep_records(keep) as u64,
-        },
+        &dir.join(CACHE_FILE),
+        &Mangle::Truncate { len: offsets[keep] },
     )
     .unwrap();
 
     let runs2 = Arc::new(AtomicUsize::new(0));
     let spec2 = counting_spec("count", cells, &runs2);
-    let resumed = spec2.run_resumable(2, &path).expect("resumed run");
+    let resumed = resume(&spec2, 2, &dir);
     assert_eq!(
         runs2.load(Ordering::Relaxed),
         cells - keep,
         "resume must re-run exactly the missing cells"
     );
-    assert_eq!(resumed.to_json(), full.to_json());
-    assert_eq!(inspect(&path).unwrap().records(), cells, "journal refilled");
+    assert_eq!(resumed.hits, keep);
+    assert_eq!(resumed.report.to_json(), full.to_json());
+    assert_eq!(wal_stats(&dir).unwrap().entries, cells, "cache refilled");
 }
 
 #[test]
 fn truncated_tail_record_is_discarded_and_rerun() {
     let dir = scratch("torn");
-    let path = dir.join("count.wal");
     let cells = 6;
 
     let runs = Arc::new(AtomicUsize::new(0));
     let spec = counting_spec("count", cells, &runs);
-    let full = spec.run_resumable(1, &path).expect("initial run");
+    let full = resume(&spec, 1, &dir).report;
 
-    // Tear the last record mid-frame (as SIGKILL mid-write would).
-    let stats = inspect(&path).expect("inspect");
-    let torn_len = stats.record_offsets[cells - 1] + 5;
-    apply_mangle(
-        &path,
-        &Mangle::Truncate {
-            len: torn_len as u64,
-        },
-    )
-    .unwrap();
-    let stats = inspect(&path).expect("inspect torn");
-    assert_eq!(stats.records(), cells - 1);
-    assert!(stats.valid_len < stats.total_len, "torn bytes present");
+    // Tear the last entry mid-frame (as SIGKILL mid-write would).
+    let torn_len = entry_offsets(&dir)[cells - 1] + 5;
+    apply_mangle(&dir.join(CACHE_FILE), &Mangle::Truncate { len: torn_len }).unwrap();
+    assert_eq!(wal_stats(&dir).unwrap().entries, cells - 1);
 
     let runs2 = Arc::new(AtomicUsize::new(0));
     let spec2 = counting_spec("count", cells, &runs2);
-    let resumed = spec2.run_resumable(1, &path).expect("resumed run");
+    let resumed = resume(&spec2, 1, &dir).report;
     assert_eq!(
         runs2.load(Ordering::Relaxed),
         1,
         "only the torn cell re-ran"
     );
     assert_eq!(resumed.to_json(), full.to_json());
+    let stats = wal_stats(&dir).unwrap();
+    assert_eq!(stats.entries, cells);
     assert!(
-        inspect(&path).unwrap().valid_len > torn_len,
-        "torn tail truncated, fresh record appended"
+        stats.file_len > torn_len,
+        "torn tail truncated, fresh entry appended"
     );
 }
 
 #[test]
 fn flipped_checksum_byte_reruns_the_affected_cells() {
     let dir = scratch("flip");
-    let path = dir.join("count.wal");
     let cells = 6;
 
     let runs = Arc::new(AtomicUsize::new(0));
     let spec = counting_spec("count", cells, &runs);
-    let full = spec.run_resumable(1, &path).expect("initial run");
+    let full = resume(&spec, 1, &dir).report;
 
-    // Flip one checksum byte of record 2: records 2.. are dropped (the
+    // Flip one checksum byte of entry 2: entries 2.. are dropped (the
     // scan cannot trust anything past an unverifiable frame), their
     // cells re-run, and the report still matches.
-    let stats = inspect(&path).expect("inspect");
-    let flip_at = stats.record_offsets[2] + 5;
+    let flip_at = entry_offsets(&dir)[2] + 5;
     apply_mangle(
-        &path,
+        &dir.join(CACHE_FILE),
         &Mangle::FlipBit {
-            offset: flip_at as u64,
+            offset: flip_at,
             bit: 0,
         },
     )
@@ -221,7 +243,7 @@ fn flipped_checksum_byte_reruns_the_affected_cells() {
 
     let runs2 = Arc::new(AtomicUsize::new(0));
     let spec2 = counting_spec("count", cells, &runs2);
-    let resumed = spec2.run_resumable(3, &path).expect("resumed run");
+    let resumed = resume(&spec2, 3, &dir).report;
     assert_eq!(
         runs2.load(Ordering::Relaxed),
         cells - 2,
@@ -231,99 +253,41 @@ fn flipped_checksum_byte_reruns_the_affected_cells() {
 }
 
 #[test]
-fn header_spec_mismatches_are_refused_with_clear_errors() {
-    let dir = scratch("mismatch");
-    let path = dir.join("count.wal");
-    let cells = 4;
+fn editing_one_cell_under_the_same_id_resolves_exactly_that_cell() {
+    // The binaries' resume path: `--journal <dir>` (an alias of
+    // `--cache <dir>`) through `BenchArgs::run_sweep`. A store that
+    // keyed cells by sweep name and id alone would replay the stale
+    // record for the edited cell here.
+    let dir = scratch("stale");
+    let args = BenchArgs::parse_from(
+        ["--journal", dir.to_str().unwrap(), "--threads", "2"]
+            .into_iter()
+            .map(String::from),
+    )
+    .expect("parse flags");
+    let cells = 6;
 
     let runs = Arc::new(AtomicUsize::new(0));
-    counting_spec("count", cells, &runs)
-        .run_resumable(1, &path)
-        .expect("initial run");
+    let first = args.run_sweep(&counting_spec("stale", cells, &runs));
+    assert_eq!(runs.load(Ordering::Relaxed), cells);
 
-    let expect_mismatch = |spec: SweepSpec, field: &str| {
-        match spec.run_resumable(1, &path) {
-            Err(e @ JournalError::SpecMismatch { .. }) => {
-                let msg = e.to_string();
-                assert!(msg.contains(field), "error for {field}: {msg}");
-                assert!(msg.contains("refusing to replay"), "{msg}");
-            }
-            other => panic!(
-                "expected SpecMismatch on {field}, got {other:?}",
-                other = other.map(|r| r.to_json().len())
-            ),
-        }
-        // The journal itself must be left untouched by a refused open.
-        assert_eq!(inspect(&path).unwrap().records(), cells);
-    };
-
-    // Wrong master seed.
-    let mut wrong_seed = counting_spec("count", cells, &runs);
-    wrong_seed.master_seed = 4243;
-    expect_mismatch(wrong_seed, "master seed");
-
-    // Wrong sweep name.
-    expect_mismatch(counting_spec("other", cells, &runs), "sweep name");
-
-    // Wrong cell count.
-    expect_mismatch(counting_spec("count", cells + 1, &runs), "cell count");
-
-    // Same count, different cell ids.
-    let mut wrong_ids = counting_spec("count", cells, &runs);
-    wrong_ids.cells[1].id = "renamed".into();
-    expect_mismatch(wrong_ids, "cell-id list hash");
-}
-
-#[test]
-fn corrupt_header_is_refused() {
-    let dir = scratch("header");
-    let path = dir.join("count.wal");
-    let runs = Arc::new(AtomicUsize::new(0));
-    counting_spec("count", 3, &runs)
-        .run_resumable(1, &path)
-        .expect("initial run");
-
-    // Flip a bit inside the header frame: the file can no longer be
-    // tied to any spec, so resuming must refuse, not guess.
-    apply_mangle(&path, &Mangle::FlipBit { offset: 13, bit: 7 }).unwrap();
-
-    match counting_spec("count", 3, &runs).run_resumable(1, &path) {
-        Err(e @ JournalError::Refused { .. }) => {
-            let msg = e.to_string();
-            assert!(msg.contains("header"), "{msg}");
-            assert!(msg.contains("delete the journal"), "{msg}");
-        }
-        other => panic!("expected Refused, got {:?}", other.map(|r| r.cells.len())),
-    }
-}
-
-#[test]
-fn records_from_a_foreign_grid_are_refused() {
-    // Hand-craft the nastiest case the header cannot catch: a journal
-    // whose header matches but whose records were (somehow) written
-    // for other cells. Splice a record from journal A after journal
-    // B's header, with matching ids hash via identical specs but a
-    // duplicated record index.
-    let dir = scratch("foreign");
-    let path = dir.join("count.wal");
-    let runs = Arc::new(AtomicUsize::new(0));
-    counting_spec("count", 3, &runs)
-        .run_resumable(1, &path)
-        .expect("initial run");
-
-    // Duplicate record 0 at the end of the file: intact frames, valid
-    // header — but an index that appears twice cannot be trusted.
-    let stats = inspect(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    let record0 = bytes[stats.record_offsets[0]..stats.record_offsets[1]].to_vec();
-    apply_mangle(&path, &Mangle::Append { bytes: record0 }).unwrap();
-
-    match counting_spec("count", 3, &runs).run_resumable(1, &path) {
-        Err(e @ JournalError::Refused { .. }) => {
-            assert!(e.to_string().contains("duplicate record"), "{e}");
-        }
-        other => panic!("expected Refused, got {:?}", other.map(|r| r.cells.len())),
-    }
+    // Every id, the name and the master seed unchanged; only cell c2's
+    // configuration differs.
+    let runs2 = Arc::new(AtomicUsize::new(0));
+    let mut edited = counting_spec("stale", cells, &runs2);
+    edited.cells[2].workload = Box::new(CountingEcho {
+        k: 99,
+        runs: Arc::clone(&runs2),
+    });
+    let resumed = args.run_sweep(&edited);
+    assert_eq!(
+        runs2.load(Ordering::Relaxed),
+        1,
+        "exactly the edited cell re-solves"
+    );
+    assert_eq!(resumed.to_json(), edited.run(1).to_json());
+    assert_ne!(resumed.to_json(), first.to_json());
+    assert_eq!(resumed.cell("c2").unwrap().value("k"), 99.0);
 }
 
 #[test]
@@ -354,6 +318,9 @@ fn kill_mid_refinement_resumes_byte_identically() {
                 Metric::exact("seed_lo32", (seed & 0xFFFF_FFFF) as f64),
             ]
         }
+        fn cache_params(&self) -> Option<String> {
+            Some(format!("x={}", canon_f64(self.x)))
+        }
     }
 
     let mk = |runs: &Arc<AtomicUsize>| {
@@ -375,14 +342,16 @@ fn kill_mid_refinement_resumes_byte_identically() {
         .with_max_depth(4)
     };
 
-    // Uninterrupted, unjournalled reference.
+    // Uninterrupted, uncached reference.
     let reference = mk(&Arc::new(AtomicUsize::new(0))).run(1).to_json();
 
-    // Full journaled run: rounds r0 (3 cells) then r1..r4 (2 cells
-    // each, one per discontinuity) until the depth cap converges.
+    // Full cached run: rounds r0 (3 cells) then r1..r4 (2 cells each,
+    // one per discontinuity) until the depth cap converges.
     let dir = scratch("adaptive-kill");
     let runs = Arc::new(AtomicUsize::new(0));
-    let full = mk(&runs).run_resumable(2, &dir).expect("journaled run");
+    let cache = Mutex::new(ResultCache::open(&dir).expect("open cache"));
+    let full = mk(&runs).run_cached(2, &cache);
+    drop(cache);
     assert_eq!(full.to_json(), reference);
     assert!(full.converged);
     assert_eq!(full.rounds.len(), 5);
@@ -391,25 +360,25 @@ fn kill_mid_refinement_resumes_byte_identically() {
     // Reproduce the disk state a SIGKILL during round 2 leaves behind
     // (the process-level realism of exactly this state is proven by
     // `kill_mid_sweep_then_resume_is_byte_identical` below): r0 and r1
-    // complete, r2 torn after its first record, r3 and r4 never begun.
-    let r2 = dir.join("adaptive-kill#r2.wal");
-    let stats = inspect(&r2).expect("inspect r2");
-    assert_eq!(stats.records(), 2);
+    // complete, r2 torn mid-frame after its first entry, r3 and r4
+    // never begun. Rounds run one after another, so entries 0..6 are
+    // exactly r0, r1 and one r2 cell.
+    let offsets = entry_offsets(&dir);
+    assert_eq!(offsets.len(), 11);
     apply_mangle(
-        &r2,
+        &dir.join(CACHE_FILE),
         &Mangle::Truncate {
-            len: stats.keep_records(1) as u64,
+            len: offsets[6] + 5,
         },
     )
     .unwrap();
-    for later in ["adaptive-kill#r3.wal", "adaptive-kill#r4.wal"] {
-        std::fs::remove_file(dir.join(later)).expect("remove later round");
-    }
 
-    // Resume at a different thread count: finished work replays, the
-    // rest re-runs, and the report reproduces the reference bytes.
+    // Resume at a different thread count: finished work is served from
+    // the cache, the rest re-runs, and the report reproduces the
+    // reference bytes.
     let runs2 = Arc::new(AtomicUsize::new(0));
-    let resumed = mk(&runs2).run_resumable(4, &dir).expect("resumed run");
+    let cache = Mutex::new(ResultCache::open(&dir).expect("reopen cache"));
+    let resumed = mk(&runs2).run_cached(4, &cache);
     assert_eq!(
         resumed.to_json(),
         reference,
@@ -420,7 +389,7 @@ fn kill_mid_refinement_resumes_byte_identically() {
         5,
         "resume must re-run exactly r2's missing cell plus r3 and r4"
     );
-    assert_eq!(inspect(&r2).unwrap().records(), 2, "torn round refilled");
+    assert_eq!(cache.lock().unwrap().len(), 11, "cache refilled");
 }
 
 /// The CI gate: SIGKILL a real sweep process partway, resume it, and
@@ -439,10 +408,10 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
     let base = scratch("kill");
     let ref_out = base.join("reference");
     let res_out = base.join("resumed");
-    let journal_dir = base.join("journal");
+    let cache_dir = base.join("cache");
     let lines = "60000";
 
-    // Reference: uninterrupted, serial, no journal.
+    // Reference: uninterrupted, serial, no cache.
     let status = Command::new(bin)
         .args(["--out", ref_out.to_str().unwrap(), "--threads", "1"])
         .env("RB_PROBE_LINES", lines)
@@ -451,32 +420,31 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
         .expect("spawn reference run");
     assert!(status.success(), "reference run failed");
 
-    // Journaled run, killed once the journal shows progress but (we
-    // hope) before completion. SIGKILL, not SIGTERM: no destructors,
-    // exactly the preemption the journal exists for.
-    let journaled = |threads: &str| {
+    // Cached run, killed once the cache shows progress but (we hope)
+    // before completion. SIGKILL, not SIGTERM: no destructors, exactly
+    // the preemption resume exists for.
+    let cached = |threads: &str| {
         let mut cmd = Command::new(bin);
         cmd.args([
             "--out",
             res_out.to_str().unwrap(),
-            "--journal",
-            journal_dir.to_str().unwrap(),
+            "--cache",
+            cache_dir.to_str().unwrap(),
             "--threads",
             threads,
         ])
         .env("RB_PROBE_LINES", lines)
-        .stdout(Stdio::null());
+        .stdout(Stdio::null())
+        .stderr(Stdio::null());
         cmd
     };
-    let mut child = journaled("2").spawn().expect("spawn journaled run");
-    let journal_file = journal_dir.join("sweep_resume_probe.wal");
+    let entries = || wal_stats(&cache_dir).expect("poll cache").entries;
+    let mut child = cached("2").spawn().expect("spawn cached run");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     let mut finished_early = false;
     loop {
-        if let Ok(stats) = inspect(&journal_file) {
-            if stats.records() >= 3 {
-                break;
-            }
+        if entries() >= 3 {
+            break;
         }
         if child.try_wait().expect("try_wait").is_some() {
             finished_early = true;
@@ -484,16 +452,15 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "journaled run made no progress within 120 s"
+            "cached run made no progress within 120 s"
         );
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
     if !finished_early {
         child.kill().expect("SIGKILL the sweep");
         child.wait().expect("reap the killed sweep");
-        let at_kill = inspect(&journal_file).expect("journal after kill");
         assert!(
-            at_kill.records() < 24,
+            entries() < 24,
             "kill landed after completion; probe too fast for the gate"
         );
     } else {
@@ -501,7 +468,7 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
     }
 
     // Resume (different thread count on purpose) and byte-diff.
-    let status = journaled("4").status().expect("spawn resumed run");
+    let status = cached("4").status().expect("spawn resumed run");
     assert!(status.success(), "resumed run failed");
     let reference = std::fs::read(ref_out.join("sweep_resume_probe.json")).unwrap();
     let resumed = std::fs::read(res_out.join("sweep_resume_probe.json")).unwrap();
@@ -511,9 +478,5 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
         reference.len(),
         resumed.len()
     );
-    assert_eq!(
-        inspect(&journal_file).unwrap().records(),
-        24,
-        "journal holds every cell after resume"
-    );
+    assert_eq!(entries(), 24, "cache holds every cell after resume");
 }

@@ -39,7 +39,7 @@ use rbsim::splitting::{self, LevelPath, SplittingSpec};
 use rbsim::SimRng;
 
 use crate::metrics::Metric;
-use crate::workload::Workload;
+use crate::workload::{canon_async_params, canon_f64, Workload};
 
 /// A flag-chain state at a splitting level boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -297,6 +297,18 @@ impl SplittingTail {
 impl Workload for SplittingTail {
     fn label(&self) -> String {
         self.id.clone()
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};threshold={};p_exact={};levels={};trials={};z={}",
+            canon_async_params(&self.params),
+            canon_f64(self.threshold),
+            canon_f64(self.p_exact),
+            self.levels,
+            self.trials,
+            canon_f64(self.z)
+        ))
     }
 
     fn run(&self, seed: u64) -> Vec<Metric> {

@@ -32,6 +32,9 @@
 //!         let heads = (0..self.flips).filter(|_| rng.bernoulli(0.5)).count();
 //!         vec![Metric::exact("heads", heads as f64)]
 //!     }
+//!     fn cache_params(&self) -> Option<String> {
+//!         Some(format!("flips={}", self.flips))
+//!     }
 //! }
 //!
 //! let w = CoinBias { flips: 100 };
@@ -75,16 +78,17 @@ pub trait Workload {
     /// content-addressed cache key (`rbbench::cache`), alongside
     /// [`Workload::label`] and the derived seed.
     ///
-    /// `None` (the default) means "not cacheable": the cache layer
-    /// always re-runs such workloads. Opting in is a promise that two
-    /// instances returning the same `(label, cache_params)` string pair
-    /// produce bit-identical metrics under the same seed — so the
+    /// Required, so every workload decides: `Some` is a promise that
+    /// two instances returning the same `(label, cache_params)` string
+    /// pair produce bit-identical metrics under the same seed — so the
     /// string must cover *all* of `self`, with floats rendered via
     /// [`canon_f64`] (raw IEEE-754 bits; `1.0` vs `1.0 + 1e-16` must
-    /// not collide, and NaN payloads must round-trip).
-    fn cache_params(&self) -> Option<String> {
-        None
-    }
+    /// not collide, and NaN payloads must round-trip). Every
+    /// production workload returns `Some`, which is what lets a killed
+    /// sweep resume through the cache. `None` means "not cacheable":
+    /// the cache layer always re-runs such workloads (test probes that
+    /// hold shared counters, say).
+    fn cache_params(&self) -> Option<String>;
 }
 
 /// Canonical, injective rendering of an `f64` for cache-key material:
@@ -564,6 +568,21 @@ impl Workload for FailureEpisodes {
         format!("failure-episodes/n{}", self.params.n())
     }
 
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};error_rates=[{}];p_propagate={};p_detect_foreign={};episodes={};t_r={};\
+             directed={};prp={}",
+            canon_async_params(&self.params),
+            canon_f64s(&self.fault.error_rates),
+            canon_f64(self.fault.p_propagate),
+            canon_f64(self.fault.p_detect_foreign),
+            self.episodes,
+            canon_f64(self.t_r),
+            self.directed,
+            self.prp
+        ))
+    }
+
     fn run(&self, seed: u64) -> Vec<Metric> {
         let mut metrics = Vec::with_capacity(18);
         let sym = AsyncScheme::new(
@@ -630,6 +649,18 @@ impl Workload for Conversations {
         format!("conversations/k{}", self.cfg.k)
     }
 
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};k={};conversation_rate={};p_fail={};max_rounds={};horizon={}",
+            canon_async_params(&self.cfg.params),
+            self.cfg.k,
+            canon_f64(self.cfg.conversation_rate),
+            canon_f64(self.cfg.p_fail),
+            self.cfg.max_rounds,
+            canon_f64(self.horizon)
+        ))
+    }
+
     fn run(&self, seed: u64) -> Vec<Metric> {
         let stats = run_conversations(&self.cfg, self.horizon, seed);
         let total = (stats.completed + stats.abandoned).max(1);
@@ -663,6 +694,14 @@ pub struct HistoryAudit {
 impl Workload for HistoryAudit {
     fn label(&self) -> String {
         format!("history-audit/n{}", self.params.n())
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};horizon={}",
+            canon_async_params(&self.params),
+            canon_f64(self.horizon)
+        ))
     }
 
     fn run(&self, seed: u64) -> Vec<Metric> {
@@ -916,9 +955,89 @@ mod tests {
         // canon_f64 is bit-level: -0.0 and 0.0 differ, NaN survives.
         assert_ne!(canon_f64(0.0), canon_f64(-0.0));
         assert_eq!(canon_f64(f64::NAN), canon_f64(f64::NAN));
-        // The fault-injection workload stays uncacheable by default.
-        let f = FailureEpisodes::new(params3(), FaultConfig::uniform(3, 0.1, 0.5, 0.5), 1);
-        assert!(f.cache_params().is_none());
+
+        // FailureEpisodes: every FaultConfig field, the episode count,
+        // t_r and each leg switch.
+        let fault = FaultConfig::uniform(3, 0.1, 0.5, 0.5);
+        assert_distinct(&flips(
+            &FailureEpisodes::new(params3(), fault, 9),
+            &[
+                |w| w.params = AsyncParams::symmetric(3, 1.0, 1.5),
+                |w| w.fault.error_rates[2] = 0.2,
+                |w| w.fault.p_propagate = 0.6,
+                |w| w.fault.p_detect_foreign = 0.6,
+                |w| w.episodes = 10,
+                |w| w.t_r = 2e-3,
+                |w| w.directed = false,
+                |w| w.prp = false,
+            ],
+        ));
+        // Conversations: every ConversationConfig field plus the horizon.
+        let conv = Conversations {
+            cfg: ConversationConfig::new(AsyncParams::symmetric(4, 1.0, 1.0), 2),
+            horizon: 300.0,
+        };
+        assert_distinct(&flips(
+            &conv,
+            &[
+                |w| w.cfg.params = AsyncParams::symmetric(4, 1.0, 0.5),
+                |w| w.cfg.k = 3,
+                |w| w.cfg.conversation_rate = 0.3,
+                |w| w.cfg.p_fail = 0.1,
+                |w| w.cfg.max_rounds = 4,
+                |w| w.horizon = 301.0,
+            ],
+        ));
+        let audit = HistoryAudit {
+            params: params3(),
+            horizon: 10.0,
+        };
+        assert_distinct(&flips(
+            &audit,
+            &[
+                |w| w.params = AsyncParams::symmetric(3, 2.0, 1.0),
+                |w| w.horizon = 11.0,
+            ],
+        ));
+        // SplittingTail (private fields, so one constructor argument at
+        // a time): params, target level (→ threshold), levels, trials,
+        // gate width, and the reference tail.
+        use crate::tail::SplittingTail;
+        let tail = |params: AsyncParams, p: f64, levels: usize, trials: usize, z: f64| {
+            SplittingTail::new("t", params, p, levels, trials, z)
+        };
+        let base = tail(params3(), 1e-3, 4, 64, 5.0);
+        assert_distinct(&[
+            base.cache_params(),
+            tail(AsyncParams::symmetric(3, 1.0, 1.5), 1e-3, 4, 64, 5.0).cache_params(),
+            tail(params3(), 1e-4, 4, 64, 5.0).cache_params(),
+            tail(params3(), 1e-3, 5, 64, 5.0).cache_params(),
+            tail(params3(), 1e-3, 4, 65, 5.0).cache_params(),
+            tail(params3(), 1e-3, 4, 64, 6.0).cache_params(),
+            base.clone()
+                .with_reference(base.p_exact() * 2.0)
+                .cache_params(),
+        ]);
+    }
+
+    /// `base`'s cache params followed by those of one copy per edit.
+    fn flips<W: Workload + Clone>(base: &W, edits: &[fn(&mut W)]) -> Vec<Option<String>> {
+        let edited = edits.iter().map(|edit| {
+            let mut w = base.clone();
+            edit(&mut w);
+            w.cache_params()
+        });
+        std::iter::once(base.cache_params()).chain(edited).collect()
+    }
+
+    /// Every key is present and no two are equal.
+    fn assert_distinct(keys: &[Option<String>]) {
+        for (i, a) in keys.iter().enumerate() {
+            assert!(a.is_some(), "variant {i} is not cacheable");
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "variants {i} and {j} share cache params");
+            }
+        }
     }
 
     #[test]

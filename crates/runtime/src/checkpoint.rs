@@ -1,9 +1,9 @@
 //! Checkpoint stores: saved process states with the paper's purge rule.
 //!
 //! This store keeps snapshots *in memory*; when a checkpoint-like log
-//! must survive the process itself (e.g. the resumable sweep journal in
-//! `rbbench::journal`), the same save-then-trust-on-restart discipline
-//! is carried to disk by the [`crate::wal`] record framing, whose
+//! must survive the process itself (e.g. `rbbench::cache`, the result
+//! cache sweeps resume through), the same save-then-trust-on-restart
+//! discipline is carried to disk by the [`crate::wal`] record framing, whose
 //! torn-tail rule plays the role of the acceptance test: only intact,
 //! checksummed records are restored.
 

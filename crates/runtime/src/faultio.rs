@@ -2,15 +2,15 @@
 //!
 //! The paper's subject is surviving faults — primary attempt,
 //! acceptance test, retry on an alternate — and the workspace's own
-//! durability layers ([`crate::wal`] framing, `rbbench`'s sweep journal
-//! and result cache) claim exactly that discipline: every write either
+//! durability layers ([`crate::wal`] framing, `rbbench`'s result
+//! cache) claim exactly that discipline: every write either
 //! lands intact, is truncated away as a torn tail, or is *refused* with
 //! a named error. Until this module, those claims were tested against
 //! one fault shape (SIGKILL at a lucky moment). `faultio` makes the
 //! fault space sweepable:
 //!
 //! * [`Fs`] / [`FileIo`] — the seam: the exact open/read/write/flush/
-//!   truncate surface the journal and cache need, as object-safe
+//!   truncate surface the result cache needs, as object-safe
 //!   traits. [`RealFs`] is the production implementation (plain
 //!   `std::fs`).
 //! * [`FaultPlan`] — a seeded schedule of injected faults, derived from
@@ -66,8 +66,8 @@ pub fn derive_fault_seed(master: u64, index: u64) -> u64 {
 // --- the I/O seam ------------------------------------------------------
 
 /// One open file under the seam: exactly the operations the durable
-/// layers (sweep journal, result cache) perform, object-safe so a
-/// faulty implementation can stand in for the real one.
+/// layers (the result cache and its compaction) perform, object-safe
+/// so a faulty implementation can stand in for the real one.
 pub trait FileIo: Send {
     /// Reads the remainder of the file into `buf` (the replay scan).
     fn read_to_end(&mut self, buf: &mut Vec<u8>) -> io::Result<usize>;
@@ -168,7 +168,7 @@ pub enum FaultKind {
     /// Nothing is written and the write fails with a
     /// [`io::ErrorKind::WouldBlock`]-style error. **Contract: a
     /// transient fault writes zero bytes**, so the owner may safely
-    /// retry the whole buffer (the journal and cache do, bounded).
+    /// retry the whole buffer (the result cache does, bounded).
     Transient,
     /// Nothing is written and the write fails with
     /// [`io::ErrorKind::StorageFull`].

@@ -10,10 +10,11 @@
 //! * [`checkpoint`] — per-process stores of cloned state snapshots
 //!   (real RPs and PRPs), with the paper's purge rule;
 //! * [`wal`] — length-prefixed, checksummed record framing for durable
-//!   journals (the on-disk counterpart of the checkpoint discipline:
-//!   a killed writer leaves a log replayable up to its last intact
-//!   record — `rbbench`'s resumable sweep journal builds on it);
-//! * [`faultio`] — the injectable I/O seam under those journals: a
+//!   logs (the on-disk counterpart of the checkpoint discipline: a
+//!   killed writer leaves a log replayable up to its last intact
+//!   record — `rbbench`'s result cache, through which sweeps resume,
+//!   builds on it);
+//! * [`faultio`] — the injectable I/O seam under those logs: a
 //!   seeded, deterministic fault plan (short writes, silent bit flips,
 //!   transient errors, disk-full) so the recovery policies above are
 //!   exercised by *sweeps over fault schedules*, not hand-picked kill

@@ -3,7 +3,7 @@
 //! The paper's recovery-block model assumes checkpoints that survive a
 //! failure and can be trusted on restart; [`crate::checkpoint`] is the
 //! in-memory form of that discipline, and this module is its on-disk
-//! counterpart — the framing a durable journal needs so that a process
+//! counterpart — the framing a durable log needs so that a process
 //! killed mid-write leaves a log that is still *exactly replayable up
 //! to its last intact record*:
 //!

@@ -4,8 +4,8 @@
 //! truncate-and-recover (an exact prefix of the original payloads) or
 //! a checksum refusal — never a decoded garbage frame.
 //!
-//! This is the property the whole recovery stack leans on: the sweep
-//! journal and result cache trust that replaying "the intact prefix"
+//! This is the property the whole recovery stack leans on: the result
+//! cache trusts that replaying "the intact prefix"
 //! of a damaged file can only under-deliver (cells re-run), never
 //! mis-deliver (cells served from corrupted bytes).
 

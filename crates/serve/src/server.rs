@@ -840,8 +840,8 @@ fn run_cell_task(task: &CellTask) -> CellReport {
 
 /// The acceptance test of the cell recovery block: the report must
 /// carry the cell's own id, the seed the supervisor derived, and must
-/// survive the journal codec round-trip (the same validation a replay
-/// would apply) — a garbled report is retried, never served or cached.
+/// survive the cache payload codec round-trip (what a later hit would
+/// decode) — a garbled report is retried, never served or cached.
 fn acceptance(cell: &SweepCell, seed: u64, report: &CellReport) -> Result<(), String> {
     if report.id != cell.id {
         return Err(format!(
@@ -855,7 +855,7 @@ fn acceptance(cell: &SweepCell, seed: u64, report: &CellReport) -> Result<(), St
             report.seed
         ));
     }
-    rbbench::journal::validate_report_roundtrip(report)
+    rbbench::cache::validate_report_roundtrip(report)
 }
 
 /// Solves one cell as a recovery block: dispatch to a solver (primary

@@ -8,7 +8,7 @@
 //! server.
 //!
 //! Counterpart to `rbbench`'s `chaos_matrix.rs`, which does the same
-//! for the persistence layer (journal + cache under faulty I/O).
+//! for the persistence layer (the result cache under faulty I/O).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -51,101 +51,19 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_batched(items, threads, 1, f)
-}
-
-/// [`par_map`] with a caller-set minimum batch per cursor pull.
-///
-/// Each worker dispatch (one atomic `fetch_add` plus the loop
-/// bookkeeping around it) claims at least `min_batch` consecutive
-/// items, so sweeps over *many tiny cells* amortise their dispatch
-/// overhead instead of paying it per cell. Batching never affects the
-/// output — results are keyed by index and reassembled in input order,
-/// so the byte-identity contract of `rbbench`'s sweep reports holds at
-/// any batch size (pinned by `crates/bench/tests/sweep_determinism.rs`).
-/// The trade-off is balance: a batch is the smallest unit of work
-/// stealing, so batches larger than `items.len() / threads` serialise
-/// the tail. Use `min_batch = 1` (or [`par_map`]) when cells are
-/// expensive, and a few dozen when cells are microseconds.
-///
-/// # Panics
-/// Propagates a panic from any worker (the sweep is aborted).
-pub fn par_map_batched<T, R, F>(items: &[T], threads: usize, min_batch: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    dispatch(items, None, threads, min_batch, f)
-}
-
-/// [`par_map_batched`] over a **sparse subset** of item indices.
-///
-/// Applies `f` only to `items[i]` for each `i` in `indices`, returning
-/// the results **in `indices` order**. `f` still receives the item's
-/// *original* index, so per-item seeding (e.g.
-/// [`crate::derive_seed`]`(master, i)`) is identical whether an item is
-/// reached through a dense [`par_map`] over the whole slice or through
-/// this sparse path — which is exactly what a resumed sweep needs: run
-/// only the missing cells, under the seeds the full grid would have
-/// given them. The same atomic-cursor work stealing applies, over
-/// positions of `indices`.
-///
-/// # Panics
-/// Panics up front if any index is out of bounds, and propagates a
-/// panic from any worker.
-pub fn par_map_sparse<T, R, F>(
-    items: &[T],
-    indices: &[usize],
-    threads: usize,
-    min_batch: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if let Some(&bad) = indices.iter().find(|&&i| i >= items.len()) {
-        panic!(
-            "par_map_sparse: index {bad} out of bounds for {} items",
-            items.len()
-        );
-    }
-    dispatch(items, Some(indices), threads, min_batch, f)
-}
-
-/// The shared cursor engine behind the dense and sparse maps: workers
-/// claim chunks of *positions* `0..n` off an atomic cursor, where
-/// position `p` maps to original index `order[p]` (or `p` itself for a
-/// dense map), and results are reassembled in position order.
-fn dispatch<T, R, F>(
-    items: &[T],
-    order: Option<&[usize]>,
-    threads: usize,
-    min_batch: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = order.map_or(items.len(), <[usize]>::len);
+    let n = items.len();
     let threads = threads.max(1).min(n.max(1));
     if threads <= 1 {
-        return (0..n)
-            .map(|p| {
-                let i = order.map_or(p, |o| o[p]);
-                f(i, &items[i])
-            })
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
             .collect();
     }
 
     // Chunks small enough to balance uneven cells, large enough to keep
-    // cursor contention negligible — but never below the caller's
-    // amortisation floor.
-    let chunk = (n / (threads * 4)).max(min_batch).max(1);
+    // cursor contention negligible.
+    let chunk = (n / (threads * 4)).max(1);
     let cursor = AtomicUsize::new(0);
     let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
 
@@ -162,10 +80,8 @@ where
                         break;
                     }
                     let end = (start + chunk).min(n);
-                    for p in start..end {
-                        let i = order.map_or(p, |o| o[p]);
-                        local.push((p, f(i, &items[i])));
-                    }
+                    let claimed = (start..end).zip(&items[start..end]);
+                    local.extend(claimed.map(|(i, item)| (i, f(i, item))));
                 }
                 local
             }));
@@ -175,16 +91,15 @@ where
         }
     });
 
-    // Reassemble in position order: every position was claimed exactly
-    // once.
+    // Reassemble in input order: every index was claimed exactly once.
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-    for (p, r) in buckets.into_iter().flatten() {
-        debug_assert!(slots[p].is_none(), "position {p} produced twice");
-        slots[p] = Some(r);
+    for (i, r) in buckets.into_iter().flatten() {
+        debug_assert!(slots[i].is_none(), "index {i} produced twice");
+        slots[i] = Some(r);
     }
     slots
         .into_iter()
-        .map(|s| s.expect("every position claimed exactly once"))
+        .map(|s| s.expect("every index claimed exactly once"))
         .collect()
 }
 
@@ -224,67 +139,14 @@ mod tests {
     }
 
     #[test]
-    fn batching_never_changes_the_output() {
-        let items: Vec<u64> = (0..613).collect();
-        let f = |idx: usize, x: &u64| (idx as u64).wrapping_mul(0x9E37).wrapping_add(x * 7);
-        let reference = par_map(&items, 1, f);
-        for batch in [1usize, 2, 7, 32, 100, 613, 10_000] {
-            for threads in [2usize, 4, 8] {
-                assert_eq!(
-                    par_map_batched(&items, threads, batch, f),
-                    reference,
-                    "batch={batch} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batching_covers_every_index_exactly_once() {
+    fn every_index_is_visited_exactly_once() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let items: Vec<usize> = (0..257).collect();
         let hits: Vec<AtomicU32> = (0..items.len()).map(|_| AtomicU32::new(0)).collect();
-        par_map_batched(&items, 4, 16, |idx, _| {
+        par_map(&items, 4, |idx, _| {
             hits[idx].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn sparse_map_preserves_original_indices_and_order() {
-        let items: Vec<u64> = (0..100).map(|x| x * 10).collect();
-        let indices = [7usize, 3, 90, 41, 3]; // repeats are allowed
-        let f = |idx: usize, x: &u64| (idx as u64, *x);
-        for threads in [1usize, 2, 8] {
-            let got = par_map_sparse(&items, &indices, threads, 1, f);
-            let want: Vec<(u64, u64)> = indices.iter().map(|&i| (i as u64, items[i])).collect();
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sparse_map_matches_dense_on_the_covered_subset() {
-        let items: Vec<u64> = (0..301).collect();
-        let f = |idx: usize, x: &u64| (idx as u64).wrapping_mul(0x9E37).wrapping_add(x * x);
-        let dense = par_map(&items, 1, f);
-        let missing: Vec<usize> = (0..items.len()).filter(|i| i % 3 != 0).collect();
-        let sparse = par_map_sparse(&items, &missing, 4, 2, f);
-        for (p, &i) in missing.iter().enumerate() {
-            assert_eq!(sparse[p], dense[i], "index {i}");
-        }
-    }
-
-    #[test]
-    fn sparse_map_handles_empty_index_set() {
-        let items = [1u8, 2, 3];
-        assert!(par_map_sparse(&items, &[], 4, 1, |_, &x| x).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn sparse_map_rejects_out_of_bounds_indices() {
-        let items = [1u8, 2, 3];
-        par_map_sparse(&items, &[0, 5], 2, 1, |_, &x| x);
     }
 
     #[test]
