@@ -18,6 +18,7 @@ use crate::fault::{FaultConfig, FaultState};
 use crate::history::{History, HistoryArena, ProcessId};
 use crate::metrics::{RollbackOutcome, SchemeMetrics};
 use crate::rollback::{propagate_rollback, propagate_rollback_directed, RollbackPlan};
+use crate::schemes::events::{EventKind, EventStream};
 
 /// Configuration of an asynchronous-scheme run.
 #[derive(Clone, Debug)]
@@ -70,73 +71,26 @@ impl IntervalStats {
     }
 }
 
-/// One kind of event in the superposed stream.
-#[derive(Clone, Copy, Debug)]
-enum EventKind {
-    /// Recovery point (= acceptance test) in a process.
-    Rp(usize),
-    /// Interaction of a pair.
-    Interaction(usize, usize),
-    /// Latent error arises in a process.
-    Error(usize),
-}
-
 /// The asynchronous-scheme simulation driver.
 pub struct AsyncScheme {
     cfg: AsyncConfig,
-    rng: SimRng,
+    events: EventStream,
     fault_rng: SimRng,
-    weights: Vec<f64>,
-    kinds: Vec<EventKind>,
-    total_rate: f64,
 }
 
 impl AsyncScheme {
     /// Creates a driver with the given master seed.
     pub fn new(cfg: AsyncConfig, seed: u64) -> Self {
-        let n = cfg.params.n();
-        let mut weights = Vec::with_capacity(n + n * (n - 1) / 2 + n);
-        let mut kinds = Vec::with_capacity(weights.capacity());
-        for i in 0..n {
-            weights.push(cfg.params.mu()[i]);
-            kinds.push(EventKind::Rp(i));
-        }
-        for i in 0..n {
-            for j in i + 1..n {
-                let l = cfg.params.lambda(i, j);
-                if l > 0.0 {
-                    weights.push(l);
-                    kinds.push(EventKind::Interaction(i, j));
-                }
-            }
-        }
-        if let Some(f) = &cfg.fault {
-            for (i, &r) in f.error_rates.iter().enumerate() {
-                if r > 0.0 {
-                    weights.push(r);
-                    kinds.push(EventKind::Error(i));
-                }
-            }
-        }
-        let total_rate = weights.iter().sum();
         AsyncScheme {
-            rng: SimRng::new(seed, StreamId::WORKLOAD),
+            events: EventStream::new(&cfg.params, cfg.fault.as_ref(), seed),
             fault_rng: SimRng::new(seed, StreamId::FAULTS),
             cfg,
-            weights,
-            kinds,
-            total_rate,
         }
     }
 
     /// The configured parameters.
     pub fn params(&self) -> &AsyncParams {
         &self.cfg.params
-    }
-
-    fn next_event(&mut self, t: &mut f64) -> EventKind {
-        *t += self.rng.exp(self.total_rate);
-        self.kinds[self.rng.weighted_index(&self.weights)]
     }
 
     /// Measures `n_lines` recovery-line intervals (fault-free), with no
@@ -187,7 +141,26 @@ impl AsyncScheme {
         let mut rp_counts = vec![Welford::new(); n];
         let mut histogram = histogram;
         let mut samples = collect_samples.then(|| Vec::with_capacity(n_lines));
-        let mut flags = vec![true; n]; // at a recovery line
+        // Per-category actions, so an event is one table lookup and no
+        // branch on its kind: an RP `(i, i, true)` puts Pᵢ on the line,
+        // an interaction `(i, j, false)` takes both endpoints off it.
+        let actions: Vec<(usize, usize, bool)> = self
+            .events
+            .kinds()
+            .iter()
+            .map(|&kind| match kind {
+                EventKind::Rp(i) => (i, i, true),
+                EventKind::Interaction(i, j) => (i, j, false),
+                // A fault model's errors map out of range: drawing one
+                // fails the assert below.
+                EventKind::Error(_) => (n, n, false),
+            })
+            .collect();
+        // Which processes sit at a recovery line, and how many do not: a
+        // new line forms when an RP brings that count back to zero (an
+        // interaction always leaves it positive).
+        let mut on_line = vec![true; n];
+        let mut off_line = 0usize;
         let mut counts = vec![0u64; n];
         let mut t = 0.0_f64;
         let mut last_line = 0.0_f64;
@@ -195,34 +168,29 @@ impl AsyncScheme {
         let mut events = 0u64;
 
         while lines < n_lines {
-            let ev = self.next_event(&mut t);
+            let (i, j, rp) = actions[self.events.next_category(&mut t)];
+            assert!(i < n, "error event in a fault-free run");
             events += 1;
-            match ev {
-                EventKind::Rp(i) => {
-                    counts[i] += 1;
-                    flags[i] = true;
-                    if flags.iter().all(|&f| f) {
-                        let x = t - last_line;
-                        interval.push(x);
-                        if let Some(h) = &mut histogram {
-                            h.push(x);
-                        }
-                        if let Some(s) = &mut samples {
-                            s.push(x);
-                        }
-                        for (w, c) in rp_counts.iter_mut().zip(&mut counts) {
-                            w.push(*c as f64);
-                            *c = 0;
-                        }
-                        last_line = t;
-                        lines += 1;
-                    }
+            counts[i] += u64::from(rp);
+            off_line = off_line + usize::from(on_line[i]) - usize::from(rp);
+            on_line[i] = rp;
+            off_line = off_line + usize::from(on_line[j]) - usize::from(rp);
+            on_line[j] = rp;
+            if off_line == 0 {
+                let x = t - last_line;
+                interval.push(x);
+                if let Some(h) = &mut histogram {
+                    h.push(x);
                 }
-                EventKind::Interaction(i, j) => {
-                    flags[i] = false;
-                    flags[j] = false;
+                if let Some(s) = &mut samples {
+                    s.push(x);
                 }
-                EventKind::Error(_) => unreachable!("fault-free run"),
+                for (w, c) in rp_counts.iter_mut().zip(&mut counts) {
+                    w.push(*c as f64);
+                    *c = 0;
+                }
+                last_line = t;
+                lines += 1;
             }
         }
         IntervalStats {
@@ -241,7 +209,7 @@ impl AsyncScheme {
         let mut h = History::new(n);
         let mut t = 0.0;
         loop {
-            let ev = self.next_event(&mut t);
+            let ev = self.events.next(&mut t);
             if t > horizon {
                 return h;
             }
@@ -308,7 +276,7 @@ impl AsyncScheme {
                     budget > 0,
                     "episode exceeded event budget; check error rates"
                 );
-                let ev = self.next_event(&mut t);
+                let ev = self.events.next(&mut t);
                 match ev {
                     EventKind::Rp(i) => {
                         let pid = ProcessId(i);

@@ -13,5 +13,6 @@
 
 pub mod asynchronous;
 pub mod conversation;
+mod events;
 pub mod prp;
 pub mod synchronized;

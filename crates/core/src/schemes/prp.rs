@@ -23,6 +23,7 @@ use crate::fault::{FaultConfig, FaultState};
 use crate::history::{History, HistoryArena, ProcessId, RpKind, RpRecord};
 use crate::metrics::{RollbackOutcome, SchemeMetrics};
 use crate::rollback::{propagate_rollback, RollbackPlan};
+use crate::schemes::events::{EventKind, EventStream};
 
 /// Configuration of the PRP scheme.
 #[derive(Clone, Debug)]
@@ -150,61 +151,18 @@ pub struct PrpStorageStats {
 /// The PRP scheme driver.
 pub struct PrpScheme {
     cfg: PrpConfig,
-    rng: SimRng,
+    events: EventStream,
     fault_rng: SimRng,
-    weights: Vec<f64>,
-    kinds: Vec<Kind>,
-    total_rate: f64,
-}
-
-#[derive(Clone, Copy)]
-enum Kind {
-    Rp(usize),
-    Interaction(usize, usize),
-    Error(usize),
 }
 
 impl PrpScheme {
     /// Creates a driver with the given master seed.
     pub fn new(cfg: PrpConfig, seed: u64) -> Self {
-        let n = cfg.params.n();
-        let mut weights = Vec::new();
-        let mut kinds = Vec::new();
-        for i in 0..n {
-            weights.push(cfg.params.mu()[i]);
-            kinds.push(Kind::Rp(i));
-        }
-        for i in 0..n {
-            for j in i + 1..n {
-                let l = cfg.params.lambda(i, j);
-                if l > 0.0 {
-                    weights.push(l);
-                    kinds.push(Kind::Interaction(i, j));
-                }
-            }
-        }
-        if let Some(f) = &cfg.fault {
-            for (i, &r) in f.error_rates.iter().enumerate() {
-                if r > 0.0 {
-                    weights.push(r);
-                    kinds.push(Kind::Error(i));
-                }
-            }
-        }
-        let total_rate = weights.iter().sum();
         PrpScheme {
-            rng: SimRng::new(seed, StreamId::WORKLOAD),
+            events: EventStream::new(&cfg.params, cfg.fault.as_ref(), seed),
             fault_rng: SimRng::new(seed, StreamId::FAULTS),
             cfg,
-            weights,
-            kinds,
-            total_rate,
         }
-    }
-
-    fn next(&mut self, t: &mut f64) -> Kind {
-        *t += self.rng.exp(self.total_rate);
-        self.kinds[self.rng.weighted_index(&self.weights)]
     }
 
     /// Generates a history with PRP implantation up to `horizon`
@@ -215,12 +173,12 @@ impl PrpScheme {
         let mut h = History::new(n);
         let mut t = 0.0;
         loop {
-            let k = self.next(&mut t);
+            let k = self.events.next(&mut t);
             if t > horizon {
                 return h;
             }
             match k {
-                Kind::Rp(i) => {
+                EventKind::Rp(i) => {
                     let rp = h.record_rp(ProcessId(i), t);
                     for j in 0..n {
                         if j != i {
@@ -228,10 +186,10 @@ impl PrpScheme {
                         }
                     }
                 }
-                Kind::Interaction(i, j) => {
+                EventKind::Interaction(i, j) => {
                     h.record_interaction(ProcessId(i), ProcessId(j), t);
                 }
-                Kind::Error(_) => {}
+                EventKind::Error(_) => {}
             }
         }
     }
@@ -276,11 +234,11 @@ impl PrpScheme {
         }
 
         loop {
-            let k = self.next(&mut t);
+            let k = self.events.next(&mut t);
             if t > horizon {
                 break;
             }
-            if let Kind::Rp(i) = k {
+            if let EventKind::Rp(i) = k {
                 rps[i] += 1;
                 prp_time_overhead += (n - 1) as f64 * self.cfg.t_r;
                 // New RP in i supersedes i's previous own RP; implant
@@ -336,8 +294,8 @@ impl PrpScheme {
             loop {
                 budget -= 1;
                 assert!(budget > 0, "episode exceeded event budget");
-                match self.next(&mut t) {
-                    Kind::Rp(i) => {
+                match self.events.next(&mut t) {
+                    EventKind::Rp(i) => {
                         let pid = ProcessId(i);
                         if let Some(c) = fs.on_acceptance_test(&fault_cfg, &mut self.fault_rng, pid)
                         {
@@ -357,12 +315,12 @@ impl PrpScheme {
                         // event cannot be recorded out of order.
                         t += delay;
                     }
-                    Kind::Interaction(i, j) => {
+                    EventKind::Interaction(i, j) => {
                         let (a, b) = (ProcessId(i), ProcessId(j));
                         h.record_interaction(a, b, t);
                         fs.on_interaction(&fault_cfg, &mut self.fault_rng, a, b, t);
                     }
-                    Kind::Error(i) => fs.inject_local(ProcessId(i), t),
+                    EventKind::Error(i) => fs.inject_local(ProcessId(i), t),
                 }
             }
         }

@@ -7,7 +7,9 @@
 //! * [`EventQueue`] — a stable priority queue of timestamped events
 //!   (FIFO tie-breaking, so simulations are bit-for-bit reproducible);
 //! * [`SimRng`] and [`Exp`] — seeded random-number streams and the
-//!   exponential inter-event samplers the paper's model assumes;
+//!   exponential inter-event samplers the paper's model assumes, and
+//!   [`PoissonRace`] — the superposed-Poisson event sampler, bit-exact
+//!   against `exp` + [`SimRng::weighted_index`];
 //! * [`stats`] — online statistics (Welford mean/variance, histograms,
 //!   time-weighted averages, confidence intervals) for estimating
 //!   E\[X\], E\[Lᵢ\], CL, utilization, …;
@@ -67,5 +69,5 @@ mod time;
 
 pub use executor::{Executor, Scheduler, Simulation, StopReason};
 pub use queue::{EventQueue, Scheduled};
-pub use rng::{derive_seed, Exp, SimRng, StreamId};
+pub use rng::{derive_seed, weighted_pick, Exp, PoissonRace, SimRng, StreamId};
 pub use time::SimTime;
