@@ -9,7 +9,7 @@
 //! exactly the hazard the paper's §2 quantifies and its §3/§4 schemes
 //! pay to avoid.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use rbcore::history::{History, ProcessId};
@@ -65,8 +65,8 @@ impl<S: Clone + Send + 'static> AsyncGroup<S> {
         assert!(n >= 2, "cooperating processes required");
         let mut workers = Vec::with_capacity(n);
         for state in initial_states {
-            let (cmd_tx, cmd_rx) = unbounded::<Cmd<S>>();
-            let (reply_tx, reply_rx) = unbounded::<Reply<S>>();
+            let (cmd_tx, cmd_rx) = channel::<Cmd<S>>();
+            let (reply_tx, reply_rx) = channel::<Reply<S>>();
             let join = std::thread::spawn(move || worker_loop(state, cmd_rx, reply_tx));
             workers.push(Worker {
                 cmd_tx,

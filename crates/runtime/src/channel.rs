@@ -14,9 +14,7 @@
 //! to Cᵢ′ have to be retained in the state saved" — [`LoggedSender::sent_since`]
 //! is that retention hook.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Duration;
 
 /// A sequencing violation observed by the receiver.
@@ -62,7 +60,7 @@ pub struct Stamped<T> {
 pub struct LoggedSender<T> {
     tx: Sender<Stamped<T>>,
     next_seq: u64,
-    log: Arc<Mutex<Vec<Stamped<T>>>>,
+    log: Vec<Stamped<T>>,
 }
 
 /// The receiving half: verifies the sequence.
@@ -73,12 +71,12 @@ pub struct LoggedReceiver<T> {
 
 /// Creates a logged FIFO channel.
 pub fn logged_pair<T: Clone>() -> (LoggedSender<T>, LoggedReceiver<T>) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     (
         LoggedSender {
             tx,
             next_seq: 0,
-            log: Arc::new(Mutex::new(Vec::new())),
+            log: Vec::new(),
         },
         LoggedReceiver { rx, expected: 0 },
     )
@@ -97,7 +95,7 @@ impl<T: Clone> LoggedSender<T> {
             seq,
             payload: payload.clone(),
         };
-        self.log.lock().push(Stamped { seq, payload });
+        self.log.push(Stamped { seq, payload });
         self.tx.send(msg).expect("receiver dropped");
         seq
     }
@@ -110,17 +108,12 @@ impl<T: Clone> LoggedSender<T> {
     /// Clones of all messages with `seq >= from` — the retention hook
     /// for saving in-flight messages alongside a PRP.
     pub fn sent_since(&self, from: u64) -> Vec<Stamped<T>> {
-        self.log
-            .lock()
-            .iter()
-            .filter(|m| m.seq >= from)
-            .cloned()
-            .collect()
+        self.log.iter().filter(|m| m.seq >= from).cloned().collect()
     }
 
     /// Drops log entries older than `before` (acknowledged/committed).
     pub fn truncate_log(&mut self, before: u64) {
-        self.log.lock().retain(|m| m.seq >= before);
+        self.log.retain(|m| m.seq >= before);
     }
 }
 
@@ -146,8 +139,8 @@ impl<T> LoggedReceiver<T> {
     pub fn try_recv(&mut self) -> Result<Option<T>, SeqError> {
         match self.rx.try_recv() {
             Ok(m) => self.check(m).map(Some),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(SeqError::Disconnected),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(SeqError::Disconnected),
         }
     }
 

@@ -8,11 +8,12 @@
 //! its entry state and runs its next alternate.
 //!
 //! [`Conversation`] implements the test line as a vote-aggregating
-//! barrier (parking_lot mutex + condvar), generation-counted so the
-//! same instance serves every retry round.
+//! barrier (`std::sync` mutex + condvar), generation-counted so the
+//! same instance serves every retry round. No code path panics while
+//! holding the lock, so a poisoned lock still guards a consistent vote
+//! state and is recovered rather than propagated.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Why a conversation failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,7 +86,7 @@ impl Conversation {
     /// were positive (the conversation's collective outcome).
     pub fn test_line(&self, local_ok: bool) -> bool {
         let sh = &self.shared;
-        let mut st = sh.state.lock();
+        let mut st = sh.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.all_ok &= local_ok;
         st.arrived += 1;
         if st.arrived == sh.n {
@@ -97,10 +98,10 @@ impl Conversation {
             st.last_result
         } else {
             let gen = st.generation;
-            while st.generation == gen {
-                sh.cv.wait(&mut st);
-            }
-            st.last_result
+            sh.cv
+                .wait_while(st, |st| st.generation == gen)
+                .unwrap_or_else(PoisonError::into_inner)
+                .last_result
         }
     }
 

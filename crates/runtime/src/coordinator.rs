@@ -9,7 +9,8 @@
 //! 4. perform the acceptance test and record the process state.
 //!
 //! [`run_synchronization`] spawns one thread per participant and runs
-//! the protocol with real message passing (crossbeam channels). The
+//! the protocol with real message passing (`std::sync::mpsc` channels,
+//! one per participant, FIFO per sender as assumption 4 asks). The
 //! "normal work until the acceptance test" is the participant's `work`
 //! closure; its *virtual* duration `y` is supplied by the caller so the
 //! waiting-loss accounting `CL = Σ (Z − yᵢ)` is exact, while threads
@@ -17,7 +18,7 @@
 //! deadlock-free and that every state save happens after every ready
 //! broadcast.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -98,21 +99,16 @@ pub fn run_synchronization<S: Clone + Send>(
     let z = participants.iter().map(|p| p.y).fold(0.0, f64::max);
     let loss: f64 = participants.iter().map(|p| z - p.y).sum();
 
-    // Full mesh of channels: txs[i][j] sends from i to j.
+    // Full mesh: one channel per peer j, whose receiver j owns and
+    // whose sender every row holds, so senders[i][j] sends from i to j.
     let mut senders: Vec<Vec<Sender<Msg>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
     let mut receivers: Vec<Receiver<Msg>> = Vec::with_capacity(n);
-    let mut rx_sides: Vec<Vec<Receiver<Msg>>> = (0..n).map(|_| Vec::new()).collect();
-    for rx_side in rx_sides.iter_mut() {
-        let (tx, rx) = unbounded::<Msg>();
+    for _ in 0..n {
+        let (tx, rx) = channel::<Msg>();
         for row in senders.iter_mut() {
             row.push(tx.clone());
         }
-        rx_side.push(rx);
-    }
-    for (j, mut v) in rx_sides.into_iter().enumerate() {
-        debug_assert_eq!(v.len(), 1);
-        receivers.push(v.remove(0));
-        let _ = j;
+        receivers.push(rx);
     }
 
     let reports: Vec<SyncReport<S>> = thread::scope(|scope| {

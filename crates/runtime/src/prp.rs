@@ -11,13 +11,13 @@
 //! ([`rbcore::schemes::prp::prp_rollback`]) and maps the resulting
 //! restart line back onto stored checkpoints.
 //!
-//! The implantation transport is real (crossbeam channels between OS
+//! The implantation transport is real (std `mpsc` channels between OS
 //! threads); the orchestration is centralised in the group handle —
 //! the monitor-style mechanisation the paper cites from Kim — while the
 //! fully decentralised variant is exercised by the discrete-event
 //! drivers in `rbcore`.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use rbcore::history::{History, ProcessId};
@@ -76,8 +76,8 @@ impl<S: Clone + Send + 'static> PrpGroup<S> {
         assert!(n >= 2, "the PRP scheme concerns cooperating processes");
         let mut workers = Vec::with_capacity(n);
         for state in initial_states {
-            let (cmd_tx, cmd_rx) = unbounded::<Cmd<S>>();
-            let (reply_tx, reply_rx) = unbounded::<Reply<S>>();
+            let (cmd_tx, cmd_rx) = channel::<Cmd<S>>();
+            let (reply_tx, reply_rx) = channel::<Reply<S>>();
             let join = std::thread::spawn(move || worker_loop(state, cmd_rx, reply_tx));
             workers.push(Worker {
                 cmd_tx,

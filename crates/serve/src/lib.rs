@@ -20,9 +20,9 @@
 //!   draining server sheds with an explicit response instead of
 //!   buffering without limit (see [`server`] for the full ladder).
 //!
-//! The server is `std::net` + OS threads + the in-repo crossbeam
-//! channel shim end to end — no async runtime, matching the rest of
-//! the workspace. Protocol details live in [`protocol`]; threading and
+//! The server is `std::net` + OS threads + `std::sync` channels and
+//! locks end to end — no async runtime, matching the rest of the
+//! workspace. Protocol details live in [`protocol`]; threading and
 //! shared state in [`server`]; the `rbserve` binary wires both to a
 //! command line.
 

@@ -1,8 +1,7 @@
 //! The rbserve server: accept loop, connection handlers, worker pool,
 //! and the shared state they coordinate through.
 //!
-//! Threading model (all `std::net` + the in-repo crossbeam channel
-//! shim — no async runtime):
+//! Threading model (all `std::net` + `std::sync` — no async runtime):
 //!
 //! * one **accept thread** owns the listener (non-blocking, so it can
 //!   poll the drain condition between accepts);
@@ -14,7 +13,8 @@
 //!   handler thread forever;
 //! * `workers` **worker threads** pull jobs off a shared channel and
 //!   supervise cells sequentially, consulting the result cache before
-//!   each solve;
+//!   each solve. They share the queue's one receiver behind a mutex,
+//!   held only inside `recv` (as do the solvers below);
 //! * `workers` **solver threads** actually execute cells, dispatched
 //!   one at a time by the supervising worker. Each solve is a
 //!   *recovery block*: primary attempt on a solver, acceptance test on
@@ -50,11 +50,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rbbench::cache::{CacheKey, HitTier, ResultCache};
 use rbbench::sweep::{CellReport, SweepCell, SweepReport, SweepSpec};
 use rbcore::metrics::Metric;
@@ -339,9 +339,10 @@ struct Shared {
     finished: Mutex<HashMap<String, SweepReport>>,
     /// Cell dispatch channel into the solver pool. Both halves live
     /// here so the supervisor can spawn replacement solvers after a
-    /// panic or timeout.
+    /// panic or timeout. Every solver takes its cells through
+    /// [`recv_shared`] on the one receiver.
     solver_tx: Sender<CellTask>,
-    solver_rx: Receiver<CellTask>,
+    solver_rx: Mutex<Receiver<CellTask>>,
 }
 
 impl Shared {
@@ -456,7 +457,7 @@ pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
         .set_nonblocking(true)
         .map_err(|e| format!("set_nonblocking: {e}"))?;
 
-    let (solver_tx, solver_rx) = unbounded::<CellTask>();
+    let (solver_tx, solver_rx) = channel::<CellTask>();
     let shared = Arc::new(Shared {
         counters: Counters::default(),
         draining: AtomicBool::new(false),
@@ -465,14 +466,15 @@ pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
         finished: Mutex::new(HashMap::new()),
         cfg,
         solver_tx,
-        solver_rx,
+        solver_rx: Mutex::new(solver_rx),
     });
 
-    let (jobs_tx, jobs_rx) = unbounded::<Job>();
+    let (jobs_tx, jobs_rx) = channel::<Job>();
+    let jobs_rx = Arc::new(Mutex::new(jobs_rx));
     for _ in 0..shared.cfg.workers {
         spawn_solver(&shared);
         let shared = Arc::clone(&shared);
-        let rx = jobs_rx.clone();
+        let rx = Arc::clone(&jobs_rx);
         std::thread::spawn(move || worker_loop(&shared, &rx));
     }
 
@@ -494,7 +496,7 @@ fn accept_loop(
     shared: &Arc<Shared>,
     listener: &TcpListener,
     jobs: Sender<Job>,
-    _jobs_alive: Receiver<Job>,
+    _jobs_alive: Arc<Mutex<Receiver<Job>>>,
 ) {
     loop {
         match listener.accept() {
@@ -744,7 +746,7 @@ fn handle_submit(
             &shed_line(&format!("queue full ({cap} jobs waiting); retry later")),
         );
     };
-    let (events_tx, events_rx) = unbounded::<String>();
+    let (events_tx, events_rx) = channel::<String>();
     let name = spec.name.clone();
     let cells = spec.cells.len();
     if jobs
@@ -762,7 +764,8 @@ fn handle_submit(
     slot.transfer();
     if !send_line(out, &accepted_line(&name, cells)) {
         // Client gone already; the worker still runs the job (warming
-        // the cache) and its sends harmlessly fill the orphaned queue.
+        // the cache). Returning drops `events_rx`, so the worker's
+        // event sends fail and it discards them.
         return false;
     }
     // Stream until the worker drops the sender.
@@ -774,10 +777,21 @@ fn handle_submit(
     true
 }
 
-fn worker_loop(shared: &Arc<Shared>, jobs: &Receiver<Job>) {
+/// Takes the next message off a receiver a pool of threads shares. The
+/// guard is a temporary of this call, held only while waiting inside
+/// `recv` and never while running what was received, so one hung job
+/// or cell cannot stall the rest of its pool. `None` after disconnect.
+fn recv_shared<T>(rx: &Mutex<Receiver<T>>) -> Option<T> {
+    rx.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .recv()
+        .ok()
+}
+
+fn worker_loop(shared: &Arc<Shared>, jobs: &Mutex<Receiver<Job>>) {
     // recv errors only when the accept loop (the last sender) is gone
     // and the queue is empty — i.e. after drain.
-    while let Ok(job) = jobs.recv() {
+    while let Some(job) = recv_shared(jobs) {
         let c = &shared.counters;
         c.queue_depth.fetch_sub(1, Ordering::SeqCst);
         c.jobs_running.fetch_add(1, Ordering::SeqCst);
@@ -793,7 +807,7 @@ fn worker_loop(shared: &Arc<Shared>, jobs: &Receiver<Job>) {
 fn spawn_solver(shared: &Arc<Shared>) {
     let shared = Arc::clone(shared);
     std::thread::spawn(move || {
-        while let Ok(task) = shared.solver_rx.recv() {
+        while let Some(task) = recv_shared(&shared.solver_rx) {
             let c = &shared.counters;
             c.in_flight_solves.fetch_add(1, Ordering::SeqCst);
             let solved = catch_unwind(AssertUnwindSafe(|| run_cell_task(&task)));
@@ -882,7 +896,7 @@ fn solve_cell(
             c.faults_injected.fetch_add(1, Ordering::Relaxed);
         }
         let hang_ms = shared.cfg.chaos.as_ref().map_or(0, |ch| ch.hang_ms);
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         if shared
             .solver_tx
             .send(CellTask {
@@ -973,7 +987,7 @@ fn serve_cell(
         // miss its wakeup nor wake to find nothing in the cache.
         let mut pending = shared.lock_pending();
         if let Some(waiters) = pending.get_mut(key.material()) {
-            let (tx, rx) = unbounded::<()>();
+            let (tx, rx) = channel::<()>();
             waiters.push(tx);
             drop(pending);
             c.dedup_waits.fetch_add(1, Ordering::Relaxed);

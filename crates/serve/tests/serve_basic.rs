@@ -599,6 +599,49 @@ fn concurrent_identical_submits_dedup_to_one_solve_per_cell() {
 }
 
 #[test]
+fn more_concurrent_submits_than_workers_each_run_exactly_once() {
+    // Six distinct sweeps, two workers on one shared job queue; every
+    // solve hangs 50ms, so jobs wait while both workers are busy.
+    let chaos = ChaosConfig {
+        hang_per_mille: 1000,
+        hang_ms: 50,
+        ..ChaosConfig::default()
+    };
+    let handle = spawn(ServerConfig {
+        queue_capacity: 6,
+        ..chaos_config(chaos)
+    })
+    .expect("spawn");
+    std::thread::scope(|s| {
+        for k in 0..6 {
+            let addr = handle.addr();
+            s.spawn(move || {
+                let name = format!(r#""name":"c{k}","seed":{k}"#);
+                let mut client = Client::connect(addr);
+                client.send(
+                    &TINY_GRID
+                        .replace('\n', " ")
+                        .replace(r#""name":"g","seed":11"#, &name),
+                );
+                let (cells, done) = collect_stream(&mut client);
+                assert!(is_ok(&done), "{done:?}");
+                assert_eq!(get_str(&done, "sweep"), format!("c{k}"));
+                assert_eq!(cells.len(), 2);
+                // Exactly one done: the next line answers the next request.
+                let status = client.request(r#"{"op":"status"}"#);
+                assert!(status.get("event").is_none(), "{status:?}");
+            });
+        }
+    });
+    let mut m = Client::connect(handle.addr());
+    assert_eq!(metric_value(&mut m, "jobs/done"), 6.0);
+    assert_eq!(metric_value(&mut m, "cells/solved"), 12.0);
+    m.send(r#"{"op":"shutdown"}"#);
+    drop(m);
+    handle.join();
+}
+
+#[test]
 fn every_shed_and_error_path_returns_the_queue_slot() {
     // Zero workers: accepted jobs stay queued, so the depth gauge is
     // fully deterministic after each request.
