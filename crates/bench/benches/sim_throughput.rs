@@ -1,33 +1,10 @@
-//! Criterion: discrete-event substrate throughput.
+//! Criterion: random-stream, race-sampler and episode-loop throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rbcore::schemes::asynchronous::{AsyncConfig, AsyncScheme};
 use rbmarkov::paper::AsyncParams;
-use rbsim::{EventQueue, PoissonRace, SimRng, SimTime, StreamId};
+use rbsim::{PoissonRace, SimRng, StreamId};
 use std::hint::black_box;
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue");
-    for size in [1_000usize, 10_000, 100_000] {
-        g.throughput(Throughput::Elements(size as u64));
-        g.bench_with_input(BenchmarkId::new("push_pop", size), &size, |b, &size| {
-            let mut rng = SimRng::new(1, StreamId::WORKLOAD);
-            let times: Vec<f64> = (0..size).map(|_| rng.uniform() * 1000.0).collect();
-            b.iter(|| {
-                let mut q = EventQueue::with_capacity(size);
-                for &t in &times {
-                    q.push(SimTime::new(t), ());
-                }
-                let mut count = 0;
-                while q.pop().is_some() {
-                    count += 1;
-                }
-                black_box(count)
-            })
-        });
-    }
-    g.finish();
-}
 
 fn bench_exp_sampling(c: &mut Criterion) {
     c.bench_function("rng/exp_100k", |b| {
@@ -98,11 +75,5 @@ fn bench_async_driver(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_exp_sampling,
-    bench_race,
-    bench_async_driver
-);
+criterion_group!(benches, bench_exp_sampling, bench_race, bench_async_driver);
 criterion_main!(benches);

@@ -21,39 +21,58 @@
 
 #![forbid(unsafe_code)]
 
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-/// The RNG handed to strategies while generating one test case.
+/// The RNG handed to strategies while generating one test case:
+/// xoshiro256++ seeded through SplitMix64, the generator
+/// `rbsim::SimRng` uses. Its exact outputs are part of the contract —
+/// the seeds persisted in `proptest-regressions/` replay only while
+/// they generate the same cases.
 pub struct TestRng {
-    inner: SmallRng,
+    s: [u64; 4],
 }
 
 impl TestRng {
     /// Creates the case RNG for `seed`.
     pub fn from_seed(seed: u64) -> Self {
-        TestRng {
-            inner: SmallRng::seed_from_u64(seed),
-        }
+        // SplitMix64 expansion. Its finaliser is a bijection and the
+        // four inputs are distinct, so the state is never all zero.
+        let mut z = seed;
+        let s = std::array::from_fn(|_| {
+            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut x = z;
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^ (x >> 31)
+        });
+        TestRng { s }
     }
 
-    /// Next 64 random bits.
+    /// Next 64 random bits: one xoshiro256++ step.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform `f64` in `[0, 1)`.
+    /// Uniform `f64` in `[0, 1)`: the top 53 bits of a draw.
     pub fn unit_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform index in `0..n`.
+    /// Uniform index in `0..n` (modulo bias below n/2⁶⁴).
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0);
-        self.inner.gen_range(0..n)
+        (self.next_u64() % n as u64) as usize
     }
 }
 
@@ -605,6 +624,26 @@ mod tests {
             prop_assert_eq!(v % 2, 0);
             prop_assert_ne!(g, 0);
         }
+    }
+
+    /// The persisted regression seeds replay the same cases only while
+    /// these outputs hold.
+    #[test]
+    fn test_rng_pins() {
+        let mut rng = crate::TestRng::from_seed(0xc95e_028e_8c0a_0b20);
+        let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0x153c_6cfe_4c25_8074,
+                0x747d_2ca8_9ee7_ae0f,
+                0x1bb6_5f10_0002_cddc,
+                0xd437_9da1_cba3_6823
+            ]
+        );
+        let mut rng = crate::TestRng::from_seed(1);
+        assert_eq!(rng.unit_f64(), 0.8116121588818848);
+        assert_eq!(rng.index(10), 5);
     }
 
     #[test]

@@ -2,18 +2,18 @@
 //!
 //! The real serde cannot be fetched in this build environment, so this
 //! shim provides the subset the workspace relies on: a `Serialize` /
-//! `Deserialize` trait pair and `#[derive(Serialize)]` /
-//! `#[derive(Deserialize)]` macros (from the sibling `serde_derive`
-//! shim). Instead of serde's visitor architecture, both traits go
-//! through an owned JSON-like [`Value`] tree — entirely adequate for
-//! the artifact emission this workspace does, and trivially consumed by
-//! the `serde_json` shim.
+//! `Deserialize` trait pair and the `#[derive(Serialize)]` macro (from
+//! the sibling `serde_derive` shim; `Deserialize` is implemented by
+//! hand for the few types read back). Instead of serde's visitor
+//! architecture, both traits go through an owned JSON-like [`Value`]
+//! tree — entirely adequate for the artifact emission this workspace
+//! does, and trivially consumed by the `serde_json` shim.
 
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap};
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// An owned JSON-like data tree — the interchange format between
 /// [`Serialize`], [`Deserialize`], and the `serde_json` shim.

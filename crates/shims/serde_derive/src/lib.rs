@@ -1,8 +1,10 @@
 //! Offline shim for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for
-//! the `serde` shim **without** `syn`/`quote` (neither is available
-//! offline): the item is parsed by hand from the raw `TokenStream`.
+//! Implements `#[derive(Serialize)]` for the `serde` shim **without**
+//! `syn`/`quote` (neither is available offline): the item is parsed by
+//! hand from the raw `TokenStream`. There is no `Deserialize` derive —
+//! nothing in the workspace derives one; the hand-written impls in the
+//! `serde` shim cover what `serde_json::from_str` parses.
 //!
 //! Supported shapes — everything this workspace derives on:
 //! * structs with named fields → JSON object, field order preserved;
@@ -148,7 +150,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     if matches!(tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
         return Err(format!(
             "the serde shim derive does not support generic items (`{name}`); \
-             implement Serialize/Deserialize by hand or extend crates/shims/serde_derive"
+             implement Serialize by hand or extend crates/shims/serde_derive"
         ));
     }
 
@@ -322,134 +324,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}"
-    )
-    .parse()
-    .unwrap()
-}
-
-/// `#[derive(Deserialize)]` — see the crate docs for supported shapes.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = match parse_item(input) {
-        Ok(item) => item,
-        Err(msg) => return compile_error(&msg),
-    };
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::Named(fields) => {
-            let field_exprs: String = fields
-                .iter()
-                .map(|(f, ty)| {
-                    format!(
-                        "{f}: <{ty} as ::serde::Deserialize>::from_value(\
-                             v.get({f:?}).ok_or_else(|| ::serde::DeError::new(\
-                                 concat!(\"missing field `\", {f:?}, \"`\")))?)?,"
-                    )
-                })
-                .collect();
-            format!("Ok({name} {{ {field_exprs} }})")
-        }
-        Shape::Tuple(types) if types.len() == 1 => {
-            let ty = &types[0];
-            format!("Ok({name}(<{ty} as ::serde::Deserialize>::from_value(v)?))")
-        }
-        Shape::Tuple(types) => {
-            let elems: String = types
-                .iter()
-                .enumerate()
-                .map(|(i, ty)| {
-                    format!(
-                        "<{ty} as ::serde::Deserialize>::from_value(\
-                             items.get({i}).ok_or_else(|| ::serde::DeError::new(\
-                                 \"tuple too short\"))?)?,"
-                    )
-                })
-                .collect();
-            format!(
-                "match v {{\n\
-                     ::serde::Value::Seq(items) => Ok({name}({elems})),\n\
-                     other => Err(::serde::DeError::new(format!(\
-                         \"expected sequence, got {{other:?}}\"))),\n\
-                 }}"
-            )
-        }
-        Shape::Unit => format!("Ok({name})"),
-        Shape::Enum(variants) => {
-            let unit_arms: String = variants
-                .iter()
-                .filter(|(_, s)| matches!(s, VariantShape::Unit))
-                .map(|(v, _)| format!("{v:?} => Ok({name}::{v}),"))
-                .collect();
-            let tagged_arms: String = variants
-                .iter()
-                .filter_map(|(v, shape)| match shape {
-                    VariantShape::Unit => None,
-                    VariantShape::Named(fields) => {
-                        let field_exprs: String = fields
-                            .iter()
-                            .map(|(f, ty)| {
-                                format!(
-                                    "{f}: <{ty} as ::serde::Deserialize>::from_value(\
-                                         payload.get({f:?}).ok_or_else(|| \
-                                             ::serde::DeError::new(\"missing field\"))?)?,"
-                                )
-                            })
-                            .collect();
-                        Some(format!("{v:?} => Ok({name}::{v} {{ {field_exprs} }}),"))
-                    }
-                    VariantShape::Tuple(types) if types.len() == 1 => {
-                        let ty = &types[0];
-                        Some(format!(
-                            "{v:?} => Ok({name}::{v}(\
-                                 <{ty} as ::serde::Deserialize>::from_value(payload)?)),"
-                        ))
-                    }
-                    VariantShape::Tuple(types) => {
-                        let elems: String = types
-                            .iter()
-                            .enumerate()
-                            .map(|(i, ty)| {
-                                format!(
-                                    "<{ty} as ::serde::Deserialize>::from_value(\
-                                         items.get({i}).ok_or_else(|| \
-                                             ::serde::DeError::new(\"tuple too short\"))?)?,"
-                                )
-                            })
-                            .collect();
-                        Some(format!(
-                            "{v:?} => match payload {{\n\
-                                 ::serde::Value::Seq(items) => Ok({name}::{v}({elems})),\n\
-                                 _ => Err(::serde::DeError::new(\"expected sequence payload\")),\n\
-                             }},"
-                        ))
-                    }
-                })
-                .collect();
-            format!(
-                "match v {{\n\
-                     ::serde::Value::Str(s) => match s.as_str() {{\n\
-                         {unit_arms}\n\
-                         other => Err(::serde::DeError::new(format!(\
-                             \"unknown variant {{other:?}}\"))),\n\
-                     }},\n\
-                     ::serde::Value::Map(entries) if entries.len() == 1 => {{\n\
-                         let (tag, payload) = &entries[0];\n\
-                         match tag.as_str() {{\n\
-                             {tagged_arms}\n\
-                             other => Err(::serde::DeError::new(format!(\
-                                 \"unknown variant {{other:?}}\"))),\n\
-                         }}\n\
-                     }}\n\
-                     other => Err(::serde::DeError::new(format!(\
-                         \"expected enum encoding, got {{other:?}}\"))),\n\
-                 }}"
-            )
-        }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(v: &::serde::Value) -> Result<Self, ::serde::DeError> {{ {body} }}\n\
          }}"
     )
     .parse()

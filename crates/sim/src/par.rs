@@ -1,7 +1,7 @@
 //! Parallel dispatch for scenario sweeps.
 //!
-//! The simulation substrate is free of global state — every run owns its
-//! clock, queue and RNG — so a parameter sweep is embarrassingly
+//! The simulation code is free of global state — every run owns its
+//! RNG — so a parameter sweep is embarrassingly
 //! parallel *provided* the results do not depend on which thread ran
 //! which cell. [`par_map`] guarantees exactly that: cells are handed to
 //! workers through a shared atomic cursor (work-stealing-style chunked

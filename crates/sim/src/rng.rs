@@ -1,15 +1,13 @@
-//! Seeded random-number streams and exponential samplers.
+//! Seeded random-number streams and the superposed-Poisson sampler.
 //!
 //! The paper's standard performance-analysis assumptions (§2.1) make
 //! every random quantity exponential: recovery-point establishment in
 //! process `Pᵢ` is Poisson with rate μᵢ, and interactions between `Pᵢ`
-//! and `Pⱼ` are Poisson with rate λᵢⱼ. [`Exp`] provides the
-//! corresponding inter-event sampler; [`SimRng`] provides independent,
-//! reproducible streams so that (say) the fault-injection stream can be
-//! varied while the workload stream is held fixed.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+//! and `Pⱼ` are Poisson with rate λᵢⱼ. [`SimRng::exp`] samples the
+//! corresponding inter-event times and [`PoissonRace`] the superposed
+//! race; [`SimRng`] provides independent, reproducible streams so that
+//! (say) the fault-injection stream can be varied while the workload
+//! stream is held fixed.
 
 /// Identifies an independent random stream carved out of a master seed.
 ///
@@ -45,34 +43,42 @@ impl StreamId {
 /// assert_ne!(derive_seed(42, 7), derive_seed(43, 7)); // masters diverge
 /// ```
 pub fn derive_seed(master: u64, index: u64) -> u64 {
-    splitmix64(master ^ splitmix64(index.wrapping_add(0x9E37_79B9_7F4A_7C15)))
+    splitmix64(master ^ splitmix64(index.wrapping_add(GAMMA)))
 }
+
+/// The SplitMix64 increment (the golden-ratio constant `2⁶⁴/φ`).
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// SplitMix64 finaliser: mixes a 64-bit value into an avalanche-quality
 /// 64-bit output. Used only for seeding.
 fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
 
-/// A seeded random stream for simulation use.
+/// A seeded random stream for simulation use: xoshiro256++ (fast,
+/// non-cryptographic — appropriate for a simulator), seeded through
+/// SplitMix64.
 ///
-/// Wraps `SmallRng` (fast, non-cryptographic — appropriate for a
-/// simulator) behind the small sampling surface the experiments need.
+/// The generator lives in-tree because the golden artifacts pin its
+/// exact output bits.
 #[derive(Clone, Debug)]
 pub struct SimRng {
-    inner: SmallRng,
+    s: [u64; 4],
 }
 
 impl SimRng {
     /// Creates the stream `stream` of the experiment seeded by `seed`.
     pub fn new(seed: u64, stream: StreamId) -> Self {
         let mixed = splitmix64(seed ^ splitmix64(stream.0));
-        SimRng {
-            inner: SmallRng::seed_from_u64(mixed),
-        }
+        // The finaliser is a bijection and the four inputs are distinct,
+        // so at most one word is 0: never the all-zero state xoshiro
+        // must avoid.
+        let s =
+            std::array::from_fn(|i| splitmix64(mixed.wrapping_add(GAMMA.wrapping_mul(i as u64))));
+        SimRng { s }
     }
 
     /// A single stream when independence between sub-streams is not needed.
@@ -90,22 +96,22 @@ impl SimRng {
             rate > 0.0 && rate.is_finite(),
             "exponential rate must be positive and finite, got {rate}"
         );
-        // Inverse-CDF with the open interval (0,1]; `gen::<f64>()` is in
+        // Inverse-CDF with the open interval (0,1]; `uniform()` is in
         // [0,1), so 1-u is in (0,1] and ln never sees zero.
-        let u: f64 = self.inner.gen();
-        -(1.0 - u).ln() / rate
+        -(1.0 - self.uniform()).ln() / rate
     }
 
     /// Samples a uniform in `[0, 1)`.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        self.inner.gen()
+        // 53 uniform bits in [0, 1).
+        (self.next_u64() >> 11) as f64 * (1.0 / UNIFORM_GRID as f64)
     }
 
     /// Bernoulli trial with success probability `p` (clamped to \[0,1\]).
     #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.inner.gen::<f64>() < p.clamp(0.0, 1.0)
+        self.uniform() < p.clamp(0.0, 1.0)
     }
 
     /// Uniformly picks an index in `0..n`.
@@ -115,7 +121,8 @@ impl SimRng {
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot pick from an empty range");
-        self.inner.gen_range(0..n)
+        // Modulo bias is below n/2⁶⁴ — negligible for simulation use.
+        (self.next_u64() % n as u64) as usize
     }
 
     /// Picks a category `k` with probability `weights[k] / Σ weights`.
@@ -130,7 +137,7 @@ impl SimRng {
     /// or if the weights do not have a positive finite sum — whatever
     /// the draw.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        weighted_pick(weights, self.inner.gen())
+        weighted_pick(weights, self.uniform())
     }
 
     /// The next uniform as its grid index `r`, where
@@ -138,13 +145,22 @@ impl SimRng {
     /// the float conversion.
     #[inline]
     fn grid_draw(&mut self) -> u64 {
-        self.inner.next_u64() >> 11
+        self.next_u64() >> 11
     }
 
-    /// Raw 64 random bits (escape hatch for derived seeding).
+    /// Raw 64 random bits: one xoshiro256++ step.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 }
 
@@ -344,50 +360,55 @@ impl PoissonRace {
     }
 }
 
-/// Samples inter-event times of a Poisson process with fixed rate.
-///
-/// A thin convenience over [`SimRng::exp`] that pre-validates the rate
-/// once, for hot loops.
-#[derive(Clone, Copy, Debug)]
-pub struct Exp {
-    rate: f64,
-}
-
-impl Exp {
-    /// An `Exp(rate)` sampler.
-    ///
-    /// # Panics
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(
-            rate > 0.0 && rate.is_finite(),
-            "exponential rate must be positive and finite, got {rate}"
-        );
-        Exp { rate }
-    }
-
-    /// The distribution's rate parameter.
-    #[inline]
-    pub fn rate(self) -> f64 {
-        self.rate
-    }
-
-    /// The distribution's mean `1/rate`.
-    #[inline]
-    pub fn mean(self) -> f64 {
-        1.0 / self.rate
-    }
-
-    /// Draws one inter-event time.
-    #[inline]
-    pub fn sample(self, rng: &mut SimRng) -> f64 {
-        rng.exp(self.rate)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The golden artifacts depend on these exact outputs: any change to
+    /// seeding, stepping or the float and index conversions shows here
+    /// before it reaches an artifact.
+    #[test]
+    fn generator_pins() {
+        let mut rng = SimRng::new(42, StreamId::WORKLOAD);
+        let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0xe24c_5880_61ba_a2ff,
+                0xb6cf_f14a_be90_8642,
+                0xf305_93b2_456f_de98,
+                0x66b8_f8e8_24f9_2c2d
+            ]
+        );
+        let mut rng = SimRng::from_seed_only(7);
+        assert_eq!(rng.uniform(), 0.7444690632965898);
+        assert_eq!(rng.index(10), 6);
+        assert_eq!(rng.exp(1.0), 0.10349910264952862);
+    }
+
+    #[test]
+    fn uniform_in_unit_interval_and_roughly_uniform() {
+        let mut rng = SimRng::from_seed_only(7);
+        let n = 100_000;
+        let mut sum = 0.0;
+        for _ in 0..n {
+            let x = rng.uniform();
+            assert!((0.0..1.0).contains(&x));
+            sum += x;
+        }
+        let mean = sum / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn index_hits_all_buckets() {
+        let mut rng = SimRng::from_seed_only(3);
+        let mut counts = [0usize; 5];
+        for _ in 0..10_000 {
+            counts[rng.index(5)] += 1;
+        }
+        assert!(counts.iter().all(|&c| c > 1_500), "{counts:?}");
+    }
 
     #[test]
     fn streams_are_reproducible_and_distinct() {
@@ -472,7 +493,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_is_rejected() {
-        let _ = Exp::new(0.0);
+        let _ = SimRng::from_seed_only(0).exp(0.0);
     }
 
     #[test]

@@ -151,8 +151,18 @@ impl Histogram {
     }
 
     /// Records one observation.
+    ///
+    /// # Panics
+    /// Panics if `x` is NaN, which has no bin (infinities count as
+    /// underflow or overflow).
     #[inline]
     pub fn push(&mut self, x: f64) {
+        assert!(
+            !x.is_nan(),
+            "cannot bin {x} into histogram [{},{})",
+            self.lo,
+            self.hi
+        );
         self.count += 1;
         if x < self.lo {
             self.underflow += 1;
@@ -279,78 +289,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal — utilization
-/// tracking for the scheme timelines (e.g. fraction of time a
-/// conversation is open, or a process is blocked waiting for
-/// commitments).
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct TimeWeighted {
-    last_t: f64,
-    last_v: f64,
-    integral: f64,
-    t0: f64,
-    started: bool,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_t: 0.0,
-            last_v: 0.0,
-            integral: 0.0,
-            t0: 0.0,
-            started: false,
-        }
-    }
-
-    /// Records that the signal takes value `v` from time `t` onward.
-    ///
-    /// # Panics
-    /// Panics if `t` precedes the previous update.
-    pub fn set(&mut self, t: f64, v: f64) {
-        if !self.started {
-            self.t0 = t;
-            self.last_t = t;
-            self.last_v = v;
-            self.started = true;
-            return;
-        }
-        assert!(
-            t >= self.last_t,
-            "time went backwards: {t} < {}",
-            self.last_t
-        );
-        self.integral += self.last_v * (t - self.last_t);
-        self.last_t = t;
-        self.last_v = v;
-    }
-
-    /// The time-weighted mean over `[start, t]`.
-    pub fn mean_until(&self, t: f64) -> f64 {
-        if !self.started || t <= self.t0 {
-            return 0.0;
-        }
-        assert!(t >= self.last_t, "query before last update");
-        let total = self.integral + self.last_v * (t - self.last_t);
-        total / (t - self.t0)
-    }
-
-    /// The raw integral ∫ v dt over `[start, t]`.
-    pub fn integral_until(&self, t: f64) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        self.integral + self.last_v * (t - self.last_t)
-    }
-}
-
 /// A tagged series of (x, y) points, serializable for the experiment
 /// artifacts (one per plotted curve).
 #[derive(Clone, Debug, Serialize)]
@@ -373,16 +311,6 @@ impl Series {
     /// Appends one point.
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
-    }
-
-    /// Renders as `x<TAB>y` lines, the format the fig* binaries print.
-    pub fn to_tsv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(self.points.len() * 24);
-        for &(x, y) in &self.points {
-            let _ = writeln!(out, "{x:.6}\t{y:.6}");
-        }
-        out
     }
 }
 
@@ -508,39 +436,8 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_square_wave() {
-        let mut tw = TimeWeighted::new();
-        tw.set(0.0, 1.0);
-        tw.set(1.0, 0.0);
-        tw.set(3.0, 1.0);
-        // [0,1): 1, [1,3): 0, [3,4): 1 → mean over [0,4] = 2/4.
-        assert!((tw.mean_until(4.0) - 0.5).abs() < 1e-12);
-        assert!((tw.integral_until(4.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_constant_signal() {
-        let mut tw = TimeWeighted::new();
-        tw.set(2.0, 3.5);
-        assert!((tw.mean_until(10.0) - 3.5).abs() < 1e-12);
-        assert_eq!(tw.mean_until(2.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "time went backwards")]
-    fn time_weighted_rejects_rewind() {
-        let mut tw = TimeWeighted::new();
-        tw.set(5.0, 1.0);
-        tw.set(4.0, 0.0);
-    }
-
-    #[test]
-    fn series_tsv_format() {
-        let mut s = Series::new("demo");
-        s.push(1.0, 2.0);
-        s.push(3.0, 4.0);
-        let tsv = s.to_tsv();
-        assert_eq!(tsv.lines().count(), 2);
-        assert!(tsv.starts_with("1.000000\t2.000000"));
+    #[should_panic(expected = "cannot bin NaN")]
+    fn histogram_rejects_nan() {
+        Histogram::new(0.0, 1.0, 4).push(f64::NAN);
     }
 }

@@ -1,40 +1,12 @@
-//! Property tests for the simulation substrate.
+//! Property tests for the random streams, the race sampler and the
+//! online statistics.
 
 use proptest::prelude::*;
-use rbsim::stats::{Histogram, TimeWeighted, Welford};
-use rbsim::{weighted_pick, EventQueue, PoissonRace, SimRng, SimTime, StreamId};
+use rbsim::stats::{Histogram, Welford};
+use rbsim::{weighted_pick, PoissonRace, SimRng, StreamId};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0.0f64..1e6, 0..300)) {
-        let mut q = EventQueue::new();
-        for (k, &t) in times.iter().enumerate() {
-            q.push(SimTime::new(t), k);
-        }
-        let mut prev = SimTime::ZERO;
-        let mut count = 0;
-        while let Some(ev) = q.pop() {
-            prop_assert!(ev.at >= prev);
-            prev = ev.at;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
-    #[test]
-    fn equal_time_events_preserve_insertion_order(
-        n in 1usize..100,
-        t in 0.0f64..100.0,
-    ) {
-        let mut q = EventQueue::new();
-        for k in 0..n {
-            q.push(SimTime::new(t), k);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
 
     #[test]
     fn welford_mean_within_bounds(xs in prop::collection::vec(-1e3f64..1e3, 1..200)) {
@@ -57,24 +29,6 @@ proptest! {
         }
         let cdf = h.cdf();
         prop_assert!((cdf.last().unwrap() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_mean_bounded_by_signal_range(
-        steps in prop::collection::vec((0.001f64..10.0, 0.0f64..5.0), 1..50),
-    ) {
-        let mut tw = TimeWeighted::new();
-        let mut t = 0.0;
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &(dt, v) in &steps {
-            tw.set(t, v);
-            lo = lo.min(v);
-            hi = hi.max(v);
-            t += dt;
-        }
-        let mean = tw.mean_until(t);
-        prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9, "{lo} ≤ {mean} ≤ {hi}");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Backward Error Recovery for Concurrent Processes with Recovery
 //! Blocks* (ICPP 1983). The facade re-exports the workspace crates:
 //!
-//! * [`sim`] (`rbsim`) — the discrete-event simulation substrate;
+//! * [`sim`] (`rbsim`) — seeded random streams, the Poisson race
+//!   sampler, and simulation statistics;
 //! * [`markov`] (`rbmarkov`) — the paper's recovery-line Markov chains;
 //! * [`core`] (`rbcore`) — histories, recovery lines, rollback
 //!   propagation, and the three schemes (asynchronous / synchronized /
