@@ -54,7 +54,7 @@ fn skewed(n: usize) -> AsyncParams {
 fn bench_solver_strategies(c: &mut Criterion) {
     // Symmetric models (ρ = 1): forced Gauss–Seidel at the sizes it
     // still finishes, against the default matrix-free path to n = 16
-    // (n = 20 lives in the fig2/fig3 sweeps and the matfree_scale
+    // (n = 20 lives in the fig3_markov sweep and the matfree_scale
     // gates). Skewed models go through the default path only.
     let mut g = c.benchmark_group("mean_interval/strategy");
     for n in [12usize, 13] {

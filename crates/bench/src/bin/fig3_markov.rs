@@ -129,8 +129,8 @@ fn main() {
         cells.push(SweepCell::new(ScalingPoint { n: nn, mu, lambda }));
     }
     for nn in LARGE_NS {
-        // The shared matrix-free lumpability workload (also swept by
-        // fig2_markov), under this binary's historical cell ids.
+        // The matrix-free lumpability workload (fig2_markov sweeps it at
+        // n = 8 and 12), under this binary's historical cell ids.
         cells.push(SweepCell::named(
             format!("lumpability-large/n{nn}"),
             MatrixFreeLumpability { n: nn },

@@ -8,7 +8,10 @@
 //!   artifacts);
 //! * `--threads <n>` — cap the sweep's worker threads (default: all
 //!   hardware threads; results are byte-identical at any value; `0` is
-//!   a usage error);
+//!   a usage error). A matrix-free solve of 2¹³ masks or more
+//!   (`rbmarkov::matfree`) also splits its forward passes across up to
+//!   `available_parallelism()` short-lived threads of its own, on top of
+//!   the cap;
 //! * `--out <dir>` — redirect the JSON artifacts (threaded explicitly
 //!   through [`BenchArgs::emit_json`]; the parser never mutates the
 //!   process environment);
@@ -98,7 +101,8 @@ impl BenchArgs {
              --seed <u64>    master seed for the sweep (default: the binary's\n\
              \x20               published seed; per-cell seeds derive from it)\n\
              --threads <n>   worker threads for the sweep, at least 1 (default:\n\
-             \x20               all cores; output is byte-identical at any value)\n\
+             \x20               all cores; output is byte-identical at any value);\n\
+             \x20               large matrix-free solves add threads of their own\n\
              --out <dir>     directory for JSON artifacts (default: results/,\n\
              \x20               or RB_RESULTS_DIR)\n\
              --cache <dir>   serve repeated cells from the content-addressed\n\

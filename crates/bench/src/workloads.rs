@@ -206,8 +206,9 @@ impl Workload for OptimalPeriodCell {
 /// (forced — no CSR is ever built), pinned against the n+2-state
 /// lumped chain of Figure 3, which the homogeneous rates make an exact
 /// reference. λ = 1/(n−1) holds ρ = 1 as n grows, keeping E\[X\] in a
-/// numerically comfortable range. Shared by `fig2_markov` (scaling
-/// sweep) and `fig3_markov` (lumpability at scale).
+/// numerically comfortable range. `fig2_markov` sweeps it at the
+/// materialisable n = 8 and 12, `fig3_markov` at n = 14…20
+/// (lumpability at scale).
 ///
 /// Metrics: `n_states`, `EX_matfree`, `EX_lumped`, and the pass/fail
 /// check `matfree-vs-lumped` at 1e-6 relative.

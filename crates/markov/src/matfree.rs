@@ -35,6 +35,21 @@
 //! misses: about ten iterations at n = 14 on the skewed families the
 //! tests pin.
 //!
+//! **Threads.** The forward apply and the forward smoother's pass over
+//! old values cut their output masks into 2ᵗ contiguous ranges on their
+//! top t bits, one scoped thread each (t = ⌊log₂
+//! `available_parallelism()`⌋, lowered until every range holds at least
+//! `MIN_RANGE_MASKS`; smaller chains run on the caller's thread alone).
+//! Each kernel writes every output mask at most once per call and each
+//! range runs the rules in the serial order, so every mask takes the same
+//! additions in the same order: the bits cannot depend on t, and no
+//! option reaches it. The smoother's R1 back-substitution (a true
+//! Gauss–Seidel dependency), the S_r row and every dot product and norm
+//! stay serial, because their order is part of the result. The push side
+//! (the transposed apply and smoother, and the jump step behind the CDF,
+//! survival and density batches) also stays serial: no workload runs it
+//! on a chain large enough for ranges to pay.
+//!
 //! ```
 //! use rbmarkov::matfree::FlagChainOp;
 //! use rbmarkov::paper::AsyncParams;
@@ -44,6 +59,8 @@
 //! // Same answer as the dense LU solve over the materialised chain.
 //! assert!((op.mean_absorption_time() - p.mean_interval()).abs() < 1e-9);
 //! ```
+
+use std::sync::OnceLock;
 
 use crate::ctmc::AbsorptionCdf;
 use crate::linalg::{LuFactors, Matrix};
@@ -190,9 +207,16 @@ fn bicgstab_recurrence(
 ) -> usize {
     let n = a.dim();
     let mut r = vec![0.0; n];
-    a.apply(x, &mut r);
-    for (r, &b) in r.iter_mut().zip(b) {
-        *r = b - *r;
+    if x.iter().all(|v| v.to_bits() == 0) {
+        // The all-+0.0 guess every solve starts from: each operator here
+        // maps it to +0.0, and b − (+0.0) = b bit for bit, so the apply
+        // is skipped.
+        r.copy_from_slice(b);
+    } else {
+        a.apply(x, &mut r);
+        for (r, &b) in r.iter_mut().zip(b) {
+            *r = b - *r;
+        }
     }
     let mut r0 = r.clone();
     let mut p = r.clone();
@@ -366,26 +390,47 @@ fn r1_push(y: &mut [f64], x: &[f64], bit: usize, c: f64) {
 /// source and of the target stay in L1 together.
 const TILE: usize = 1 << 11;
 
-/// Runs `kernel(y, x, pr)` for every pair. A pair pass streams both
-/// vectors once, so from about 2¹² masks up the passes are bound by
-/// cache bandwidth. A pair whose two bits both lie below [`TILE`] keeps
-/// each of its quads inside one aligned tile, so those pairs run tile by
-/// tile, all of them sweeping a tile while it is hot; the rest stream
-/// the whole slice.
+/// Runs `kernel(y, x, w, pr)` for every pair over window `w`. A pair
+/// pass streams both vectors once, so from about 2¹² masks up the passes
+/// are bound by cache bandwidth. A pair whose two bits both lie below
+/// [`TILE`] keeps each of its quads inside one aligned tile, so those
+/// pairs run tile by tile, all of them sweeping a tile while it is hot;
+/// the rest stream the whole window. Every mask therefore takes the
+/// tiled pairs first, then the streamed ones, each in list order, however
+/// the slice is cut into windows.
 fn for_each_pair_tiled(
     pairs: &[PairRate],
     y: &mut [f64],
     x: &[f64],
-    kernel: impl Fn(&mut [f64], &[f64], &PairRate),
+    w: Window,
+    kernel: impl Fn(&mut [f64], &[f64], Window, &PairRate),
 ) {
-    for (y, x) in y.chunks_mut(TILE).zip(x.chunks(TILE)) {
+    let tile = TILE.min(w.span);
+    for (k, y) in y.chunks_mut(tile).enumerate() {
+        let t = Window {
+            off: w.off + k * tile,
+            span: tile,
+        };
         for pr in pairs.iter().filter(|pr| pr.bit_j < TILE) {
-            kernel(y, x, pr);
+            kernel(y, x, t, pr);
         }
     }
     for pr in pairs.iter().filter(|pr| pr.bit_j >= TILE) {
-        kernel(y, x, pr);
+        kernel(y, x, w, pr);
     }
+}
+
+/// [`pair_push`] with coefficient `c(pr)` for every pair over the whole
+/// slice, on the caller's thread: the push side is not split into
+/// thread ranges.
+fn pair_push_all(pairs: &[PairRate], y: &mut [f64], x: &[f64], c: impl Fn(&PairRate) -> f64) {
+    let whole = Window {
+        off: 0,
+        span: y.len().next_power_of_two(),
+    };
+    for_each_pair_tiled(pairs, y, x, whole, |y, x, t, pr| {
+        pair_push(y, &x[t.off..t.off + y.len()], pr, c(pr))
+    });
 }
 
 /// Calls `f(lo, hi)` for every block of pair `pr`: `lo` the masks with
@@ -487,6 +532,124 @@ fn pair_push(y: &mut [f64], x: &[f64], pr: &PairRate, c: f64) {
     });
 }
 
+// Thread ranges (the module doc's **Threads** paragraph). A rule whose
+// bits all lie below the window span runs the serial kernel on the
+// window's sub-slices. A bit at or above the span is fixed across a
+// window, so there the rule reduces to a shifted slice update reading
+// another window of `x` (the `*_at` kernels below).
+
+/// Smallest thread range worth a thread, in masks. One skewed-rate
+/// `apply_neg_qtt` on a shared 2-core host (release, best of 5, two runs
+/// each), one range against two: n = 11 66 → 81 µs, n = 12 110–141 →
+/// 125–139 µs (even), n = 13 272–406 → 217–299 µs, n = 14 562–808 →
+/// 359–626 µs, n = 18 23.7–27.7 → 12.5–14.4 ms. A thread spawn costs
+/// about 30 µs, so ranges start at n = 13.
+const MIN_RANGE_MASKS: usize = 1 << 12;
+
+/// Masks per thread range for a 2ⁿ-mask slice: the slice cut on its top
+/// t bits into 2ᵗ ≤ `available_parallelism()` ranges of at least
+/// [`MIN_RANGE_MASKS`] each; 2ⁿ (one range, no thread) when even two
+/// would fall below it.
+fn range_span(n: usize) -> usize {
+    static RANGES: OnceLock<usize> = OnceLock::new();
+    let masks = 1usize << n;
+    let ranges = *RANGES.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        1 << cores.ilog2()
+    });
+    let mut span = masks / ranges.min(masks);
+    while span < MIN_RANGE_MASKS && span < masks {
+        span *= 2;
+    }
+    span
+}
+
+/// A thread's share of a mask pass: the output masks `off..off + len`
+/// of a slice cut into aligned runs of `span` masks (a power of two).
+/// The output slice holds only the window; the input holds every mask.
+#[derive(Clone, Copy)]
+struct Window {
+    off: usize,
+    span: usize,
+}
+
+/// Runs `f(window, w)` on each `span`-mask window of `y`, every window
+/// but the last on its own scoped thread and the last on the caller's.
+fn for_each_range(y: &mut [f64], span: usize, f: impl Fn(&mut [f64], Window) + Sync) {
+    let mut windows = y.chunks_mut(span).enumerate().map(|(k, y)| {
+        (
+            y,
+            Window {
+                off: k * span,
+                span,
+            },
+        )
+    });
+    let (y_last, last) = windows.next_back().expect("mask slices are non-empty");
+    std::thread::scope(|s| {
+        for (y, w) in windows {
+            let f = &f;
+            s.spawn(move || f(y, w));
+        }
+        f(y_last, last);
+    });
+}
+
+/// `y[k] += c·x[k]` over the common length.
+fn add_scaled(y: &mut [f64], x: &[f64], c: f64) {
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y += c * x;
+    }
+}
+
+/// [`r1_pull`] onto window `w`.
+fn r1_pull_at(y: &mut [f64], x: &[f64], w: Window, bit: usize, c: f64) {
+    if bit < w.span {
+        r1_pull(y, &x[w.off..w.off + y.len()], bit, c);
+    } else if w.off & bit == 0 {
+        add_scaled(y, &x[w.off + bit..], c);
+    }
+}
+
+/// [`pair_pull`] onto window `w`: `y[m] += c·x[m & !(bᵢ|bⱼ)]` for every
+/// mask `m` with bit i or j set.
+fn pair_pull_at(y: &mut [f64], x: &[f64], w: Window, pr: &PairRate, c: f64) {
+    let (bi, bj) = (pr.bit_i, pr.bit_j);
+    if bj < w.span {
+        pair_pull(y, &x[w.off..w.off + y.len()], pr, c);
+    } else if bi >= w.span {
+        let set = w.off & pr.bits;
+        if set != 0 {
+            add_scaled(y, &x[w.off - set..], c);
+        }
+    } else if w.off & bj == 0 {
+        // Only the `base|bᵢ` masks gain: R1-shaped on bit i.
+        r1_push(y, &x[w.off..w.off + y.len()], bi, c);
+    } else {
+        pair_pull_hi(y, &x[w.off - bj..], bi, c);
+    }
+}
+
+/// `y[m] += c·x[m & !bᵢ]` for every mask `m` of `y`: the half of a
+/// [`pair_pull`] block with bit j set, `x` starting at the block's
+/// bit-j-clear half.
+fn pair_pull_hi(y: &mut [f64], x: &[f64], bi: usize, c: f64) {
+    #[inline(always)]
+    fn kernel(y: &mut [f64], x: &[f64], bi: usize, c: f64) {
+        for (yc, xc) in y.chunks_mut(2 * bi).zip(x.chunks(2 * bi)) {
+            let (y_j, y_ij) = yc.split_at_mut(bi);
+            add_scaled(y_j, &xc[..bi], c);
+            add_scaled(y_ij, &xc[..bi], c);
+        }
+    }
+    match bi {
+        1 => kernel(y, x, 1, c),
+        2 => kernel(y, x, 2, c),
+        4 => kernel(y, x, 4, c),
+        _ => kernel(y, x, bi, c),
+    }
+}
+
 /// The full flag chain of [`AsyncParams`] as a matrix-free operator.
 ///
 /// State indexing matches [`crate::paper::FlagChain`]: transient index
@@ -506,6 +669,8 @@ pub struct FlagChainOp {
     pairs: Vec<PairRate>,
     /// Exit rate of every transient state (the −diagonal of Q_TT).
     exit: Vec<f64>,
+    /// Masks per thread range of the block-loop passes ([`range_span`]).
+    span: usize,
 }
 
 impl FlagChainOp {
@@ -584,7 +749,16 @@ impl FlagChainOp {
             },
             pairs,
             exit,
+            span: range_span(n),
         }
+    }
+
+    /// The same operator with its passes cut into `ranges` thread ranges
+    /// (a power of two ≤ 2ⁿ): the seam the serial ≡ threaded tests use.
+    #[cfg(test)]
+    fn with_ranges(mut self, ranges: usize) -> FlagChainOp {
+        self.span = self.n_transient() / ranges;
+        self
     }
 
     /// Number of processes.
@@ -631,26 +805,28 @@ impl FlagChainOp {
         debug_assert_eq!(x.len(), self.n_transient());
         debug_assert_eq!(y.len(), self.n_transient());
 
-        // Diagonal: exit rates.
-        for ((y, &e), &x) in y.iter_mut().zip(&self.exit).zip(x) {
-            *y = e * x;
-        }
-        // S_r: R2 interactions drop to two-cleared masks (R4 exits the
-        // transient block entirely).
+        // S_r: exit rate, then R2 interactions drop to two-cleared masks
+        // (R4 exits the transient block entirely).
         let mut acc = 0.0;
         for pr in &self.pairs {
             acc += pr.rate * x[self.entry_target(pr)];
         }
-        y[0] -= acc;
-        // Masks: R1 checkpoints (mask → mask|bit; the line-completing
-        // transition leaves the transient block), then R2/R3
-        // interactions clearing the flags of the pair's flag-1 members.
-        let (ym, xm) = (&mut y[1..], &x[1..]);
-        for (i, &mi) in self.mu.iter().enumerate() {
-            r1_pull(ym, xm, 1 << i, -mi);
-        }
-        for_each_pair_tiled(&self.pairs, ym, xm, |y, x, pr| {
-            pair_pull(y, x, pr, -pr.rate)
+        y[0] = self.exit[0] * x[0] - acc;
+        // Masks: exit rates, R1 checkpoints (mask → mask|bit; the
+        // line-completing transition leaves the transient block), then
+        // R2/R3 interactions clearing the flags of the pair's flag-1
+        // members.
+        let xm = &x[1..];
+        for_each_range(&mut y[1..], self.span, |y, w| {
+            for ((y, &e), &x) in y.iter_mut().zip(&self.exit[1 + w.off..]).zip(&xm[w.off..]) {
+                *y = e * x;
+            }
+            for (i, &mi) in self.mu.iter().enumerate() {
+                r1_pull_at(y, xm, w, 1 << i, -mi);
+            }
+            for_each_pair_tiled(&self.pairs, y, xm, w, |y, x, w, pr| {
+                pair_pull_at(y, x, w, pr, -pr.rate)
+            });
         });
     }
 
@@ -669,9 +845,7 @@ impl FlagChainOp {
         for (i, &mi) in self.mu.iter().enumerate() {
             r1_push(ym, xm, 1 << i, -mi);
         }
-        for_each_pair_tiled(&self.pairs, ym, xm, |y, x, pr| {
-            pair_push(y, x, pr, -pr.rate)
-        });
+        pair_push_all(&self.pairs, ym, xm, |pr| -pr.rate);
     }
 
     /// One uniformized jump-chain propagation `out = π·P` with
@@ -706,8 +880,8 @@ impl FlagChainOp {
         for (i, &mi) in self.mu.iter().enumerate() {
             r1_push(om, pm, 1 << i, mi * inv);
         }
-        for_each_pair_tiled(&self.pairs, &mut om[..full], &pm[..full], |y, x, pr| {
-            pair_push(y, x, pr, pr.rate * inv)
+        pair_push_all(&self.pairs, &mut om[..full], &pm[..full], |pr| {
+            pr.rate * inv
         });
         out
     }
@@ -1118,8 +1292,11 @@ impl<'a> TwoLevel<'a> {
         let op = self.op;
         let mut c = r.to_vec();
         if !cold {
-            for_each_pair_tiled(&op.pairs, &mut c[1..], &z[1..], |c, z, pr| {
-                pair_pull(c, z, pr, pr.rate)
+            let zm = &z[1..];
+            for_each_range(&mut c[1..], op.span, |c, w| {
+                for_each_pair_tiled(&op.pairs, c, zm, w, |c, z, w, pr| {
+                    pair_pull_at(c, z, w, pr, pr.rate)
+                })
             });
         }
         self.r1_substitute(&mut c[1..], &mut z[1..], 0, op.n, false);
@@ -1137,9 +1314,7 @@ impl<'a> TwoLevel<'a> {
         let op = self.op;
         let mut c = r.to_vec();
         if !cold {
-            for_each_pair_tiled(&op.pairs, &mut c[1..], &z[1..], |c, z, pr| {
-                pair_push(c, z, pr, pr.rate)
-            });
+            pair_push_all(&op.pairs, &mut c[1..], &z[1..], |pr| pr.rate);
         }
         z[0] = r[0] / op.exit[0];
         for pr in &op.pairs {
@@ -1361,6 +1536,47 @@ mod tests {
             dense_sweep(&at, &r, &mut want, 0..nt);
             assert_close(&got, &want, &format!("n={n} transposed sweep"));
         }
+        for n in [5usize, 7] {
+            assert_ranges_bit_identical(&FlagChainOp::new(&skewed_params_with_idle_pair(n)));
+        }
+    }
+
+    /// Every pass the thread ranges split, on fixed operands with no
+    /// short binary expansions (so a reordered sum shows in the bits):
+    /// the forward apply and a warm forward sweep. The push side
+    /// (transposed apply and sweep, jump step) runs on one thread.
+    fn split_passes(op: &FlagChainOp) -> [(&'static str, Vec<f64>); 2] {
+        let nt = op.n_transient();
+        let operand = |salt: f64| -> Vec<f64> {
+            (0..nt)
+                .map(|k| (k as f64 * 0.618_033_988_7 + salt).fract() - 0.3)
+                .collect()
+        };
+        let (x, r) = (operand(0.1), operand(0.7));
+        let mut apply = vec![0.0; nt];
+        op.apply_neg_qtt(&x, &mut apply);
+        let mut sweep = x.clone();
+        TwoLevel::new(op, false).sweep(&r, &mut sweep, false);
+        [("apply", apply), ("sweep", sweep)]
+    }
+
+    /// 2 and 4 thread ranges reproduce the single-range passes bit for
+    /// bit.
+    fn assert_ranges_bit_identical(op: &FlagChainOp) {
+        let serial = split_passes(&op.clone().with_ranges(1));
+        for ranges in [2, 4] {
+            let split = split_passes(&op.clone().with_ranges(ranges));
+            for ((pass, want), (_, got)) in serial.iter().zip(&split) {
+                for (m, (g, w)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "n={} {pass}, {ranges} ranges, state {m}: {g} vs {w}",
+                        op.n()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1374,24 +1590,82 @@ mod tests {
         let x: Vec<f64> = (0..len)
             .map(|k| ((k * 37 + 11) % 17) as f64 - 8.0)
             .collect();
+        let whole_slice = Window {
+            off: 0,
+            span: op.n_transient(),
+        };
         for push in [false, true] {
-            let kernel = |y: &mut [f64], x: &[f64], pr: &PairRate| {
+            let kernel = |y: &mut [f64], x: &[f64], w: Window, pr: &PairRate| {
                 if push {
-                    pair_push(y, x, pr, pr.rate)
+                    pair_push(y, &x[w.off..w.off + y.len()], pr, pr.rate)
                 } else {
-                    pair_pull(y, x, pr, pr.rate)
+                    pair_pull_at(y, x, w, pr, pr.rate)
                 }
             };
             let mut tiled = vec![0.0; len];
-            for_each_pair_tiled(&op.pairs, &mut tiled, &x, kernel);
+            for_each_pair_tiled(&op.pairs, &mut tiled, &x, whole_slice, kernel);
             let mut whole = vec![0.0; len];
             for pr in &op.pairs {
-                kernel(&mut whole, &x, pr);
+                kernel(&mut whole, &x, whole_slice, pr);
             }
             for (m, (t, w)) in tiled.iter().zip(&whole).enumerate() {
                 assert!(
                     (t - w).abs() < 1e-12 * w.abs().max(1.0),
                     "push={push}, mask {m}: {t} vs {w}"
+                );
+            }
+        }
+        // Four ranges of 2¹⁰ masks: the tiled pairs on bit 10 cross them.
+        assert_ranges_bit_identical(&op);
+    }
+
+    #[test]
+    fn n10_solves_reproduce_pinned_bits() {
+        // x[0] and the true relative residual of `solve`, as f64 bits,
+        // recorded before the passes were split across threads. Every
+        // range count reproduces them.
+        let ones = vec![1.0; 1 << 10];
+        let mut e0 = vec![0.0; 1 << 10];
+        e0[0] = 1.0;
+        let symmetric = AsyncParams::symmetric(10, 1.0, 1.0 / 9.0);
+        let cases = [
+            (
+                &symmetric,
+                false,
+                0x4031_38ff_2a3c_64d8,
+                0x3d40_b80d_5696_ac01,
+            ),
+            (
+                &symmetric,
+                true,
+                0x3fb1_1111_1111_1112,
+                0x3cdb_e338_10b4_999f,
+            ),
+            (
+                &skewed_params(10),
+                false,
+                0x40c8_04a5_37c7_fbf5,
+                0x3dd2_8a32_bacb_1925,
+            ),
+            (
+                &skewed_params(10),
+                true,
+                0x3fa7_b425_ed09_7b44,
+                0x3d8d_78fc_34f2_150c,
+            ),
+        ];
+        for (params, transpose, x0, resid) in cases {
+            let b = if transpose { &e0 } else { &ones };
+            for ranges in [1, 2, 4] {
+                let op = FlagChainOp::new(params).with_ranges(ranges);
+                let (x, outcome) = op.solve(b, transpose);
+                let what = format!("{params:?} transpose={transpose}, {ranges} ranges");
+                assert_eq!(x[0].to_bits(), x0, "{what}: x[0] = {}", x[0]);
+                assert_eq!(
+                    outcome.relative_residual.to_bits(),
+                    resid,
+                    "{what}: residual {}",
+                    outcome.relative_residual
                 );
             }
         }

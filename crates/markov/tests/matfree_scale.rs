@@ -28,8 +28,9 @@ fn rho_one_params(n: usize) -> (AsyncParams, f64) {
 #[cfg_attr(debug_assertions, ignore = "wall-clock gate assumes release codegen")]
 fn n16_matrix_free_solve_within_wall_clock_budget() {
     // The CI perf-smoke gate: a 2¹⁶+1-state absorption solve must
-    // complete well under 30 s (it takes ≈ 0.2 s in release — the
-    // budget is generous to absorb slow shared runners).
+    // complete well under 30 s (it takes 0.02 s in release on a shared
+    // 2-core host — the budget is generous to absorb slow shared
+    // runners).
     let (params, lumped) = rho_one_params(16);
     let start = Instant::now();
     let op = FlagChainOp::new(&params);
@@ -56,7 +57,8 @@ fn n20_matrix_free_matches_lumped_in_seconds() {
     // The headline acceptance gate: the full 2²⁰+1-state chain, solved
     // without ever materialising its ~2·10⁸-entry generator, agrees
     // with the exact lumped chain within conformance tolerances and
-    // completes in seconds (≈ 1.3 s in release; 60 s budget).
+    // completes in seconds (0.8 s in release on a shared 2-core host,
+    // 1.2 s on one thread; 60 s budget).
     let (params, lumped) = rho_one_params(20);
     let start = Instant::now();
     let ex = params.mean_interval(); // auto-dispatches to matrix-free
