@@ -148,46 +148,29 @@ enum Disposition {
     /// `{"ok": false, "error": …}` with no event field — the request
     /// itself is wrong; retrying cannot help.
     Terminal,
-    /// Anything else (ok responses, accepted/cell/done events).
+    /// `{"event": "done", …}` — the end of a submit's stream.
+    Done,
+    /// Anything else (ok responses, accepted/cell events).
     Normal,
 }
 
-/// The string under `key`, when `line` parses and has one.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let v: Value = serde_json::from_str(line).ok()?;
-    match v.get(key) {
-        Some(Value::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
+/// Parses `line` once and sorts it into a [`Disposition`].
 fn classify(line: &str) -> Disposition {
-    match str_field(line, "event").as_deref() {
-        Some("shed") => Disposition::Shed,
-        Some(_) => Disposition::Normal,
-        None => {
-            let ok_false = serde_json::from_str::<Value>(line)
-                .ok()
-                .and_then(|v| match v.get("ok") {
-                    Some(Value::Bool(b)) => Some(!b),
-                    _ => None,
-                })
-                .unwrap_or(false);
-            if ok_false {
-                Disposition::Terminal
-            } else {
-                Disposition::Normal
-            }
-        }
+    let Ok(v) = serde_json::from_str::<Value>(line) else {
+        return Disposition::Normal;
+    };
+    match (v.get("event"), v.get("ok")) {
+        (Some(Value::Str(e)), _) if e == "shed" => Disposition::Shed,
+        (Some(Value::Str(e)), _) if e == "done" => Disposition::Done,
+        (Some(Value::Str(_)), _) => Disposition::Normal,
+        (_, Some(Value::Bool(false))) => Disposition::Terminal,
+        _ => Disposition::Normal,
     }
 }
 
 fn is_submit(line: &str) -> bool {
-    str_field(line, "op").as_deref() == Some("submit")
-}
-
-fn is_done_event(line: &str) -> bool {
-    str_field(line, "event").as_deref() == Some("done")
+    serde_json::from_str::<Value>(line)
+        .is_ok_and(|v| matches!(v.get("op"), Some(Value::Str(op)) if op == "submit"))
 }
 
 /// Sends one request line and drives it to completion, reconnecting
@@ -265,12 +248,11 @@ pub fn run_request(
                     on_event(&resp);
                     return Err(format!("server refused the request: {resp}"));
                 }
-                Disposition::Normal => {
+                Disposition::Done => {
                     on_event(&resp);
-                    if is_done_event(&resp) {
-                        return Ok(resp);
-                    }
+                    return Ok(resp);
                 }
+                Disposition::Normal => on_event(&resp),
             }
         }
     }
@@ -324,6 +306,16 @@ mod tests {
         ));
         assert!(matches!(
             classify(r#"{"event": "done", "ok": true}"#),
+            Disposition::Done
+        ));
+        // An aborted job's done carries `ok: false` and still ends the
+        // stream.
+        assert!(matches!(
+            classify(r#"{"event": "done", "ok": false, "error": "cell failed"}"#),
+            Disposition::Done
+        ));
+        assert!(matches!(
+            classify(r#"{"event": "cell", "ok": true}"#),
             Disposition::Normal
         ));
         assert!(matches!(classify("not json"), Disposition::Normal));
@@ -347,7 +339,5 @@ mod tests {
     fn request_kind_detection() {
         assert!(is_submit(r#"{"op": "submit", "kind": "echo"}"#));
         assert!(!is_submit(r#"{"op": "status"}"#));
-        assert!(is_done_event(r#"{"event": "done", "ok": true}"#));
-        assert!(!is_done_event(r#"{"event": "cell"}"#));
     }
 }

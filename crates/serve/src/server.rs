@@ -3,8 +3,10 @@
 //!
 //! Threading model (all `std::net` + `std::sync` — no async runtime):
 //!
-//! * one **accept thread** owns the listener (non-blocking, so it can
-//!   poll the drain condition between accepts);
+//! * one **accept thread** owns the listener and blocks in `accept`.
+//!   Every state change that can finish a drain wakes it with one
+//!   loopback connection, and it checks the drain condition after each
+//!   accept, so nothing polls;
 //! * one **handler thread** per connection reads request lines and
 //!   writes response lines; a `submit` streams its job's event channel
 //!   until the worker drops the sending half. Sockets carry read/write
@@ -46,7 +48,7 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -328,8 +330,15 @@ struct CellTask {
 /// State shared by every thread of one server.
 struct Shared {
     cfg: ServerConfig,
+    /// The listener's bound address, which [`Shared::wake_accept`]
+    /// connects to.
+    addr: SocketAddr,
     counters: Counters,
     draining: AtomicBool,
+    /// Submit handlers still streaming a queued job's events. The drain
+    /// condition waits for them too, so `rbserve` never exits with a
+    /// `done` event unwritten.
+    streams: AtomicU64,
     cache: Option<Mutex<ResultCache>>,
     /// In-flight solve claims, keyed by full cache-key material. A job
     /// that misses the cache claims its key here before solving; jobs
@@ -346,6 +355,33 @@ struct Shared {
 }
 
 impl Shared {
+    /// Whether a `shutdown` was seen and no job is queued, running or
+    /// still streaming to its client.
+    fn drained(&self) -> bool {
+        let c = &self.counters;
+        self.draining.load(Ordering::SeqCst)
+            && c.queue_depth.load(Ordering::SeqCst) == 0
+            && c.jobs_running.load(Ordering::SeqCst) == 0
+            && self.streams.load(Ordering::SeqCst) == 0
+    }
+
+    /// Wakes the accept thread out of its blocking `accept` with one
+    /// throwaway connection, so it re-checks [`Shared::drained`]. Every
+    /// caller changes the state first and wakes second, and the accept
+    /// loop reads the state after `accept` returns, so no wakeup is
+    /// lost. A listener bound to an unspecified address is reached
+    /// through the loopback address of the same family.
+    fn wake_accept(&self) {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(addr);
+    }
+
     fn lock_cache(&self) -> Option<std::sync::MutexGuard<'_, ResultCache>> {
         self.cache
             .as_ref()
@@ -423,17 +459,22 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Blocks until the server drains: a `shutdown` request was seen
-    /// and all queued and running jobs finished.
+    /// Blocks until the server drains: a `shutdown` request was seen,
+    /// all queued and running jobs finished, and every submit handler
+    /// wrote its last event. The accept thread blocks in `accept` and
+    /// is woken by the shutdown and by each job or submit stream that
+    /// ends while draining, so `join` returns as soon as the last one
+    /// does.
     pub fn join(self) {
         let _ = self.accept.join();
     }
 
-    /// Flips the drain flag directly (same effect as a `shutdown`
-    /// request over the wire) — lets an embedding test stop a server it
-    /// never connected to.
+    /// Flips the drain flag directly and wakes the accept thread (same
+    /// effect as a `shutdown` request over the wire) — lets an
+    /// embedding test stop a server it never connected to.
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.wake_accept();
     }
 }
 
@@ -453,14 +494,13 @@ pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
 
     let (solver_tx, solver_rx) = channel::<CellTask>();
     let shared = Arc::new(Shared {
+        addr,
         counters: Counters::default(),
         draining: AtomicBool::new(false),
+        streams: AtomicU64::new(0),
         cache,
         pending: Mutex::new(HashMap::new()),
         finished: Mutex::new(HashMap::new()),
@@ -501,6 +541,13 @@ fn accept_loop(
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if shared.drained() {
+                    // Drained: stop accepting. Handler threads for
+                    // still-open connections die with their sockets.
+                    return;
+                }
+                // A wake that arrives before the drain completes is
+                // served like any connection: it reads EOF and exits.
                 if configure_accepted(&stream, shared.cfg.io_timeout).is_err() {
                     continue;
                 }
@@ -508,33 +555,20 @@ fn accept_loop(
                 let jobs = jobs.clone();
                 std::thread::spawn(move || handle_conn(&shared, &jobs, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                let c = &shared.counters;
-                if shared.draining.load(Ordering::SeqCst)
-                    && c.queue_depth.load(Ordering::SeqCst) == 0
-                    && c.jobs_running.load(Ordering::SeqCst) == 0
-                {
-                    // Drained: stop accepting. Handler threads for
-                    // still-open connections die with their sockets.
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A failing accept (EMFILE, say) must not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
-/// Socket options for an accepted connection. The listener is
-/// non-blocking; accepted streams must not inherit that (handlers block
-/// on reads, bounded by the io timeout so the idle reaper gets a say
-/// and a stalled client can't pin the writer forever). Every event is
+/// Socket options for an accepted connection. Handlers block on reads
+/// and writes bounded by the io timeout, so the idle reaper gets a say
+/// and a stalled client can't pin the writer forever. Every event is
 /// one small write, so Nagle's algorithm is off: otherwise a write
 /// issued while the previous one awaits the peer's delayed ACK stalls
 /// for about 40 ms.
 pub(crate) fn configure_accepted(stream: &TcpStream, io_timeout: Duration) -> std::io::Result<()> {
     let io = Some(io_timeout);
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(io)?;
     stream.set_write_timeout(io)?;
     stream.set_nodelay(true)
@@ -647,13 +681,16 @@ fn handle_conn(shared: &Arc<Shared>, jobs: &Sender<Job>, stream: TcpStream) {
             Request::Shutdown => {
                 c.req_shutdown.fetch_add(1, Ordering::Relaxed);
                 shared.draining.store(true, Ordering::SeqCst);
-                send_line(
+                let sent = send_line(
                     &mut out,
                     &render(&obj(vec![
                         ("ok", Value::Bool(true)),
                         ("status", Value::Str("draining".into())),
                     ])),
-                )
+                );
+                // Ack first: an idle server exits as soon as it wakes.
+                shared.wake_accept();
+                sent
             }
         };
         if !keep_going {
@@ -698,6 +735,27 @@ impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
             self.counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Counts one submit handler in [`Shared::streams`] from just before
+/// its job is queued until the handler stops streaming, on every path.
+/// The last stream to close during a drain wakes the accept thread.
+struct StreamGuard<'a>(&'a Shared);
+
+impl<'a> StreamGuard<'a> {
+    fn open(shared: &'a Shared) -> StreamGuard<'a> {
+        shared.streams.fetch_add(1, Ordering::SeqCst);
+        StreamGuard(shared)
+    }
+}
+
+impl Drop for StreamGuard<'_> {
+    fn drop(&mut self) {
+        self.0.streams.fetch_sub(1, Ordering::SeqCst);
+        if self.0.draining.load(Ordering::SeqCst) {
+            self.0.wake_accept();
         }
     }
 }
@@ -749,6 +807,9 @@ fn handle_submit(
     let (events_tx, events_rx) = channel::<String>();
     let name = spec.name.clone();
     let cells = spec.cells.len();
+    // Opened before the send, so no drain check can see the job
+    // finished while its events are still unwritten.
+    let _stream = StreamGuard::open(shared);
     if jobs
         .send(Job {
             spec: Arc::new(spec),
@@ -793,11 +854,16 @@ fn worker_loop(shared: &Arc<Shared>, jobs: &Mutex<Receiver<Job>>) {
     // and the queue is empty — i.e. after drain.
     while let Some(job) = recv_shared(jobs) {
         let c = &shared.counters;
-        c.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        // Running before dequeued: a drain check between the two must
+        // never see both gauges at zero while this job is live.
         c.jobs_running.fetch_add(1, Ordering::SeqCst);
+        c.queue_depth.fetch_sub(1, Ordering::SeqCst);
         run_job(shared, &job);
         c.jobs_running.fetch_sub(1, Ordering::SeqCst);
         c.jobs_done.fetch_add(1, Ordering::Relaxed);
+        if shared.draining.load(Ordering::SeqCst) {
+            shared.wake_accept();
+        }
     }
 }
 

@@ -6,10 +6,10 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
-use std::time::Duration;
-
-use rbserve::{spawn, ChaosConfig, ServerConfig};
+use rbserve::{spawn, ChaosConfig, ServerConfig, ServerHandle};
 use serde::Value;
 
 /// A line-oriented test client.
@@ -517,6 +517,11 @@ fn collect_stream(client: &mut Client) -> (Vec<Value>, Value) {
     let accepted = client.recv();
     assert!(is_ok(&accepted), "{accepted:?}");
     assert_eq!(get_str(&accepted, "event"), "accepted");
+    stream_to_done(client)
+}
+
+/// The cell reports and done event that follow `accepted`.
+fn stream_to_done(client: &mut Client) -> (Vec<Value>, Value) {
     let mut cells = Vec::new();
     loop {
         let event = client.recv();
@@ -806,4 +811,173 @@ fn idle_connections_are_reaped_but_the_server_keeps_serving() {
     client.send(r#"{"op":"shutdown"}"#);
     drop(client);
     handle.join();
+}
+
+/// Joins `handle` on a helper thread; the receiver fires when `join`
+/// returns, so a lost accept wakeup fails a `recv_timeout` instead of
+/// hanging the test.
+fn join_in_background(handle: ServerHandle) -> mpsc::Receiver<()> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = tx.send(());
+    });
+    rx
+}
+
+/// A one-worker server whose every solve sleeps `hang_ms` first, so a
+/// job's length is known from below.
+fn slow_server(hang_ms: u64) -> ServerHandle {
+    spawn(ServerConfig {
+        workers: 1,
+        ..chaos_config(ChaosConfig {
+            hang_per_mille: 1000,
+            hang_ms,
+            ..ChaosConfig::default()
+        })
+    })
+    .expect("spawn")
+}
+
+#[test]
+fn shutdown_of_an_idle_server_lets_join_return() {
+    let handle = spawn(test_config(1)).expect("spawn");
+    handle.shutdown();
+    join_in_background(handle)
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns after ServerHandle::shutdown");
+
+    let handle = spawn(test_config(1)).expect("spawn");
+    let ack = Client::connect(handle.addr()).request(r#"{"op":"shutdown"}"#);
+    assert_eq!(get_str(&ack, "status"), "draining");
+    join_in_background(handle)
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns after a shutdown request");
+}
+
+#[test]
+fn shutdown_waits_for_a_job_whose_client_disconnected() {
+    // Four cells at 150 ms each. The client leaves after `accepted`, so
+    // its handler stops streaming at the latest on the second cell's
+    // write; the job still runs to the end, and join follows it.
+    let handle = slow_server(150);
+    let mut client = Client::connect(handle.addr());
+    let accepted = client.request(
+        &TINY_GRID
+            .replace('\n', " ")
+            .replace(r#""lambda":[0.5,1]"#, r#""lambda":[0.25,0.5,1,2]"#),
+    );
+    assert_eq!(get_num(&accepted, "cells"), 4.0, "{accepted:?}");
+    drop(client);
+    handle.shutdown();
+    let joined = join_in_background(handle);
+    assert_eq!(
+        joined.recv_timeout(Duration::from_millis(100)),
+        Err(mpsc::RecvTimeoutError::Timeout),
+        "join returned while the abandoned job was still running"
+    );
+    joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns once the abandoned job ends");
+}
+
+#[test]
+fn shutdown_mid_stream_delivers_done_before_join_returns() {
+    // Two cells at 300 ms each: the job outlives the shutdown below.
+    let handle = slow_server(300);
+    let mut submitter = Client::connect(handle.addr());
+    submitter.send(&TINY_GRID.replace('\n', " "));
+    let accepted = submitter.recv();
+    assert_eq!(get_str(&accepted, "event"), "accepted");
+
+    let mut admin = Client::connect(handle.addr());
+    let ack = admin.request(r#"{"op":"shutdown"}"#);
+    assert_eq!(get_str(&ack, "status"), "draining");
+    drop(admin);
+    let joined = join_in_background(handle);
+    assert_eq!(
+        joined.recv_timeout(Duration::from_millis(100)),
+        Err(mpsc::RecvTimeoutError::Timeout),
+        "join returned while a job was still running"
+    );
+
+    let (cells, done) = stream_to_done(&mut submitter);
+    assert!(is_ok(&done), "{done:?}");
+    assert_eq!(cells.len(), 2);
+    joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns once the streaming job is done");
+}
+
+#[test]
+fn shutdown_drains_every_queued_job_before_join_returns() {
+    // One worker, two jobs: the second waits in the queue while the
+    // first runs, and both must finish after the shutdown.
+    let handle = slow_server(150);
+    let submit = |name: &str| {
+        let mut client = Client::connect(handle.addr());
+        client.send(
+            &TINY_GRID
+                .replace('\n', " ")
+                .replace(r#""name":"g""#, &format!(r#""name":"{name}""#)),
+        );
+        let accepted = client.recv();
+        assert_eq!(get_str(&accepted, "event"), "accepted", "{accepted:?}");
+        client
+    };
+    let mut first = submit("a");
+    let mut second = submit("b");
+
+    let mut admin = Client::connect(handle.addr());
+    let ack = admin.request(r#"{"op":"shutdown"}"#);
+    assert_eq!(get_str(&ack, "status"), "draining");
+    drop(admin);
+    let joined = join_in_background(handle);
+    assert_eq!(
+        joined.recv_timeout(Duration::from_millis(100)),
+        Err(mpsc::RecvTimeoutError::Timeout),
+        "join returned with jobs still queued"
+    );
+    joined
+        .recv_timeout(Duration::from_secs(20))
+        .expect("join returns once both jobs finish");
+
+    for (client, name) in [(&mut first, "a"), (&mut second, "b")] {
+        let (cells, done) = stream_to_done(client);
+        assert!(is_ok(&done), "{done:?}");
+        assert_eq!(get_str(&done, "sweep"), name);
+        assert_eq!(cells.len(), 2);
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: a latency bound is meaningless at debug speed"
+)]
+fn idle_server_answers_a_fresh_connection_within_2ms() {
+    // Each round trip opens a new connection, so it times the accept
+    // path as well as the request; the pause lets the server go idle
+    // between connections.
+    let handle = spawn(test_config(1)).expect("spawn");
+    let mut micros: Vec<u128> = (0..21)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(3));
+            let started = Instant::now();
+            let status = Client::connect(handle.addr()).request(r#"{"op":"status"}"#);
+            let elapsed = started.elapsed().as_micros();
+            assert!(is_ok(&status), "{status:?}");
+            elapsed
+        })
+        .collect();
+    micros.sort_unstable();
+    let median = micros[micros.len() / 2];
+    assert!(
+        median < 2_000,
+        "median status round trip {median} µs on an idle server: {micros:?}"
+    );
+    handle.shutdown();
+    join_in_background(handle)
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns");
 }

@@ -128,6 +128,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -135,6 +136,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -280,13 +282,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
+                    // Copy the plain run up to the next `"` or `\`. Both
+                    // are ASCII, so the run ends on a char boundary of
+                    // the (already valid) input.
                     let start = self.pos;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -340,6 +343,41 @@ mod tests {
         let v = Value::Str("a\"b\\c\nd".into());
         let s = to_string(&v).unwrap();
         assert_eq!(from_str::<String>(&s).unwrap(), "a\"b\\c\nd");
+    }
+
+    /// `s` through `write_escaped` and back.
+    fn round_trip(s: &str) -> String {
+        let mut json = String::new();
+        write_escaped(&mut json, s);
+        from_str::<String>(&json).unwrap_or_else(|e| panic!("{json:?}: {e}"))
+    }
+
+    #[test]
+    fn multibyte_utf8_round_trips_next_to_escapes() {
+        for s in [
+            "é",
+            "é\"",
+            "\"é",
+            "\\é\\",
+            "日本語",
+            "\n日本\t語\n",
+            "😀",
+            "😀\\😀",
+            "a\"😀\"b",
+            "é日😀\u{1}x\u{1f}",
+            "\u{7f}é",
+            "",
+        ] {
+            assert_eq!(round_trip(s), s);
+        }
+    }
+
+    #[test]
+    fn long_string_round_trips() {
+        let unit = "plain ascii run, é, 日本語, 😀, \"quoted\", back\\slash\n";
+        let s = unit.repeat(64 * 1024 / unit.len() + 1);
+        assert!(s.len() >= 64 * 1024);
+        assert_eq!(round_trip(&s), s);
     }
 
     #[test]
