@@ -427,6 +427,12 @@ pub(crate) struct AbsorptionCdf<'a> {
     /// Advances the jump-chain distribution one step and returns its
     /// absorbed mass.
     step: Box<dyn FnMut() -> f64 + 'a>,
+    /// |mass| still on a start state with a negative stay factor (see
+    /// [`AbsorptionCdf::with_signed_entry`]); 0 when every stay factor
+    /// is non-negative.
+    signed: f64,
+    /// Factor `signed` shrinks by per step.
+    signed_decay: f64,
 }
 
 impl<'a> AbsorptionCdf<'a> {
@@ -441,7 +447,20 @@ impl<'a> AbsorptionCdf<'a> {
             lambda,
             absorbed: vec![absorbed0],
             step,
+            signed: 0.0,
+            signed_decay: 0.0,
         }
+    }
+
+    /// The same sequence for a chain whose start state, which nothing
+    /// re-enters, exits faster than `lambda`: its stay factor 1 − r is
+    /// negative, its mass after k steps is (1 − r)ᵏ, and `decay` is
+    /// |1 − r|. Until that mass is spent the absorbed mass oscillates,
+    /// so it is no evidence of convergence and the early stop waits.
+    pub(crate) fn with_signed_entry(mut self, decay: f64) -> AbsorptionCdf<'a> {
+        self.signed = 1.0;
+        self.signed_decay = decay;
+        self
     }
 
     /// F(t); negative `t` evaluates to 0 (the absorption time is a.s.
@@ -452,18 +471,26 @@ impl<'a> AbsorptionCdf<'a> {
         }
         let lt = self.lambda * t;
         let k_need = (lt + 10.0 * lt.sqrt() + 64.0) as usize;
-        // The absorbed mass is non-decreasing; once it is within eps of
-        // 1 the remaining steps cannot change any mixture by more than
-        // eps, so stop propagating (keeps the pass bounded by the
-        // chain's mixing time, not by the largest t).
+        // With no signed start mass left the absorbed mass is
+        // non-decreasing; once it is within eps of 1 the remaining steps
+        // cannot change any mixture by more than eps, so stop
+        // propagating (keeps the pass bounded by the chain's mixing
+        // time, not by the largest t).
         while lt > 0.0
             && self.absorbed.len() <= k_need
-            && 1.0 - self.absorbed[self.absorbed.len() - 1] > CDF_EPS
+            && (self.signed > CDF_EPS || 1.0 - self.absorbed[self.absorbed.len() - 1] > CDF_EPS)
         {
             let a = (self.step)();
             self.absorbed.push(a);
+            self.signed *= self.signed_decay;
         }
         poisson_mixture(lt, &self.absorbed, CDF_EPS)
+    }
+
+    /// Jump steps propagated so far.
+    #[cfg(test)]
+    pub(crate) fn steps(&self) -> usize {
+        self.absorbed.len() - 1
     }
 }
 

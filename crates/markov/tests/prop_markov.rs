@@ -23,6 +23,26 @@ fn arb_params(n: usize) -> impl Strategy<Value = AsyncParams> {
         .prop_map(|(mu, lam)| AsyncParams::new(mu, lam).unwrap())
 }
 
+/// [`arb_params`] over n ∈ 4..=6, with about a quarter of the pairs idle
+/// (λ = 0), so the operator's pair list has gaps.
+fn arb_params_with_idle_pairs() -> impl Strategy<Value = AsyncParams> {
+    (
+        4usize..7,
+        prop::collection::vec(0.2f64..3.0, 6),
+        prop::collection::vec(0.0f64..0.8, 15),
+        prop::collection::vec(0u32..4, 15),
+    )
+        .prop_map(|(n, mu, lam, idle)| {
+            let lam = lam
+                .iter()
+                .zip(&idle)
+                .take(n * (n - 1) / 2)
+                .map(|(&l, &z)| if z == 0 { 0.0 } else { l })
+                .collect();
+            AsyncParams::new(mu[..n].to_vec(), lam).unwrap()
+        })
+}
+
 fn diag_dominant_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-1.0f64..1.0, n * n).prop_map(move |vals| {
         let mut m = Matrix::zeros(n, n);
@@ -198,6 +218,30 @@ proptest! {
         let fd = op.absorption_density(&[t]);
         let fw = chain.interval_density(&[t]);
         prop_assert!((fd[0] - fw[0]).abs() < 1e-9, "f({t}): {} vs {}", fd[0], fw[0]);
+    }
+
+    #[test]
+    fn matrix_free_cdf_batch_matches_dense_and_is_a_cdf(
+        p in arb_params_with_idle_pairs(),
+        fracs in prop::collection::vec(0.0f64..6.0, 1..24),
+    ) {
+        // The batch uniformizes at the largest mask exit rate, below
+        // S_r's, so S_r's stay factor is negative. The CDF it returns
+        // must still be the dense one, lie in [0, 1] and never decrease,
+        // from t ≪ 1/Λ up to six means.
+        let mean = p.mean_interval_with(SolverStrategy::Dense);
+        let mut ts: Vec<f64> = fracs.iter().map(|f| f * mean).collect();
+        ts.extend([1e-9, 1e-6]);
+        ts.sort_by(f64::total_cmp);
+        let want = p.interval_cdf_batch_with(SolverStrategy::Dense, &ts);
+        let got = FlagChainOp::new(&p).absorption_cdf_batch(&ts);
+        for ((t, g), w) in ts.iter().zip(&got).zip(&want) {
+            prop_assert!((g - w).abs() < 1e-10, "F({t}): {g} vs dense {w}");
+            prop_assert!((0.0..=1.0).contains(g), "F({t}) = {g}");
+        }
+        for (k, f) in got.windows(2).enumerate() {
+            prop_assert!(f[1] >= f[0], "F({}) = {} < F({}) = {}", ts[k + 1], f[1], ts[k], f[0]);
+        }
     }
 
     #[test]
