@@ -376,7 +376,9 @@ impl Ctmc {
     /// every F(t) is then a Poisson mixture over that sequence. Cost is
     /// one propagation plus O(Λ·tᵢ) scalar work per point — the hook
     /// the distribution-level conformance gates (KS over thousands of
-    /// sample points) rely on.
+    /// sample points) rely on. Once the transient mass decays
+    /// geometrically the propagation stops, and points past 2¹⁰ steps
+    /// cost O(k₀) each (see the **Geometric tail** of [`crate::matfree`]).
     ///
     /// Negative `t` evaluates to 0 (the absorption time is a.s.
     /// non-negative), so callers may pass left-limit points `x⁻` from
@@ -399,12 +401,28 @@ impl Ctmc {
         v[start] = 1.0;
         let absorbed0 = absorbing.iter().map(|&s| v[s]).sum();
         // Built on the first step: a chain that never moves (Λ = 0), or
-        // queries at t ≤ 0 only, never need it.
+        // queries at t ≤ 0 only, never need it. `into` is each state's
+        // one-step probability of absorption.
         let mut p = None;
         let step = move || {
-            let p = p.get_or_insert_with(|| self.uniformized(lambda));
+            let (p, into) = p.get_or_insert_with(|| {
+                let p = self.uniformized(lambda);
+                let into: Vec<f64> = (0..self.n)
+                    .map(|r| {
+                        if self.is_absorbing(r) {
+                            return 0.0;
+                        }
+                        p.row(r)
+                            .filter(|&(c, _)| self.is_absorbing(c))
+                            .map(|(_, a)| a)
+                            .sum()
+                    })
+                    .collect();
+                (p, into)
+            });
+            let inflow = v.iter().zip(into.iter()).map(|(vi, a)| vi * a).sum();
             v = p.vec_mul(&v);
-            absorbing.iter().map(|&s| v[s]).sum()
+            (absorbing.iter().map(|&s| v[s]).sum(), inflow)
         };
         AbsorptionCdf::new(lambda, absorbed0, Box::new(step))
     }
@@ -412,6 +430,19 @@ impl Ctmc {
 
 /// Truncation mass of the absorption-CDF Poisson mixtures.
 const CDF_EPS: f64 = 1e-12;
+
+/// Consecutive jump steps whose decay ratio must stay settled before
+/// [`AbsorptionCdf`] stops propagating (see its **Geometric tail**).
+const TAIL_SETTLE_STEPS: usize = 16;
+
+/// Largest step-to-step change |qₖ − qₖ₋₁| of a settled decay ratio,
+/// relative to 1 − qₖ (well above the ~4e-15 rounding floor of that
+/// ratio on the flag chains).
+const TAIL_SETTLE_TOL: f64 = 1e-13;
+
+/// Query horizons of at least this many jump steps evaluate the geometric
+/// tail in closed form; shorter ones extend the sequence with scalars.
+const TAIL_CLOSED_FORM_STEPS: usize = 1 << 10;
 
 /// An absorption CDF F(t) as Poisson mixtures over one jump-chain
 /// propagation: `absorbed[k]` is the absorbed mass after `k` uniformized
@@ -421,18 +452,111 @@ const CDF_EPS: f64 = 1e-12;
 /// horizon, then O(Λ·t) scalars per query. Shared by the materialised
 /// chain and the matrix-free flag-chain operator; only the jump step
 /// differs.
+///
+/// **Geometric tail.** Let mₖ = 1 − absorbedₖ be the transient mass after
+/// k steps. The ratio qₖ = mₖ/mₖ₋₁ is the power iteration on the
+/// transient block P_TT that the propagation already runs: past the
+/// chain's mixing time it settles on P_TT's Perron root q, and the
+/// survival function is one exponential, S(t) ≈ C·e^{−θt} with
+/// θ = Λ(1 − q) (Darroch & Seneta 1967). Once S_r's signed mass is spent
+/// and 1 − qₖ has moved by at most 1e-13 of itself on 16 consecutive
+/// steps, at step k₀, further jump steps would only recompute
+/// mₖ = m_{k₀}·q^{k−k₀}, so the propagation stops there.
+/// - A query whose horizon is under 2¹⁰ steps extends the sequence with
+///   those scalars and sums its [`poisson_mixture`] as before.
+/// - A longer one evaluates the tail in closed form, in O(k₀):
+///   Σ_{k≥k₀} Pois(k; a)·q^{k−k₀} = e^{−a(1−q)}·q^{−k₀}·P(Pois(a·q) ≥ k₀).
+///   The mixture's log-weight recurrence drifts by about ε·a^{3/2} over
+///   a terms (1.2e-11 of F at a = 7.7·10³), while the closed form's
+///   weights are computed directly.
+/// - 1 − qₖ is the mass absorbed in step k, summed from the transient
+///   states' flux, over mₖ₋₁. On stiff chains q lies within 1e-7 of 1:
+///   taken as a difference of two absorbed masses, 1 − qₖ carries rounding
+///   noise of 1e-9 of itself (n = 12, ρ = 4). The settling test is relative
+///   for the same reason: an absolute 1e-14 on qₖ stops while 1 − qₖ may
+///   still move by 1e-7 of itself. Together these put θ, and every stiff
+///   quantile with it, up to 1.6e-8 off; with both fixed, 1e-13.
+/// - A sequence whose ratio does not settle before its horizon (two close
+///   decay rates, or a query inside the mixing time) keeps the propagated
+///   path and its bits.
 pub(crate) struct AbsorptionCdf<'a> {
     lambda: f64,
     absorbed: Vec<f64>,
     /// Advances the jump-chain distribution one step and returns its
-    /// absorbed mass.
-    step: Box<dyn FnMut() -> f64 + 'a>,
+    /// absorbed mass and the mass absorbed in that step. The latter is
+    /// summed from the transient states' flux, so it keeps its relative
+    /// precision where a difference of two absorbed masses would not.
+    step: Box<dyn FnMut() -> (f64, f64) + 'a>,
     /// |mass| still on a start state with a negative stay factor (see
     /// [`AbsorptionCdf::with_signed_entry`]); 0 when every stay factor
     /// is non-negative.
     signed: f64,
     /// Factor `signed` shrinks by per step.
     signed_decay: f64,
+    /// The run of settled decay ratios so far.
+    watch: RatioWatch,
+    /// Set once the ratio has settled; the propagation stops there.
+    tail: Option<GeometricTail>,
+    /// Never switch to the tail: the propagated reference the tail is
+    /// tested against.
+    #[cfg(test)]
+    untailed: bool,
+}
+
+/// The latest decay ratio and how long it has stayed settled.
+#[derive(Clone, Copy, Default)]
+struct RatioWatch {
+    /// 1 − qₖ of the latest step.
+    d: f64,
+    /// Consecutive steps with |qₖ − qₖ₋₁| ≤ [`TAIL_SETTLE_TOL`].
+    run: usize,
+    /// Smallest and largest 1 − qₖ over the run.
+    lo: f64,
+    hi: f64,
+}
+
+/// The transient mass past step k₀: mₖ = m₀·(1 − d)^{k−k₀}.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct GeometricTail {
+    /// The step the propagation stopped at.
+    pub(crate) k0: usize,
+    /// Transient mass m_{k₀}.
+    m0: f64,
+    /// 1 − q, the fraction of the transient mass absorbed per step.
+    pub(crate) d: f64,
+    /// max − min of the decay ratio over the settled run: evidence for
+    /// the switch, which only the tests read.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) spread: f64,
+}
+
+impl GeometricTail {
+    /// mₖ for k ≥ k₀.
+    fn mass(&self, k: usize) -> f64 {
+        self.m0 * ((k - self.k0) as f64 * (-self.d).ln_1p()).exp()
+    }
+
+    /// Σ_{k<k₀} Pois(k; a)·`head[k]` + Σ_{k≥k₀} Pois(k; a)·(1 − mₖ), the
+    /// geometric part in closed form. Accurate while k₀ ≤ a·q, where
+    /// P(Pois(a·q) ≥ k₀) ≥ ½ and its complement costs no digits.
+    fn mixture(&self, a: f64, head: &[f64]) -> f64 {
+        let ln_a = a.ln();
+        let ln_q = (-self.d).ln_1p();
+        let k0 = self.k0 as f64;
+        // Σ_{k<k₀} Pois(k; a) times head[k], 1 and q^{k−k₀}.
+        let (mut acc, mut cum, mut geo) = (0.0, 0.0, 0.0);
+        let mut ln_w = -a;
+        for (k, &f) in head.iter().enumerate() {
+            let w = ln_w.exp();
+            acc += w * f;
+            cum += w;
+            geo += (ln_w + (k as f64 - k0) * ln_q).exp();
+            ln_w += ln_a - ((k + 1) as f64).ln();
+        }
+        // Σ_{k≥0} Pois(k; a)·q^{k−k₀} = e^{−a(1−q)}·q^{−k₀}.
+        let all = (-a * self.d - k0 * ln_q).exp();
+        acc + (1.0 - cum) - self.m0 * (all - geo)
+    }
 }
 
 impl<'a> AbsorptionCdf<'a> {
@@ -441,7 +565,7 @@ impl<'a> AbsorptionCdf<'a> {
     pub(crate) fn new(
         lambda: f64,
         absorbed0: f64,
-        step: Box<dyn FnMut() -> f64 + 'a>,
+        step: Box<dyn FnMut() -> (f64, f64) + 'a>,
     ) -> AbsorptionCdf<'a> {
         AbsorptionCdf {
             lambda,
@@ -449,6 +573,10 @@ impl<'a> AbsorptionCdf<'a> {
             step,
             signed: 0.0,
             signed_decay: 0.0,
+            watch: RatioWatch::default(),
+            tail: None,
+            #[cfg(test)]
+            untailed: false,
         }
     }
 
@@ -456,10 +584,19 @@ impl<'a> AbsorptionCdf<'a> {
     /// re-enters, exits faster than `lambda`: its stay factor 1 − r is
     /// negative, its mass after k steps is (1 − r)ᵏ, and `decay` is
     /// |1 − r|. Until that mass is spent the absorbed mass oscillates,
-    /// so it is no evidence of convergence and the early stop waits.
+    /// so it is no evidence of convergence: the early stop and the tail
+    /// switch both wait.
     pub(crate) fn with_signed_entry(mut self, decay: f64) -> AbsorptionCdf<'a> {
         self.signed = 1.0;
         self.signed_decay = decay;
+        self
+    }
+
+    /// The same sequence propagated to every horizon, never switching to
+    /// its geometric tail.
+    #[cfg(test)]
+    pub(crate) fn untailed(mut self) -> AbsorptionCdf<'a> {
+        self.untailed = true;
         self
     }
 
@@ -475,22 +612,74 @@ impl<'a> AbsorptionCdf<'a> {
         // non-decreasing; once it is within eps of 1 the remaining steps
         // cannot change any mixture by more than eps, so stop
         // propagating (keeps the pass bounded by the chain's mixing
-        // time, not by the largest t).
-        while lt > 0.0
-            && self.absorbed.len() <= k_need
-            && (self.signed > CDF_EPS || 1.0 - self.absorbed[self.absorbed.len() - 1] > CDF_EPS)
-        {
-            let a = (self.step)();
+        // time, not by the largest t). A settled decay ratio stops it
+        // too: the rest of the sequence is the geometric tail.
+        while lt > 0.0 && self.tail.is_none() && self.absorbed.len() <= k_need && !self.spent() {
+            let (a, inflow) = (self.step)();
             self.absorbed.push(a);
             self.signed *= self.signed_decay;
+            self.watch_ratio(inflow);
+        }
+        if let Some(tail) = self.tail {
+            if k_need >= TAIL_CLOSED_FORM_STEPS && tail.k0 as f64 <= lt * (1.0 - tail.d) {
+                return tail.mixture(lt, &self.absorbed[..tail.k0]);
+            }
+            while self.absorbed.len() <= k_need && !self.spent() {
+                self.absorbed.push(1.0 - tail.mass(self.absorbed.len()));
+            }
         }
         poisson_mixture(lt, &self.absorbed, CDF_EPS)
+    }
+
+    /// Whether the sequence has converged: no signed start mass left and
+    /// the absorbed mass within eps of 1.
+    fn spent(&self) -> bool {
+        self.signed <= CDF_EPS && 1.0 - self.absorbed[self.absorbed.len() - 1] <= CDF_EPS
+    }
+
+    /// Updates the settling run with the latest step's decay ratio and
+    /// switches to the geometric tail once it has settled.
+    fn watch_ratio(&mut self, inflow: f64) {
+        #[cfg(test)]
+        if self.untailed {
+            return;
+        }
+        let k = self.absorbed.len() - 1;
+        let d = inflow / (1.0 - self.absorbed[k - 1]);
+        let w = &mut self.watch;
+        if d > 0.0 && (d - w.d).abs() <= TAIL_SETTLE_TOL * d {
+            w.run += 1;
+            w.lo = w.lo.min(d);
+            w.hi = w.hi.max(d);
+        } else {
+            *w = RatioWatch {
+                d,
+                run: 0,
+                lo: d,
+                hi: d,
+            };
+        }
+        w.d = d;
+        if w.run >= TAIL_SETTLE_STEPS && self.signed <= CDF_EPS {
+            self.tail = Some(GeometricTail {
+                k0: k,
+                m0: 1.0 - self.absorbed[k],
+                d,
+                spread: w.hi - w.lo,
+            });
+        }
     }
 
     /// Jump steps propagated so far.
     #[cfg(test)]
     pub(crate) fn steps(&self) -> usize {
-        self.absorbed.len() - 1
+        self.tail.map_or(self.absorbed.len() - 1, |t| t.k0)
+    }
+
+    /// The geometric tail, once the ratio has settled.
+    #[cfg(test)]
+    pub(crate) fn tail(&self) -> Option<GeometricTail> {
+        self.tail
     }
 }
 
@@ -763,5 +952,102 @@ mod tests {
                 assert!(s.abs() < 1e-12, "row {r} sums to {s}");
             }
         }
+    }
+
+    /// An [`AbsorptionCdf`] at Λ = 1 over the synthetic transient mass
+    /// mₖ = Σ cᵢ·(1 − dᵢ)ᵏ, for terms (cᵢ, dᵢ).
+    fn synthetic(terms: Vec<(f64, f64)>) -> AbsorptionCdf<'static> {
+        let mass = |terms: &[(f64, f64)], k: i32| -> f64 {
+            terms.iter().map(|&(c, d)| c * (1.0 - d).powi(k)).sum()
+        };
+        let absorbed0 = 1.0 - mass(&terms, 0);
+        let mut k = 0;
+        let step = move || {
+            k += 1;
+            let inflow = terms
+                .iter()
+                .map(|&(c, d)| c * d * (1.0 - d).powi(k - 1))
+                .sum();
+            (1.0 - mass(&terms, k), inflow)
+        };
+        AbsorptionCdf::new(1.0, absorbed0, Box::new(step))
+    }
+
+    #[test]
+    fn geometric_tail_closed_form_matches_the_extended_mixture() {
+        // Σ_{k≥k₀} Pois(k; a)·q^{k−k₀} in closed form against the same
+        // tail extended entry by entry and summed by `poisson_mixture`,
+        // which truncates at 1e-12 and whose log-weights drift by a few
+        // 1e-12 at a = 10⁵.
+        for a in [10.0, 1e3, 1e5] {
+            for (k0, m0, d) in [(5, 0.9, 0.3), (8, 0.7, 1e-2), (150, 0.6, 3e-5)] {
+                if k0 as f64 > a * (1.0 - d) {
+                    continue;
+                }
+                let tail = GeometricTail {
+                    k0,
+                    m0,
+                    d,
+                    spread: 0.0,
+                };
+                let mut seq: Vec<f64> = (0..k0).map(|k| 0.1 * k as f64 / k0 as f64).collect();
+                let closed = tail.mixture(a, &seq);
+                let k_need = (a + 10.0 * a.sqrt() + 64.0) as usize;
+                seq.extend((k0..=k_need).map(|k| 1.0 - tail.mass(k)));
+                let summed = poisson_mixture(a, &seq, CDF_EPS);
+                assert!(
+                    (closed - summed).abs() < 1e-11,
+                    "a = {a}, k0 = {k0}, d = {d}: closed form {closed} vs mixture {summed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn settled_ratio_switches_to_the_tail_and_keeps_the_cdf() {
+        // A single decay rate settles at once: the first ratio opens the
+        // run, 16 more settle it. Short horizons (scalar extension) and
+        // long ones (closed form) both match the propagated sequence.
+        let d = 1e-3;
+        let mut tailed = synthetic(vec![(1.0, d)]);
+        let mut full = synthetic(vec![(1.0, d)]).untailed();
+        for t in [0.5, 20.0, 300.0, 900.0, 2e3, 1e4, 1e5] {
+            let (got, want) = (tailed.eval(t), full.eval(t));
+            assert!((got - want).abs() < 1e-11, "F({t}): {got} vs {want}");
+        }
+        let tail = tailed.tail().expect("a single decay rate settles");
+        assert_eq!(tail.k0, TAIL_SETTLE_STEPS + 1);
+        assert!((tail.d - d).abs() <= 1e-15 * d, "1 − q = {}", tail.d);
+        assert!(tail.spread <= TAIL_SETTLE_TOL * d, "spread {}", tail.spread);
+        assert!(full.tail().is_none());
+    }
+
+    #[test]
+    fn close_decay_rates_do_not_switch_before_the_horizon() {
+        // Two rates 10 % apart: the ratio drifts by ~1e-6 of itself per
+        // step for thousands of steps, so the query is answered by the
+        // propagated sequence alone, bit for bit.
+        let terms = vec![(0.5, 1e-3), (0.5, 1.1e-3)];
+        let mut tailed = synthetic(terms.clone());
+        let mut full = synthetic(terms).untailed();
+        for t in [100.0, 5e3] {
+            assert_eq!(tailed.eval(t).to_bits(), full.eval(t).to_bits(), "F({t})");
+        }
+        assert!(tailed.tail().is_none());
+        assert!(
+            tailed.steps() > 5_000,
+            "stopped after {} steps",
+            tailed.steps()
+        );
+    }
+
+    #[test]
+    fn signed_entry_mass_delays_the_tail_switch() {
+        // The ratio has settled by step 17, but the signed start mass
+        // 2⁻ᵏ only falls to 1e-12 at k = 40: the switch waits for it.
+        let mut seq = synthetic(vec![(1.0, 1e-3)]).with_signed_entry(0.5);
+        seq.eval(1e3);
+        let tail = seq.tail().expect("settles once the signed mass is spent");
+        assert_eq!(tail.k0, 40);
     }
 }

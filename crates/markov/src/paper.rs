@@ -258,6 +258,12 @@ impl AsyncParams {
     /// the evaluation hook for goodness-of-fit gates (empirical CDF at
     /// thousands of sample points vs this analytic one). Negative times
     /// evaluate to 0.
+    ///
+    /// The pass stops once the survival function has become one
+    /// exponential, after about the chain's mixing time (the **Geometric
+    /// tail** of [`crate::matfree`]), so its cost does not grow with
+    /// E\[X\]: a 64-point batch up to 6·E\[X\] takes milliseconds at
+    /// E\[X\] = 4·10⁵.
     pub fn interval_cdf_batch(&self, ts: &[f64]) -> Vec<f64> {
         self.chain_solver(self.solver_strategy())
             .interval_cdf_batch(ts)
@@ -314,7 +320,13 @@ impl AsyncParams {
     ///
     /// Every probe of the bracket-and-bisect search is a Poisson mixture
     /// over one lazily extended uniformization, so the whole search
-    /// costs a single jump-chain propagation to the bracket's horizon.
+    /// costs a single jump-chain propagation to the bracket's horizon,
+    /// or only to the chain's mixing time once the survival function has
+    /// become one exponential (the **Geometric tail** of
+    /// [`crate::matfree`]). Past 2¹⁰ jump steps each probe takes that
+    /// tail in closed form, so a quantile at E\[X\] = 4·10⁵ costs
+    /// milliseconds instead of about 7·10⁷ steps, and agrees with a
+    /// 40-digit reference to 1e-13.
     pub fn interval_quantile(&self, p: f64) -> f64 {
         self.interval_quantile_with(self.solver_strategy(), p)
     }
@@ -986,6 +998,7 @@ impl SplitChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pair_index_is_a_bijection() {
@@ -1232,6 +1245,118 @@ mod tests {
                 (got - want).abs() < 1e-6 * want.max(1e-3),
                 "q({level}): {got} vs {want}"
             );
+        }
+    }
+
+    #[test]
+    fn table1_quantiles_reproduce_pinned_bits() {
+        // `interval_quantile(0.99)` and `(0.999)` of Table 1's five
+        // cases, as f64 bits, recorded before the CDF sequence learned
+        // its geometric tail. These searches do switch to the tail, and
+        // must still land on the same bits.
+        let cases = [
+            (
+                (1.0, 1.0, 1.0),
+                (1.0, 1.0, 1.0),
+                0x4032_41f1_a575_9d9c,
+                0x403c_df76_8fb2_db68,
+            ),
+            (
+                (1.5, 1.0, 0.5),
+                (1.0, 1.0, 1.0),
+                0x4038_480a_45ce_abc8,
+                0x4043_415f_31f3_fffa,
+            ),
+            (
+                (1.0, 1.0, 1.0),
+                (1.5, 0.5, 1.0),
+                0x4031_e983_61b2_beca,
+                0x403c_546d_58bc_e938,
+            ),
+            (
+                (1.5, 1.0, 0.5),
+                (1.5, 0.5, 1.0),
+                0x4037_063d_bd32_b784,
+                0x4042_4dc0_2bd9_2980,
+            ),
+            (
+                (1.5, 1.0, 0.5),
+                (0.5, 1.5, 1.0),
+                0x4038_9ce1_3b13_6a66,
+                0x4043_7c3c_f69f_800a,
+            ),
+        ];
+        for (mu, lam, q99, q999) in cases {
+            let p = AsyncParams::three(mu, lam);
+            for (level, want) in [(0.99, q99), (0.999, q999)] {
+                let got = p.interval_quantile(level);
+                assert_eq!(got.to_bits(), want, "{mu:?} {lam:?}: q({level}) = {got}");
+            }
+            let chain = p.build_full_chain();
+            let mut seq = chain.ctmc.absorption_cdf_seq(FlagChain::START);
+            seq.eval(p.interval_quantile(0.999));
+            assert!(seq.tail().is_some(), "{mu:?} {lam:?}: no tail switch");
+        }
+    }
+
+    /// Validated parameters with n ≤ 8, skewed μ and λ, about a quarter of
+    /// the pairs idle, and λ scaled to ρ ∈ (0, 8].
+    fn arb_skewed_params() -> impl Strategy<Value = AsyncParams> {
+        (
+            3usize..9,
+            prop::collection::vec(0.2f64..3.0, 8),
+            prop::collection::vec(0.05f64..1.0, 28),
+            prop::collection::vec(0u32..4, 28),
+            0.05f64..8.0,
+        )
+            .prop_map(|(n, mu, lam, idle, rho)| {
+                let mu = mu[..n].to_vec();
+                let mut lam: Vec<f64> = lam
+                    .iter()
+                    .zip(&idle)
+                    .take(n * (n - 1) / 2)
+                    .map(|(&l, &z)| if z == 0 { 0.0 } else { l })
+                    .collect();
+                let total: f64 = lam.iter().sum();
+                if total > 0.0 {
+                    let scale = rho * mu.iter().sum::<f64>() / (2.0 * total);
+                    lam.iter_mut().for_each(|l| *l *= scale);
+                }
+                AsyncParams::new(mu, lam).unwrap()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn geometric_tail_keeps_the_propagated_cdf(
+            p in arb_skewed_params(),
+            fracs in prop::collection::vec(0.0f64..1.0, 1..24),
+        ) {
+            // Up to six means, as the CDF-batch proptest asks, but at most
+            // 4096 jump steps at S_r's exit rate, the largest: past the
+            // closed-form threshold, within reach of the propagated
+            // reference. On both backends the tailed CDF must match it,
+            // lie in [0, 1] and never decrease.
+            let mean = p.mean_interval_with(SolverStrategy::Dense);
+            let t_max = (6.0 * mean).min(4096.0 / p.normalization());
+            let mut ts: Vec<f64> = fracs.iter().map(|f| f * t_max).collect();
+            ts.sort_by(f64::total_cmp);
+            for strategy in [SolverStrategy::Dense, SolverStrategy::MatrixFree] {
+                let solver = p.chain_solver(strategy);
+                let mut tailed = solver.cdf_seq();
+                let mut full = solver.cdf_seq().untailed();
+                let got: Vec<f64> = ts.iter().map(|&t| tailed.eval(t)).collect();
+                for (&t, &g) in ts.iter().zip(&got) {
+                    let want = full.eval(t);
+                    prop_assert!((g - want).abs() < 1e-10, "{strategy:?} F({t}): {g} vs {want}");
+                    prop_assert!((0.0..=1.0).contains(&g), "{strategy:?} F({t}) = {g}");
+                }
+                for (k, f) in got.windows(2).enumerate() {
+                    prop_assert!(f[1] >= f[0], "{strategy:?}: F decreases after t = {}", ts[k]);
+                }
+            }
         }
     }
 
