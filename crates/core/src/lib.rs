@@ -32,7 +32,7 @@
 //!   engine dispatches through), plus adapters for the scheme drivers;
 //! * [`tail`] — rare-event estimation: the flag chain as a jump-path
 //!   simulator for multilevel splitting, with deep-tail workloads gated
-//!   against the exact matrix-free survival oracle;
+//!   against the exact survival oracle;
 //! * [`render`] — ASCII history diagrams for the figure binaries.
 //!
 //! ```

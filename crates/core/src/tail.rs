@@ -14,7 +14,7 @@
 //!   is re-drawn fresh by memorylessness);
 //! * [`SplittingTail`] — a sweepable [`Workload`] that runs splitting
 //!   down to a target tail level and *gates the estimate against the
-//!   exact matrix-free oracle*
+//!   exact survival oracle*
 //!   ([`AsyncParams::interval_survival_batch`]), reporting the check as
 //!   a first-class metric (`tail/splitting-vs-matfree-cdf`).
 //!
@@ -224,7 +224,7 @@ const LOG10_FLOOR: f64 = 1e-300;
 
 /// A sweepable rare-event workload: multilevel splitting down to the
 /// `p_target` tail of the interval distribution, gated cell-side
-/// against the exact matrix-free survival oracle.
+/// against the exact survival oracle.
 ///
 /// Construction places the final level at the oracle's
 /// `interval_tail_time(p_target)` and records the exact tail there, so
@@ -246,7 +246,7 @@ pub struct SplittingTail {
 
 impl SplittingTail {
     /// Builds the workload, solving for the exact `p_target` threshold
-    /// (one matrix-free uniformization pass, paid at construction).
+    /// (one uniformization pass, paid at construction).
     ///
     /// `levels` partitions `[0, t*]` equally; `z` is the gate width in
     /// reported relative errors.

@@ -9,8 +9,10 @@
 //! * the **mean absorption time** E\[X\] from the linear system
 //!   (−Q_TT)·τ = 1 (dense LU for small chains, operator-interface
 //!   BiCGSTAB for large);
-//! * the **absorption-time density** f_X(t) (paper Figure 6) via
-//!   uniformization, as the probability flux into the absorbing states.
+//! * the **absorption-time distribution**: the CDF, the survival
+//!   function and the density f_X(t) (paper Figure 6), each a Poisson
+//!   mixture over one uniformized jump-chain propagation (`AbsorptionSeq`,
+//!   shared with the matrix-free flag chain).
 
 use crate::linalg::{LuFactors, Matrix};
 use crate::matfree::{bicgstab, Jacobi, LinOp};
@@ -123,44 +125,6 @@ impl Ctmc {
             }
         }
         t.to_csr()
-    }
-
-    /// Transient distribution π(t) from the initial row vector `pi0`,
-    /// by uniformization with adaptive truncation (mass error ≤ `eps`).
-    pub fn transient(&self, pi0: &[f64], t: f64, eps: f64) -> Vec<f64> {
-        assert_eq!(pi0.len(), self.n, "dimension mismatch");
-        assert!(t >= 0.0 && t.is_finite(), "invalid time {t}");
-        let lambda = self.uniformization_constant();
-        if lambda == 0.0 || t == 0.0 {
-            return pi0.to_vec();
-        }
-        let p = self.uniformized(lambda);
-        let lt = lambda * t;
-        // Poisson weights computed in log space so large Λt does not
-        // underflow the k=0 term.
-        let ln_lt = lt.ln();
-        let mut ln_w = -lt; // ln of the k = 0 weight
-        let mut v = pi0.to_vec();
-        let mut acc = vec![0.0; self.n];
-        let mut cum = 0.0;
-        // Poisson mass beyond m + 10·√m is negligible; the +64 floor
-        // covers tiny Λt.
-        let k_max = (lt + 10.0 * lt.sqrt() + 64.0) as u64;
-        for k in 0..=k_max {
-            let w = ln_w.exp();
-            if w > 0.0 {
-                for (a, &vi) in acc.iter_mut().zip(&v) {
-                    *a += w * vi;
-                }
-                cum += w;
-            }
-            if cum >= 1.0 - eps {
-                break;
-            }
-            v = p.vec_mul(&v);
-            ln_w += ln_lt - ((k + 1) as f64).ln();
-        }
-        acc
     }
 
     /// Mean time to absorption starting from `start`.
@@ -337,37 +301,19 @@ impl Ctmc {
     }
 
     /// The absorption-time density f(t) from `start`, evaluated at each
-    /// time in `ts`: f(t) = Σ_{i transient} πᵢ(t) · aᵢ where aᵢ is the
-    /// total rate from `i` into absorbing states.
+    /// time in `ts`: Λ times the Poisson mixture of the mass absorbed in
+    /// each jump step of one `AbsorptionSeq`. Negative `t` evaluates
+    /// to 0. Non-finite times panic.
     pub fn absorption_density(&self, start: usize, ts: &[f64]) -> Vec<f64> {
-        let into_abs: Vec<f64> = (0..self.n)
-            .map(|s| {
-                self.q
-                    .row(s)
-                    .filter(|&(c, _)| c != s && self.is_absorbing(c))
-                    .map(|(_, v)| v)
-                    .sum()
-            })
-            .collect();
-        let mut pi0 = vec![0.0; self.n];
-        pi0[start] = 1.0;
-        ts.iter()
-            .map(|&t| {
-                let pi = self.transient(&pi0, t, 1e-12);
-                pi.iter().zip(&into_abs).map(|(p, a)| p * a).sum()
-            })
-            .collect()
+        self.absorption_seq(start).eval_at(Column::Inflow, ts)
     }
 
-    /// The absorption-time CDF F(t) = P(X ≤ t) from `start`.
+    /// The absorption-time CDF F(t) = P(X ≤ t) from `start`: one
+    /// evaluation of [`Ctmc::absorption_cdf_batch`], bit for bit.
+    /// Non-finite times panic.
     pub fn absorption_cdf(&self, start: usize, t: f64) -> f64 {
-        let mut pi0 = vec![0.0; self.n];
-        pi0[start] = 1.0;
-        let pi = self.transient(&pi0, t, 1e-12);
-        (0..self.n)
-            .filter(|&s| self.is_absorbing(s))
-            .map(|s| pi[s])
-            .sum()
+        assert!(t.is_finite(), "invalid time {t}");
+        self.absorption_cdf_batch(start, &[t])[0]
     }
 
     /// [`Ctmc::absorption_cdf`] at **many** times in one uniformization
@@ -384,25 +330,22 @@ impl Ctmc {
     /// non-negative), so callers may pass left-limit points `x⁻` from
     /// `rbsim::gof::ks_eval_points` unclamped.
     pub fn absorption_cdf_batch(&self, start: usize, ts: &[f64]) -> Vec<f64> {
-        assert!(
-            ts.iter().all(|t| t.is_finite()),
-            "invalid CDF evaluation time"
-        );
-        let mut seq = self.absorption_cdf_seq(start);
-        ts.iter().map(|&t| seq.eval(t)).collect()
+        self.absorption_seq(start).eval_at(Column::Absorbed, ts)
     }
 
-    /// The absorption CDF from `start` as a lazily extended
-    /// uniformization of this chain (see [`AbsorptionCdf`]).
-    pub(crate) fn absorption_cdf_seq(&self, start: usize) -> AbsorptionCdf<'_> {
+    /// The absorption-time distribution from `start` as a lazily extended
+    /// uniformization of this chain (see [`AbsorptionSeq`]).
+    pub(crate) fn absorption_seq(&self, start: usize) -> AbsorptionSeq<'_> {
         let lambda = self.uniformization_constant();
         let absorbing: Vec<usize> = (0..self.n).filter(|&s| self.is_absorbing(s)).collect();
+        let transient: Vec<usize> = (0..self.n).filter(|&s| !self.is_absorbing(s)).collect();
         let mut v = vec![0.0; self.n];
         v[start] = 1.0;
         let absorbed0 = absorbing.iter().map(|&s| v[s]).sum();
-        // Built on the first step: a chain that never moves (Λ = 0), or
-        // queries at t ≤ 0 only, never need it. `into` is each state's
-        // one-step probability of absorption.
+        let transient0 = transient.iter().map(|&s| v[s]).sum();
+        // Built on the first step: a chain that never moves (Λ = 0), or CDF
+        // and survival queries at t ≤ 0 only, never need it. `into` is each
+        // state's one-step probability of absorption.
         let mut p = None;
         let step = move || {
             let (p, into) = p.get_or_insert_with(|| {
@@ -422,17 +365,21 @@ impl Ctmc {
             });
             let inflow = v.iter().zip(into.iter()).map(|(vi, a)| vi * a).sum();
             v = p.vec_mul(&v);
-            (absorbing.iter().map(|&s| v[s]).sum(), inflow)
+            (
+                absorbing.iter().map(|&s| v[s]).sum(),
+                transient.iter().map(|&s| v[s]).sum(),
+                inflow,
+            )
         };
-        AbsorptionCdf::new(lambda, absorbed0, Box::new(step))
+        AbsorptionSeq::new(lambda, absorbed0, transient0, Box::new(step))
     }
 }
 
-/// Truncation mass of the absorption-CDF Poisson mixtures.
-const CDF_EPS: f64 = 1e-12;
+/// Truncation mass of the absorption-time Poisson mixtures.
+const MIXTURE_EPS: f64 = 1e-12;
 
 /// Consecutive jump steps whose decay ratio must stay settled before
-/// [`AbsorptionCdf`] stops propagating (see its **Geometric tail**).
+/// [`AbsorptionSeq`] stops propagating (see its **Geometric tail**).
 const TAIL_SETTLE_STEPS: usize = 16;
 
 /// Largest step-to-step change |qₖ − qₖ₋₁| of a settled decay ratio,
@@ -444,14 +391,33 @@ const TAIL_SETTLE_TOL: f64 = 1e-13;
 /// tail in closed form; shorter ones extend the sequence with scalars.
 const TAIL_CLOSED_FORM_STEPS: usize = 1 << 10;
 
-/// An absorption CDF F(t) as Poisson mixtures over one jump-chain
-/// propagation: `absorbed[k]` is the absorbed mass after `k` uniformized
-/// jumps, extended lazily to the horizon the largest queried `t` needs.
-/// A batch of evaluations — or the dozens of probes a quantile search
-/// makes — therefore pays for a single propagation to the final
-/// horizon, then O(Λ·t) scalars per query. Shared by the materialised
-/// chain and the matrix-free flag-chain operator; only the jump step
-/// differs.
+/// The recorded column of an [`AbsorptionSeq`] that a query mixes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Column {
+    /// The absorbed mass after each jump step: F(t).
+    Absorbed,
+    /// The transient mass after each jump step: S(t) = P(X > t).
+    Transient,
+    /// The mass absorbed in each jump step: f(t)/Λ.
+    Inflow,
+}
+
+/// The absorption-time distribution as Poisson mixtures over one
+/// jump-chain propagation. After k uniformized jumps it has recorded the
+/// absorbed mass, the transient mass and the mass absorbed in each step,
+/// extended lazily to the horizon the largest queried `t` needs. Each
+/// distribution query mixes one of these columns:
+/// - F(t) mixes the absorbed mass;
+/// - S(t) mixes the transient mass. It is summed over the transient
+///   states, never taken as 1 − absorbed, so S keeps its relative
+///   precision deep in the tail, where F rounds to 1;
+/// - f(t) is Λ times the mix of the per-step inflow.
+///
+/// A batch of evaluations, or the dozens of probes a quantile or
+/// tail-time search makes, therefore pays for a single propagation to the
+/// final horizon, then O(Λ·t) scalars per query. Shared by the
+/// materialised chain and the matrix-free flag-chain operator; only the
+/// jump step differs.
 ///
 /// **Geometric tail.** Let mₖ = 1 − absorbedₖ be the transient mass after
 /// k steps. The ratio qₖ = mₖ/mₖ₋₁ is the power iteration on the
@@ -460,12 +426,17 @@ const TAIL_CLOSED_FORM_STEPS: usize = 1 << 10;
 /// survival function is one exponential, S(t) ≈ C·e^{−θt} with
 /// θ = Λ(1 − q) (Darroch & Seneta 1967). Once S_r's signed mass is spent
 /// and 1 − qₖ has moved by at most 1e-13 of itself on 16 consecutive
-/// steps, at step k₀, further jump steps would only recompute
-/// mₖ = m_{k₀}·q^{k−k₀}, so the propagation stops there.
-/// - A query whose horizon is under 2¹⁰ steps extends the sequence with
+/// steps, at step k₀, further jump steps would only recompute a geometric
+/// sequence, so the propagation stops there. Past k₀ every column is
+/// α + β·q^{k−k₀}: (α, β) is (1, −m_{k₀}) for the absorbed mass,
+/// (0, s_{k₀}) for the recorded transient mass s, and (0, (1 − q)·s_{k₀})
+/// for the inflow.
+/// - A query whose horizon is under 2¹⁰ steps extends the columns with
 ///   those scalars and sums its [`poisson_mixture`] as before.
-/// - A longer one evaluates the tail in closed form, in O(k₀):
-///   Σ_{k≥k₀} Pois(k; a)·q^{k−k₀} = e^{−a(1−q)}·q^{−k₀}·P(Pois(a·q) ≥ k₀).
+/// - A longer one evaluates the tail in closed form, in O(k₀), for all
+///   three columns alike:
+///   Σ_{k≥k₀} Pois(k; a)·(α + β·q^{k−k₀})
+///   = α·P(Pois(a) ≥ k₀) + β·e^{−a(1−q)}·q^{−k₀}·P(Pois(a·q) ≥ k₀).
 ///   The mixture's log-weight recurrence drifts by about ε·a^{3/2} over
 ///   a terms (1.2e-11 of F at a = 7.7·10³), while the closed form's
 ///   weights are computed directly.
@@ -479,16 +450,23 @@ const TAIL_CLOSED_FORM_STEPS: usize = 1 << 10;
 /// - A sequence whose ratio does not settle before its horizon (two close
 ///   decay rates, or a query inside the mixing time) keeps the propagated
 ///   path and its bits.
-pub(crate) struct AbsorptionCdf<'a> {
+pub(crate) struct AbsorptionSeq<'a> {
     lambda: f64,
+    /// Absorbed mass after k jumps.
     absorbed: Vec<f64>,
+    /// Transient mass after k jumps, summed over the transient states.
+    transient: Vec<f64>,
+    /// Mass absorbed in jump k + 1, summed from the transient states'
+    /// flux: one entry behind the other two columns.
+    inflow: Vec<f64>,
     /// Advances the jump-chain distribution one step and returns its
-    /// absorbed mass and the mass absorbed in that step. The latter is
-    /// summed from the transient states' flux, so it keeps its relative
-    /// precision where a difference of two absorbed masses would not.
-    step: Box<dyn FnMut() -> (f64, f64) + 'a>,
+    /// absorbed and transient masses and the mass absorbed in that step.
+    /// The last is summed from the transient states' flux, so it keeps its
+    /// relative precision where a difference of two absorbed masses would
+    /// not.
+    step: Box<dyn FnMut() -> (f64, f64, f64) + 'a>,
     /// |mass| still on a start state with a negative stay factor (see
-    /// [`AbsorptionCdf::with_signed_entry`]); 0 when every stay factor
+    /// [`AbsorptionSeq::with_signed_entry`]); 0 when every stay factor
     /// is non-negative.
     signed: f64,
     /// Factor `signed` shrinks by per step.
@@ -515,13 +493,15 @@ struct RatioWatch {
     hi: f64,
 }
 
-/// The transient mass past step k₀: mₖ = m₀·(1 − d)^{k−k₀}.
+/// The columns past step k₀, each α + β·(1 − d)^{k−k₀}.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct GeometricTail {
     /// The step the propagation stopped at.
     pub(crate) k0: usize,
-    /// Transient mass m_{k₀}.
+    /// Transient mass m_{k₀} = 1 − absorbed_{k₀}.
     m0: f64,
+    /// Recorded transient mass s_{k₀}.
+    s0: f64,
     /// 1 − q, the fraction of the transient mass absorbed per step.
     pub(crate) d: f64,
     /// max − min of the decay ratio over the settled run: evidence for
@@ -531,15 +511,26 @@ pub(crate) struct GeometricTail {
 }
 
 impl GeometricTail {
-    /// mₖ for k ≥ k₀.
-    fn mass(&self, k: usize) -> f64 {
-        self.m0 * ((k - self.k0) as f64 * (-self.d).ln_1p()).exp()
+    /// (α, β) of column `c`.
+    fn coefficients(&self, c: Column) -> (f64, f64) {
+        match c {
+            Column::Absorbed => (1.0, -self.m0),
+            Column::Transient => (0.0, self.s0),
+            Column::Inflow => (0.0, self.d * self.s0),
+        }
     }
 
-    /// Σ_{k<k₀} Pois(k; a)·`head[k]` + Σ_{k≥k₀} Pois(k; a)·(1 − mₖ), the
-    /// geometric part in closed form. Accurate while k₀ ≤ a·q, where
-    /// P(Pois(a·q) ≥ k₀) ≥ ½ and its complement costs no digits.
-    fn mixture(&self, a: f64, head: &[f64]) -> f64 {
+    /// Entry k ≥ k₀ of column `c`.
+    fn entry(&self, c: Column, k: usize) -> f64 {
+        let (alpha, beta) = self.coefficients(c);
+        alpha + beta * ((k - self.k0) as f64 * (-self.d).ln_1p()).exp()
+    }
+
+    /// Σ_{k<k₀} Pois(k; a)·`head[k]` + Σ_{k≥k₀} Pois(k; a)·(α + β·q^{k−k₀})
+    /// for column `c`, the geometric part in closed form. Accurate while
+    /// k₀ ≤ a·q, where P(Pois(a·q) ≥ k₀) ≥ ½ and its complement costs no
+    /// digits.
+    fn mixture(&self, a: f64, head: &[f64], c: Column) -> f64 {
         let ln_a = a.ln();
         let ln_q = (-self.d).ln_1p();
         let k0 = self.k0 as f64;
@@ -555,21 +546,26 @@ impl GeometricTail {
         }
         // Σ_{k≥0} Pois(k; a)·q^{k−k₀} = e^{−a(1−q)}·q^{−k₀}.
         let all = (-a * self.d - k0 * ln_q).exp();
-        acc + (1.0 - cum) - self.m0 * (all - geo)
+        let (alpha, beta) = self.coefficients(c);
+        acc + alpha * (1.0 - cum) + beta * (all - geo)
     }
 }
 
-impl<'a> AbsorptionCdf<'a> {
-    /// A sequence starting from absorbed mass `absorbed0` under
-    /// uniformization constant `lambda`.
+impl<'a> AbsorptionSeq<'a> {
+    /// A sequence under uniformization constant `lambda` whose start
+    /// distribution has absorbed mass `absorbed0` and transient mass
+    /// `transient0`.
     pub(crate) fn new(
         lambda: f64,
         absorbed0: f64,
-        step: Box<dyn FnMut() -> (f64, f64) + 'a>,
-    ) -> AbsorptionCdf<'a> {
-        AbsorptionCdf {
+        transient0: f64,
+        step: Box<dyn FnMut() -> (f64, f64, f64) + 'a>,
+    ) -> AbsorptionSeq<'a> {
+        AbsorptionSeq {
             lambda,
             absorbed: vec![absorbed0],
+            transient: vec![transient0],
+            inflow: Vec::new(),
             step,
             signed: 0.0,
             signed_decay: 0.0,
@@ -586,7 +582,7 @@ impl<'a> AbsorptionCdf<'a> {
     /// |1 − r|. Until that mass is spent the absorbed mass oscillates,
     /// so it is no evidence of convergence: the early stop and the tail
     /// switch both wait.
-    pub(crate) fn with_signed_entry(mut self, decay: f64) -> AbsorptionCdf<'a> {
+    pub(crate) fn with_signed_entry(mut self, decay: f64) -> AbsorptionSeq<'a> {
         self.signed = 1.0;
         self.signed_decay = decay;
         self
@@ -595,57 +591,141 @@ impl<'a> AbsorptionCdf<'a> {
     /// The same sequence propagated to every horizon, never switching to
     /// its geometric tail.
     #[cfg(test)]
-    pub(crate) fn untailed(mut self) -> AbsorptionCdf<'a> {
+    pub(crate) fn untailed(mut self) -> AbsorptionSeq<'a> {
         self.untailed = true;
         self
     }
 
-    /// F(t); negative `t` evaluates to 0 (the absorption time is a.s.
-    /// non-negative), so left-limit points `x⁻` pass through unclamped.
-    pub(crate) fn eval(&mut self, t: f64) -> f64 {
-        if t < 0.0 {
-            return 0.0;
-        }
-        let lt = self.lambda * t;
-        let k_need = (lt + 10.0 * lt.sqrt() + 64.0) as usize;
-        // With no signed start mass left the absorbed mass is
-        // non-decreasing; once it is within eps of 1 the remaining steps
-        // cannot change any mixture by more than eps, so stop
-        // propagating (keeps the pass bounded by the chain's mixing
-        // time, not by the largest t). A settled decay ratio stops it
-        // too: the rest of the sequence is the geometric tail.
-        while lt > 0.0 && self.tail.is_none() && self.absorbed.len() <= k_need && !self.spent() {
-            let (a, inflow) = (self.step)();
-            self.absorbed.push(a);
-            self.signed *= self.signed_decay;
-            self.watch_ratio(inflow);
-        }
-        if let Some(tail) = self.tail {
-            if k_need >= TAIL_CLOSED_FORM_STEPS && tail.k0 as f64 <= lt * (1.0 - tail.d) {
-                return tail.mixture(lt, &self.absorbed[..tail.k0]);
-            }
-            while self.absorbed.len() <= k_need && !self.spent() {
-                self.absorbed.push(1.0 - tail.mass(self.absorbed.len()));
+    /// Column `c` at every time in `ts`. Non-finite times panic.
+    pub(crate) fn eval_at(mut self, c: Column, ts: &[f64]) -> Vec<f64> {
+        if let Some(t) = ts.iter().find(|t| !t.is_finite()) {
+            match c {
+                Column::Absorbed => panic!("invalid CDF evaluation time"),
+                Column::Transient => panic!("invalid survival evaluation time"),
+                Column::Inflow => panic!("invalid time {t}"),
             }
         }
-        poisson_mixture(lt, &self.absorbed, CDF_EPS)
+        ts.iter().map(|&t| self.eval(c, t)).collect()
     }
 
-    /// Whether the sequence has converged: no signed start mass left and
-    /// the absorbed mass within eps of 1.
-    fn spent(&self) -> bool {
-        self.signed <= CDF_EPS && 1.0 - self.absorbed[self.absorbed.len() - 1] <= CDF_EPS
+    /// F(t), S(t) or f(t) as `c` asks. Negative `t` evaluates to 0, 1 and
+    /// 0 (the absorption time is a.s. non-negative), so left-limit points
+    /// `x⁻` pass through unclamped. A chain that never moves (Λ = 0) has
+    /// no density.
+    pub(crate) fn eval(&mut self, c: Column, t: f64) -> f64 {
+        if t < 0.0 || (c == Column::Inflow && self.lambda == 0.0) {
+            return if c == Column::Transient { 1.0 } else { 0.0 };
+        }
+        let lt = self.lambda * t;
+        // The mixture reads entries 0..=k_need of the column: at t = 0
+        // only the first.
+        let k_need = if lt > 0.0 {
+            (lt + 10.0 * lt.sqrt() + 64.0) as usize
+        } else {
+            0
+        };
+        // Once the column has converged the remaining steps cannot change
+        // its mixture beyond the truncation, so stop propagating (keeps the
+        // pass bounded by the chain's mixing time, not by the largest t).
+        // A settled decay ratio stops it too: the rest of the sequence is
+        // the geometric tail.
+        while self.tail.is_none() && self.column(c).len() <= k_need && !self.converged(c) {
+            let (absorbed, transient, inflow) = (self.step)();
+            self.absorbed.push(absorbed);
+            self.transient.push(transient);
+            self.inflow.push(inflow);
+            self.signed *= self.signed_decay;
+            self.watch_ratio();
+        }
+        let scale = if c == Column::Inflow {
+            self.lambda
+        } else {
+            1.0
+        };
+        if let Some(tail) = self.tail {
+            if k_need >= TAIL_CLOSED_FORM_STEPS && tail.k0 as f64 <= lt * (1.0 - tail.d) {
+                return scale * tail.mixture(lt, &self.column(c)[..tail.k0], c);
+            }
+            while self.column(c).len() <= k_need && !self.converged(c) {
+                let k = self.absorbed.len();
+                self.absorbed.push(tail.entry(Column::Absorbed, k));
+                self.transient.push(tail.entry(Column::Transient, k));
+                self.inflow.push(tail.entry(Column::Inflow, k - 1));
+            }
+        }
+        scale * poisson_mixture(lt, self.column(c), MIXTURE_EPS)
+    }
+
+    /// The time at which column `c` crosses `level`: F rising to it or S
+    /// falling to it. The search brackets by doubling from `t0`, then
+    /// bisects 80 times; every probe reuses the one propagation.
+    ///
+    /// # Panics
+    /// Panics if 80 doublings do not bracket the level.
+    pub(crate) fn crossing(&mut self, c: Column, level: f64, t0: f64) -> f64 {
+        debug_assert!(c != Column::Inflow, "the density has no crossing");
+        let mut before = |t: f64| {
+            let v = self.eval(c, t);
+            if c == Column::Transient {
+                v > level
+            } else {
+                v < level
+            }
+        };
+        let mut hi = t0;
+        let mut guard = 0;
+        while before(hi) {
+            hi *= 2.0;
+            guard += 1;
+            assert!(guard < 80, "bracket failed to reach {c:?} level {level}");
+        }
+        let mut lo = 0.0;
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if before(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// The recorded column `c`.
+    fn column(&self, c: Column) -> &[f64] {
+        match c {
+            Column::Absorbed => &self.absorbed,
+            Column::Transient => &self.transient,
+            Column::Inflow => &self.inflow,
+        }
+    }
+
+    /// Whether column `c` has converged, so that its last entry stands for
+    /// all later ones: no signed start mass left, and either the absorbed
+    /// mass within eps of 1 (F, whose error is absolute) or the transient
+    /// mass and the last step's inflow underflowed (S and f, which keep
+    /// their relative precision).
+    fn converged(&self, c: Column) -> bool {
+        let k = self.absorbed.len() - 1;
+        self.signed <= MIXTURE_EPS
+            && match c {
+                Column::Absorbed => 1.0 - self.absorbed[k] <= MIXTURE_EPS,
+                Column::Transient | Column::Inflow => {
+                    self.transient[k] <= f64::MIN_POSITIVE
+                        && self.inflow.last().is_some_and(|&f| f <= f64::MIN_POSITIVE)
+                }
+            }
     }
 
     /// Updates the settling run with the latest step's decay ratio and
     /// switches to the geometric tail once it has settled.
-    fn watch_ratio(&mut self, inflow: f64) {
+    fn watch_ratio(&mut self) {
         #[cfg(test)]
         if self.untailed {
             return;
         }
         let k = self.absorbed.len() - 1;
-        let d = inflow / (1.0 - self.absorbed[k - 1]);
+        let d = self.inflow[k - 1] / (1.0 - self.absorbed[k - 1]);
         let w = &mut self.watch;
         if d > 0.0 && (d - w.d).abs() <= TAIL_SETTLE_TOL * d {
             w.run += 1;
@@ -660,10 +740,11 @@ impl<'a> AbsorptionCdf<'a> {
             };
         }
         w.d = d;
-        if w.run >= TAIL_SETTLE_STEPS && self.signed <= CDF_EPS {
+        if w.run >= TAIL_SETTLE_STEPS && self.signed <= MIXTURE_EPS {
             self.tail = Some(GeometricTail {
                 k0: k,
                 m0: 1.0 - self.absorbed[k],
+                s0: self.transient[k],
                 d,
                 spread: w.hi - w.lo,
             });
@@ -826,23 +907,32 @@ mod tests {
         let (a, b) = (1.0, 4.0);
         let c = Ctmc::from_transitions(3, &[(0, 1, a), (0, 2, b)]);
         assert!((c.mean_absorption_time(0) - 1.0 / (a + b)).abs() < 1e-12);
-        // Absorption splits a:b.
-        let mut pi0 = vec![0.0; 3];
-        pi0[0] = 1.0;
-        let pi = c.transient(&pi0, 100.0, 1e-13);
-        assert!((pi[1] - a / (a + b)).abs() < 1e-9);
-        assert!((pi[2] - b / (a + b)).abs() < 1e-9);
+        // S(t) = e^{−(a+b)t} to full relative precision, deep past where
+        // 1 − F(t) has no digits left.
+        let ts = [0.5, 5.0, 20.0];
+        let s = c.absorption_seq(0).eval_at(Column::Transient, &ts);
+        for (&t, &got) in ts.iter().zip(&s) {
+            let want = (-(a + b) * t).exp();
+            assert!((got / want - 1.0).abs() < 1e-12, "S({t}) = {got} vs {want}");
+        }
     }
 
     #[test]
-    fn transient_preserves_probability_mass() {
-        let c = Ctmc::from_transitions(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (1, 3, 0.7)]);
-        let pi0 = [1.0, 0.0, 0.0, 0.0];
-        for t in [0.1, 1.0, 5.0, 25.0] {
-            let pi = c.transient(&pi0, t, 1e-12);
-            let mass: f64 = pi.iter().sum();
-            assert!((mass - 1.0).abs() < 1e-9, "mass {mass} at t={t}");
-            assert!(pi.iter().all(|&p| p >= -1e-12));
+    fn deep_survival_keeps_its_relative_precision() {
+        // Two exit phases 10 % apart after an Exp(2) entry: the decay ratio
+        // drifts for hundreds of steps, so S and f come from the propagated
+        // transient mass, not the geometric tail. Its positive sum keeps
+        // S(30) ≈ 1e-13 to full relative precision, where 1 − F has none.
+        let c = Ctmc::from_transitions(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.1)]);
+        let ts = [5.0, 15.0, 30.0];
+        let s = c.absorption_seq(0).eval_at(Column::Transient, &ts);
+        let f = c.absorption_density(0, &ts);
+        for (&t, (&s, &f)) in ts.iter().zip(s.iter().zip(&f)) {
+            let (e1, e11, e2) = ((-t).exp(), (-1.1 * t).exp(), (-2.0 * t).exp());
+            let want_s = e1 + e11 / 0.9 - e2 / 0.9;
+            let want_f = e1 + 1.1 * e11 / 0.9 - 2.0 * e2 / 0.9;
+            assert!((s / want_s - 1.0).abs() < 1e-12, "S({t}) = {s} vs {want_s}");
+            assert!((f / want_f - 1.0).abs() < 1e-12, "f({t}) = {f} vs {want_f}");
         }
     }
 
@@ -954,13 +1044,13 @@ mod tests {
         }
     }
 
-    /// An [`AbsorptionCdf`] at Λ = 1 over the synthetic transient mass
+    /// An [`AbsorptionSeq`] at Λ = 1 over the synthetic transient mass
     /// mₖ = Σ cᵢ·(1 − dᵢ)ᵏ, for terms (cᵢ, dᵢ).
-    fn synthetic(terms: Vec<(f64, f64)>) -> AbsorptionCdf<'static> {
+    fn synthetic(terms: Vec<(f64, f64)>) -> AbsorptionSeq<'static> {
         let mass = |terms: &[(f64, f64)], k: i32| -> f64 {
             terms.iter().map(|&(c, d)| c * (1.0 - d).powi(k)).sum()
         };
-        let absorbed0 = 1.0 - mass(&terms, 0);
+        let m0 = mass(&terms, 0);
         let mut k = 0;
         let step = move || {
             k += 1;
@@ -968,17 +1058,17 @@ mod tests {
                 .iter()
                 .map(|&(c, d)| c * d * (1.0 - d).powi(k - 1))
                 .sum();
-            (1.0 - mass(&terms, k), inflow)
+            (1.0 - mass(&terms, k), mass(&terms, k), inflow)
         };
-        AbsorptionCdf::new(1.0, absorbed0, Box::new(step))
+        AbsorptionSeq::new(1.0, 1.0 - m0, m0, Box::new(step))
     }
 
     #[test]
     fn geometric_tail_closed_form_matches_the_extended_mixture() {
-        // Σ_{k≥k₀} Pois(k; a)·q^{k−k₀} in closed form against the same
-        // tail extended entry by entry and summed by `poisson_mixture`,
+        // Σ_{k≥k₀} Pois(k; a)·(α + β·q^{k−k₀}) in closed form against the
+        // same tail extended entry by entry and summed by `poisson_mixture`,
         // which truncates at 1e-12 and whose log-weights drift by a few
-        // 1e-12 at a = 10⁵.
+        // 1e-12 at a = 10⁵, for each column's (α, β).
         for a in [10.0, 1e3, 1e5] {
             for (k0, m0, d) in [(5, 0.9, 0.3), (8, 0.7, 1e-2), (150, 0.6, 3e-5)] {
                 if k0 as f64 > a * (1.0 - d) {
@@ -987,18 +1077,21 @@ mod tests {
                 let tail = GeometricTail {
                     k0,
                     m0,
+                    s0: 0.8 * m0,
                     d,
                     spread: 0.0,
                 };
-                let mut seq: Vec<f64> = (0..k0).map(|k| 0.1 * k as f64 / k0 as f64).collect();
-                let closed = tail.mixture(a, &seq);
-                let k_need = (a + 10.0 * a.sqrt() + 64.0) as usize;
-                seq.extend((k0..=k_need).map(|k| 1.0 - tail.mass(k)));
-                let summed = poisson_mixture(a, &seq, CDF_EPS);
-                assert!(
-                    (closed - summed).abs() < 1e-11,
-                    "a = {a}, k0 = {k0}, d = {d}: closed form {closed} vs mixture {summed}"
-                );
+                for c in [Column::Absorbed, Column::Transient, Column::Inflow] {
+                    let mut seq: Vec<f64> = (0..k0).map(|k| 0.1 * k as f64 / k0 as f64).collect();
+                    let closed = tail.mixture(a, &seq, c);
+                    let k_need = (a + 10.0 * a.sqrt() + 64.0) as usize;
+                    seq.extend((k0..=k_need).map(|k| tail.entry(c, k)));
+                    let summed = poisson_mixture(a, &seq, MIXTURE_EPS);
+                    assert!(
+                        (closed - summed).abs() < 1e-11,
+                        "{c:?}, a = {a}, k0 = {k0}, d = {d}: closed form {closed} vs mixture {summed}"
+                    );
+                }
             }
         }
     }
@@ -1012,8 +1105,18 @@ mod tests {
         let mut tailed = synthetic(vec![(1.0, d)]);
         let mut full = synthetic(vec![(1.0, d)]).untailed();
         for t in [0.5, 20.0, 300.0, 900.0, 2e3, 1e4, 1e5] {
-            let (got, want) = (tailed.eval(t), full.eval(t));
+            let (got, want) = (
+                tailed.eval(Column::Absorbed, t),
+                full.eval(Column::Absorbed, t),
+            );
             assert!((got - want).abs() < 1e-11, "F({t}): {got} vs {want}");
+            // At Λ = 1 the single rate gives S(t) = e^{−dt} and
+            // f(t) = d·e^{−dt}, relative down to e^{−100}.
+            let want = (-d * t).exp();
+            let s = tailed.eval(Column::Transient, t);
+            assert!((s / want - 1.0).abs() < 1e-11, "S({t}): {s} vs {want}");
+            let f = tailed.eval(Column::Inflow, t);
+            assert!((f / (d * want) - 1.0).abs() < 1e-11, "f({t}): {f}");
         }
         let tail = tailed.tail().expect("a single decay rate settles");
         assert_eq!(tail.k0, TAIL_SETTLE_STEPS + 1);
@@ -1031,7 +1134,11 @@ mod tests {
         let mut tailed = synthetic(terms.clone());
         let mut full = synthetic(terms).untailed();
         for t in [100.0, 5e3] {
-            assert_eq!(tailed.eval(t).to_bits(), full.eval(t).to_bits(), "F({t})");
+            assert_eq!(
+                tailed.eval(Column::Absorbed, t).to_bits(),
+                full.eval(Column::Absorbed, t).to_bits(),
+                "F({t})"
+            );
         }
         assert!(tailed.tail().is_none());
         assert!(
@@ -1046,7 +1153,7 @@ mod tests {
         // The ratio has settled by step 17, but the signed start mass
         // 2⁻ᵏ only falls to 1e-12 at k = 40: the switch waits for it.
         let mut seq = synthetic(vec![(1.0, 1e-3)]).with_signed_entry(0.5);
-        seq.eval(1e3);
+        seq.eval(Column::Absorbed, 1e3);
         let tail = seq.tail().expect("settles once the signed mass is spent");
         assert_eq!(tail.k0, 40);
     }

@@ -13,7 +13,8 @@
 //! a preconditioned BiCGSTAB Krylov solve ([`bicgstab`]) for the three
 //! absorption quantities the experiments need — mean absorption time
 //! E\[X\], per-state expected visits (occupancy times), and the
-//! absorption CDF/density via uniformization — scaling the Markov layer
+//! absorption-time distribution (CDF, survival function and density)
+//! from one uniformized jump-chain propagation — scaling the Markov layer
 //! to n ≥ 20 (2²⁰+1 ≈ 10⁶ states).
 //!
 //! **Kernels.** Each rule acts on masks that differ in one or two fixed
@@ -31,8 +32,8 @@
 //! n = 10–14 is about 1.4–1.8× faster.
 //!
 //! **Uniformization rate.** exp(Qt) = Σₖ Pois(k; Λt)·Pᵏ with
-//! P = I + Q/Λ holds for any Λ > 0. The CDF batch and the quantile search
-//! take Λ = max(largest mask exit rate, ⅔·exit(S_r)) rather than
+//! P = I + Q/Λ holds for any Λ > 0. Every distribution query takes
+//! Λ = max(largest mask exit rate, ⅔·exit(S_r)) rather than
 //! exit(S_r), the largest exit rate of all. Only S_r can then exit faster
 //! than Λ: its stay factor 1 − r, with r = exit(S_r)/Λ ∈ [1, 1.5], is
 //! negative and kept unclamped, while every other state's is clamped at 0
@@ -40,27 +41,22 @@
 //! steps is exactly (1 − r)ᵏ and the total |mass| it ever emits is
 //! Σₖ r·|1 − r|ᵏ = r/(2 − r) ≤ 3: the Poisson truncation error stays
 //! within 3·1e-12. While that signed mass is left the absorbed mass
-//! oscillates, so the batch's early stop also waits for |1 − r|ᵏ ≤ 1e-12.
-//! On symmetric rates Λ = n against exit(S_r) = 1.5·n, a third fewer
-//! steps. This is adaptive uniformization in the spirit of van Moorsel
-//! and Sanders (1994), with a single rate. The survival batch, which
-//! needs non-negative masses for its relative precision, the density and
-//! the single-point CDF keep Λ = exit(S_r) and their bits.
+//! oscillates, so the early stop and the tail switch also wait for
+//! |1 − r|ᵏ ≤ 1e-12. On symmetric rates Λ = n against exit(S_r) = 1.5·n,
+//! a third fewer steps. This is adaptive uniformization in the spirit of
+//! van Moorsel and Sanders (1994), with a single rate.
 //!
-//! **Geometric tail.** Past the chain's mixing time the survival function
-//! is one exponential, S(t) ≈ C·e^{−θt}, so the CDF batch and the quantile
-//! search stop propagating once the per-step decay ratio of the transient
-//! mass has settled and S_r's signed mass is spent
-//! (`AbsorptionCdf` in [`crate::ctmc`] has the rule and its precision). The
-//! rest of the sequence is geometric: short horizons extend it with
-//! scalars, and horizons of 2¹⁰ steps or more take the tail's Poisson
-//! mixture in closed form. The symmetric n = 12 batch of the benchmark
-//! stops after 152 jump steps, and the 0.99-quantile at E\[X\] = 4·10⁵
-//! (n = 12, ρ = 4), whose horizon is about 7·10⁷ steps, after 102.
-//! Skewed chains queried within their mixing time never settle and keep
-//! their path and their bits. Each jump step also sums the flux into
-//! S_{r+1}, the mass absorbed in that step, which the settling test
-//! needs.
+//! **Geometric tail.** Each jump step records the absorbed mass, the
+//! transient mass and the flux into S_{r+1}; F, S and f each mix one of
+//! them (`AbsorptionSeq` in [`crate::ctmc`]). Past the chain's mixing time
+//! S(t) ≈ C·e^{−θt}, so the propagation stops once the per-step decay
+//! ratio of the transient mass has settled and S_r's signed mass is spent.
+//! Every column is then geometric: short horizons extend it with scalars,
+//! horizons of 2¹⁰ steps or more take one closed form for F, S and f. The
+//! symmetric n = 12 batch of the benchmark stops after 152 jump steps, and
+//! the 0.99-quantile at E\[X\] = 4·10⁵ (n = 12, ρ = 4), whose horizon is
+//! about 7·10⁷ steps, after 102. Skewed chains queried within their mixing
+//! time never settle and keep their path and their bits.
 //!
 //! **Preconditioning.** Jacobi (the exit-rate diagonal) alone leaves
 //! BiCGSTAB struggling when E\[X\] is large, so the default
@@ -86,8 +82,8 @@
 //! option reaches it. The smoother's R1 back-substitution (a true
 //! Gauss–Seidel dependency), the S_r row and every dot product and norm
 //! stay serial, because their order is part of the result. The push side
-//! (the transposed apply and smoother, and the jump step behind the CDF,
-//! survival and density batches) also stays serial: no workload runs it
+//! (the transposed apply and smoother, and the jump step behind the
+//! distribution queries) also stays serial: no workload runs it
 //! above n = 12, where even two ranges would fall below
 //! `MIN_RANGE_MASKS`, and a spawn (about 30 µs) would cost over half of
 //! a 50 µs jump step.
@@ -104,7 +100,7 @@
 
 use std::sync::OnceLock;
 
-use crate::ctmc::AbsorptionCdf;
+use crate::ctmc::{AbsorptionSeq, Column};
 use crate::linalg::{LuFactors, Matrix};
 use crate::paper::{AsyncParams, SymmetricChain};
 
@@ -906,18 +902,17 @@ impl FlagChainOp {
     }
 
     /// The uniformization constant Λ = max exit rate, attained at S_r,
-    /// where every process and every pair is active. The survival and
-    /// density batches and the single-point CDF uniformize at this rate;
-    /// the CDF batch and the quantile search use a lower one (module
-    /// doc, **Uniformization rate**).
+    /// where every process and every pair is active. The distribution
+    /// queries uniformize at a lower rate (module doc, **Uniformization
+    /// rate**).
     pub fn uniformization_constant(&self) -> f64 {
         self.exit[0]
     }
 
-    /// The CDF's uniformization rate: the largest *mask* exit rate,
-    /// floored at ⅔ of S_r's so that r = `exit[0]`/Λ ≤ 1.5 (module doc,
-    /// **Uniformization rate**).
-    fn cdf_rate(&self) -> f64 {
+    /// The distribution queries' uniformization rate: the largest *mask*
+    /// exit rate, floored at ⅔ of S_r's so that r = `exit[0]`/Λ ≤ 1.5
+    /// (module doc, **Uniformization rate**).
+    fn distribution_rate(&self) -> f64 {
         let masks = self.exit[1..].iter().fold(0.0f64, |m, &e| m.max(e));
         masks.max(self.exit[0] / 1.5)
     }
@@ -987,7 +982,7 @@ impl FlagChainOp {
     /// `P = I + Q/Λ`, over **all** 2ⁿ+1 states (absorbing last),
     /// overwriting `out`. This is the matrix-free counterpart of
     /// [`crate::Ctmc::uniformized`] + [`crate::sparse::Csr::vec_mul`],
-    /// used by the transient solve behind the absorption CDF and density.
+    /// used by the sequence behind every distribution query.
     /// Λ may lie below S_r's exit rate (module doc, **Uniformization
     /// rate**), but never below a mask's.
     fn jump_propagate(&self, pi: &[f64], lambda: f64, out: &mut [f64]) {
@@ -1025,42 +1020,6 @@ impl FlagChainOp {
         pair_push_all(&self.pairs, &mut om[..full], &pm[..full], |pr| {
             pr.rate * inv
         });
-    }
-
-    /// Transient distribution π(t) from S_r by uniformization with
-    /// adaptive truncation (mass error ≤ `eps`), matrix-free.
-    fn transient_distribution(&self, t: f64, eps: f64) -> Vec<f64> {
-        assert!(t >= 0.0 && t.is_finite(), "invalid time {t}");
-        let nt = self.n_transient();
-        let mut v = vec![0.0; nt + 1];
-        v[0] = 1.0;
-        let lambda = self.uniformization_constant();
-        if lambda == 0.0 || t == 0.0 {
-            return v;
-        }
-        let lt = lambda * t;
-        let ln_lt = lt.ln();
-        let mut ln_w = -lt;
-        let mut acc = vec![0.0; nt + 1];
-        let mut next = vec![0.0; nt + 1];
-        let mut cum = 0.0;
-        let k_max = (lt + 10.0 * lt.sqrt() + 64.0) as u64;
-        for k in 0..=k_max {
-            let w = ln_w.exp();
-            if w > 0.0 {
-                for (a, &vi) in acc.iter_mut().zip(&v) {
-                    *a += w * vi;
-                }
-                cum += w;
-            }
-            if cum >= 1.0 - eps {
-                break;
-            }
-            self.jump_propagate(&v, lambda, &mut next);
-            std::mem::swap(&mut v, &mut next);
-            ln_w += ln_lt - ((k + 1) as f64).ln();
-        }
-        acc
     }
 
     /// Solves `(−Q_TT)·x = b` (or the transposed system) by two-level
@@ -1153,10 +1112,12 @@ impl FlagChainOp {
         self.solve_transient(&e0, true)
     }
 
-    /// The absorption-time CDF F(t) = P(X ≤ t) from S_r.
+    /// The absorption-time CDF F(t) = P(X ≤ t) from S_r: one evaluation
+    /// of [`FlagChainOp::absorption_cdf_batch`], bit for bit.
+    /// Non-finite times panic.
     pub fn absorption_cdf(&self, t: f64) -> f64 {
-        let pi = self.transient_distribution(t, 1e-12);
-        pi[self.n_transient()]
+        assert!(t.is_finite(), "invalid time {t}");
+        self.absorption_cdf_batch(&[t])[0]
     }
 
     /// [`FlagChainOp::absorption_cdf`] at **many** times from a single
@@ -1171,27 +1132,17 @@ impl FlagChainOp {
     /// samples affordable at n ≥ 14 (2¹⁴+1 states): one O(n²·2ⁿ) pass
     /// per propagation step, then O(Λ·tᵢ) scalars per query point.
     ///
-    /// The chain is uniformized at the largest mask exit rate rather
-    /// than at S_r's (module doc, **Uniformization rate**): a third
-    /// fewer steps on symmetric rates. S_r then carries a signed mass
-    /// (1 − r)ᵏ, so the early stop also waits for |1 − r|ᵏ ≤ 1e-12.
-    ///
     /// Negative `t` evaluates to 0, so left-limit points `x⁻` from
     /// `rbsim::gof::ks_eval_points` pass through unclamped.
     pub fn absorption_cdf_batch(&self, ts: &[f64]) -> Vec<f64> {
-        assert!(
-            ts.iter().all(|t| t.is_finite()),
-            "invalid CDF evaluation time"
-        );
-        let mut seq = self.absorption_cdf_seq();
-        ts.iter().map(|&t| seq.eval(t)).collect()
+        self.absorption_seq().eval_at(Column::Absorbed, ts)
     }
 
-    /// The absorption CDF from S_r as a lazily extended matrix-free
-    /// uniformization at [`FlagChainOp::cdf_rate`] (see
-    /// [`crate::ctmc::AbsorptionCdf`]).
-    pub(crate) fn absorption_cdf_seq(&self) -> AbsorptionCdf<'_> {
-        let lambda = self.cdf_rate();
+    /// The absorption-time distribution from S_r as a lazily extended
+    /// matrix-free uniformization at [`FlagChainOp::distribution_rate`],
+    /// with S_r's signed mass (module doc, **Uniformization rate**).
+    pub(crate) fn absorption_seq(&self) -> AbsorptionSeq<'_> {
+        let lambda = self.distribution_rate();
         let nt = self.n_transient();
         let mut v = vec![0.0; nt + 1];
         v[0] = 1.0;
@@ -1200,89 +1151,35 @@ impl FlagChainOp {
             let inflow = self.absorption_flux(&v) / lambda;
             self.jump_propagate(&v, lambda, &mut next);
             std::mem::swap(&mut v, &mut next);
-            (v[nt], inflow)
+            (v[nt], v[..nt].iter().sum(), inflow)
         };
         let entry_decay = (1.0 - self.exit[0] / lambda).abs();
-        AbsorptionCdf::new(lambda, 0.0, Box::new(step)).with_signed_entry(entry_decay)
+        AbsorptionSeq::new(lambda, 0.0, 1.0, Box::new(step)).with_signed_entry(entry_decay)
     }
 
     /// The survival (tail) function S(t) = P(X > t) at **many** times
     /// from a single jump-chain propagation — the deep-tail counterpart
-    /// of [`FlagChainOp::absorption_cdf_batch`].
+    /// of [`FlagChainOp::absorption_cdf_batch`], from the same sequence.
     ///
     /// Computing `1 − F(t)` loses *all* relative precision once F
-    /// rounds to 1 (S ≲ 1e-16 at f64); this batch instead tracks the
-    /// **transient mass** after each uniformized jump as a sum of
-    /// non-negative state probabilities, so S(t) keeps full relative
-    /// precision down to (and far below) the 1e-12 regime the
-    /// rare-event splitting gates probe. Because the per-jump transient
-    /// masses are non-increasing, the Poisson-mixture truncation error
-    /// is ≤ ~2·eps *relative*, not absolute.
-    ///
-    /// Non-positive `t` evaluates to 1.
+    /// rounds to 1 (S ≲ 1e-16 at f64); this batch instead mixes the
+    /// **transient mass** after each uniformized jump, summed over the
+    /// transient states, so S(t) keeps its relative precision down to
+    /// (and far below) the 1e-12 regime the rare-event splitting gates
+    /// probe, through the geometric tail as well. Negative `t` evaluates
+    /// to 1. Non-finite times panic.
     pub fn absorption_survival_batch(&self, ts: &[f64]) -> Vec<f64> {
-        assert!(
-            ts.iter().all(|t| t.is_finite()),
-            "invalid survival evaluation time"
-        );
-        let mut seq = SurvivalSeq::new(self);
-        ts.iter().map(|&t| seq.eval(t)).collect()
-    }
-
-    /// The time t at which the survival function reaches `p`
-    /// (S(t) = p), for the deep-tail regime p ≪ 1 — the level-placement
-    /// oracle for the splitting gates ("where is the 10⁻⁹ tail?").
-    ///
-    /// Phase-type tails are asymptotically geometric (S ~ C·e^{−θt}),
-    /// so a secant iteration on (t, ln S) converges in a handful of
-    /// steps; every evaluation reuses one growing jump-chain
-    /// propagation, so the whole solve costs a single uniformization
-    /// pass to the final horizon instead of one per probe.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `(0, 1)`, below the 1e-300 underflow
-    /// guard, or if the iteration fails to bracket the level.
-    pub fn survival_time(&self, p: f64) -> f64 {
-        assert!(
-            p > 1e-300 && p < 1.0,
-            "survival level {p} out of (1e-300, 1)"
-        );
-        let mut seq = SurvivalSeq::new(self);
-        // Two pilot points on the scale of the mean absorption time.
-        let mean = self.mean_absorption_time();
-        let (mut ta, mut sa) = (mean, seq.eval(mean));
-        let (mut tb, mut sb) = (2.0 * mean, seq.eval(2.0 * mean));
-        for _ in 0..200 {
-            if (sb / p).ln().abs() < 1e-10 {
-                return tb;
-            }
-            // Secant step in (t, ln S): ln S is locally linear in t.
-            let theta = (sa / sb).ln() / (tb - ta);
-            assert!(
-                theta > 0.0 && theta.is_finite(),
-                "survival secant lost its slope at t = {tb} (S = {sb})"
-            );
-            let t_next = (tb + (sb / p).ln() / theta).max(0.0);
-            let s_next = seq.eval(t_next);
-            assert!(s_next > 0.0, "survival underflowed at t = {t_next}");
-            (ta, sa) = (tb, sb);
-            (tb, sb) = (t_next, s_next);
-        }
-        assert!(
-            (sb / p).ln().abs() < 1e-8,
-            "survival_time failed to converge: S({tb}) = {sb} vs target {p}"
-        );
-        tb
+        self.absorption_seq().eval_at(Column::Transient, ts)
     }
 
     /// The absorption-time density f(t) at each requested time: the
-    /// probability flux into S_{r+1}, Σᵢ πᵢ(t)·aᵢ with aᵢ the rate from
-    /// state i into the absorbing state (Σμ from S_r via R4, μᵢ from
-    /// each one-flag-short mask via R1).
+    /// probability flux into S_{r+1}, Λ times the Poisson mixture of the
+    /// mass absorbed in each jump step, from the same sequence as
+    /// [`FlagChainOp::absorption_cdf_batch`]. The flux from a state is
+    /// Σμ from S_r via R4 and μᵢ from each one-flag-short mask via R1.
+    /// Negative `t` evaluates to 0. Non-finite times panic.
     pub fn absorption_density(&self, ts: &[f64]) -> Vec<f64> {
-        ts.iter()
-            .map(|&t| self.absorption_flux(&self.transient_distribution(t, 1e-12)))
-            .collect()
+        self.absorption_seq().eval_at(Column::Inflow, ts)
     }
 
     /// The probability flux into S_{r+1} under the distribution `pi` over
@@ -1294,62 +1191,6 @@ impl FlagChainOp {
             f += pi[(full & !(1 << i)) + 1] * mi;
         }
         f
-    }
-}
-
-/// Incrementally grown jump-chain survival sequence: `transient[k]` is
-/// the transient mass after `k` uniformized jumps, extended lazily to
-/// whatever horizon the largest queried `t` needs, so a batch of
-/// survival evaluations (or the [`FlagChainOp::survival_time`] secant)
-/// pays for **one** propagation to the final horizon.
-struct SurvivalSeq<'a> {
-    op: &'a FlagChainOp,
-    lambda: f64,
-    /// Current jump-chain distribution over all 2ⁿ+1 states.
-    v: Vec<f64>,
-    /// The next step's distribution (swapped with `v` after each step).
-    next: Vec<f64>,
-    /// Transient mass after each jump (non-increasing, positive sums —
-    /// never computed as 1 − absorbed).
-    transient: Vec<f64>,
-    /// Set once the transient mass underflows; further extension is
-    /// pointless (the mixture clamp to the last entry is then exact).
-    dead: bool,
-}
-
-impl<'a> SurvivalSeq<'a> {
-    fn new(op: &'a FlagChainOp) -> SurvivalSeq<'a> {
-        let nt = op.n_transient();
-        let mut v = vec![0.0; nt + 1];
-        v[0] = 1.0;
-        SurvivalSeq {
-            op,
-            lambda: op.uniformization_constant(),
-            next: vec![0.0; nt + 1],
-            v,
-            transient: vec![1.0],
-            dead: false,
-        }
-    }
-
-    /// S(t) by Poisson mixture over the (lazily extended) sequence.
-    fn eval(&mut self, t: f64) -> f64 {
-        if t <= 0.0 || self.lambda == 0.0 {
-            return 1.0;
-        }
-        let lt = self.lambda * t;
-        let k_need = (lt + 10.0 * lt.sqrt() + 64.0) as usize;
-        while self.transient.len() <= k_need && !self.dead {
-            self.op.jump_propagate(&self.v, self.lambda, &mut self.next);
-            std::mem::swap(&mut self.v, &mut self.next);
-            let nt = self.op.n_transient();
-            let mass: f64 = self.v[..nt].iter().sum();
-            self.transient.push(mass);
-            if mass <= f64::MIN_POSITIVE {
-                self.dead = true;
-            }
-        }
-        crate::ctmc::poisson_mixture(lt, &self.transient, 1e-12)
     }
 }
 
@@ -1825,7 +1666,7 @@ mod tests {
     }
 
     #[test]
-    fn cdf_rate_leaves_only_s_r_unclamped() {
+    fn distribution_rate_leaves_only_s_r_unclamped() {
         // Λ covers every mask's exit rate, so only S_r can have a
         // negative stay factor, and r = exit[0]/Λ stays ≤ 1.5.
         let models = [
@@ -1837,7 +1678,7 @@ mod tests {
         ];
         for params in &models {
             let op = FlagChainOp::new(params);
-            let lambda = op.cdf_rate();
+            let lambda = op.distribution_rate();
             let r = op.exit_rate(0) / lambda;
             assert!(r <= 1.5 * (1.0 + f64::EPSILON), "{params:?}: r = {r}");
             assert!(r >= 1.0, "{params:?}: Λ above S_r's exit rate");
@@ -1847,8 +1688,8 @@ mod tests {
         }
         // The symmetric family hits the floor: Λ = n = ⅔·exit[0].
         let op = FlagChainOp::new(&AsyncParams::symmetric(6, 1.0, 0.2));
-        assert!((op.cdf_rate() - 6.0).abs() < 1e-12);
-        assert!(op.exit_rate(0) > op.cdf_rate());
+        assert!((op.distribution_rate() - 6.0).abs() < 1e-12);
+        assert!(op.exit_rate(0) > op.distribution_rate());
     }
 
     #[test]
@@ -1859,9 +1700,9 @@ mod tests {
         // must still match the dense chain.
         let params = AsyncParams::symmetric(6, 1.0, 0.2);
         let op = FlagChainOp::new(&params);
-        let mut seq = op.absorption_cdf_seq();
+        let mut seq = op.absorption_seq();
         let ts = [0.05, 0.5, 2.0, 6.0];
-        let got: Vec<f64> = ts.iter().map(|&t| seq.eval(t)).collect();
+        let got: Vec<f64> = ts.iter().map(|&t| seq.eval(Column::Absorbed, t)).collect();
         // |1 − r|ᵏ = 2⁻ᵏ ≤ 1e-12 needs k ≥ 40.
         assert!(seq.steps() >= 40, "stopped after {} steps", seq.steps());
         let chain = params.build_full_chain();
@@ -1934,43 +1775,52 @@ mod tests {
         AsyncParams::new(mu, lambda).unwrap()
     }
 
+    /// The matrix-free tail time: where S falls to `p`, searched from
+    /// 1/Σμ as `AsyncParams::interval_tail_time` searches.
+    fn tail_time(op: &FlagChainOp, p: f64) -> f64 {
+        op.absorption_seq()
+            .crossing(Column::Transient, p, 1.0 / op.total_mu)
+    }
+
     #[test]
     fn survival_reproduces_pinned_bits() {
-        // S(0.3), S(3), S(30) and `survival_time` at each level, as f64
-        // bits, recorded before the push kernels were specialised by bit
-        // and before the CDF batch changed its uniformization rate: the
-        // survival path keeps Λ = exit[0] and its bits. The n = 3/4
-        // models and levels are the deep-tail figure's.
+        // S(0.3), S(3), S(30) and the tail time at each level, as f64
+        // bits, recorded when survival and the tail time moved onto the
+        // absorption sequence every distribution query shares, at the
+        // distribution rate (module doc, **Uniformization rate**). The
+        // n = 3/4 models and levels are the deep-tail figure's;
+        // `stiff_tail.rs` checks the symmetric ones against a 40-digit
+        // reference.
         const DEEP: &[f64] = &[1e-6, 1e-9, 1e-12];
-        // (model, levels, S bits, survival_time bits per level)
+        // (model, levels, S bits, tail-time bits per level)
         type Pin = (AsyncParams, &'static [f64], [u64; 3], &'static [u64]);
         let cases: [Pin; 5] = [
             (
                 AsyncParams::symmetric(3, 1.0, 1.0),
                 DEEP,
                 [
-                    0x3fe2_5073_9e13_4db3,
-                    0x3fd1_84c5_2af2_d4b2,
-                    0x3f49_a936_78b0_36e2,
+                    0x3fe2_5073_9e13_4c82,
+                    0x3fd1_84c5_2af2_d4a2,
+                    0x3f49_a936_78b0_3b07,
                 ],
                 &[
-                    0x404e_5c02_a719_23fb,
-                    0x4057_2425_0330_332d,
-                    0x405f_1a48_b2d3_d547,
+                    0x404e_5c02_a719_2516,
+                    0x4057_2425_0330_34a4,
+                    0x405f_1a48_b2d3_d6ea,
                 ],
             ),
             (
                 AsyncParams::new(vec![0.6, 0.85, 1.1], vec![0.15, 0.25, 0.35]).unwrap(),
                 DEEP,
                 [
-                    0x3fe0_5d07_196f_ddbe,
-                    0x3fb5_b88d_34f7_4111,
-                    0x3ec1_6f9b_17f2_9775,
+                    0x3fe0_5d07_196f_ddfb,
+                    0x3fb5_b88d_34f7_4149,
+                    0x3ec1_6f9b_17f2_9795,
                 ],
                 &[
-                    0x403f_dcd1_3813_4023,
-                    0x4048_b946_2125_8a39,
-                    0x4050_c211_d320_b67a,
+                    0x403f_dcd1_3813_53e6,
+                    0x4048_b946_2125_8a2e,
+                    0x4050_c211_d320_b676,
                 ],
             ),
             (
@@ -1991,21 +1841,21 @@ mod tests {
                 AsyncParams::symmetric(10, 1.0, 1.0 / 9.0),
                 &[0.2],
                 [
-                    0x3fd5_55cd_9ad9_1ce9,
-                    0x3fd3_16fc_a0fa_a83b,
-                    0x3fc7_41d3_6c39_6667,
+                    0x3fd5_55cd_9ad9_23ea,
+                    0x3fd3_16fc_a0fa_a723,
+                    0x3fc7_41d3_6c39_6713,
                 ],
-                &[0x4038_c566_a115_83b6],
+                &[0x4038_c566_a115_7ff2],
             ),
             (
                 graded_params(10),
                 &[0.2],
                 [
-                    0x3fc6_e6d8_cd05_970d,
-                    0x3fba_e554_2cba_7803,
-                    0x3f70_bd8d_e2ca_35e7,
+                    0x3fc6_e6d8_cd05_8d5e,
+                    0x3fba_e554_2cba_75f7,
+                    0x3f70_bd8d_e2ca_3d14,
                 ],
-                &[0x3fcd_e1e8_0861_edca],
+                &[0x3fcd_e1e8_0862_18de],
             ),
         ];
         for (params, levels, s_bits, t_bits) in cases {
@@ -2015,8 +1865,8 @@ mod tests {
                 assert_eq!(s.to_bits(), want, "{params:?}: S = {s}");
             }
             for (&p, &want) in levels.iter().zip(t_bits) {
-                let t = op.survival_time(p);
-                assert_eq!(t.to_bits(), want, "{params:?}: survival_time({p}) = {t}");
+                let t = tail_time(&op, p);
+                assert_eq!(t.to_bits(), want, "{params:?}: tail time at {p} = {t}");
             }
         }
     }
@@ -2143,11 +1993,11 @@ mod tests {
     }
 
     #[test]
-    fn survival_time_round_trips_at_deep_levels() {
+    fn tail_time_round_trips_at_deep_levels() {
         for params in [skewed_params(3), AsyncParams::symmetric(4, 1.0, 0.6)] {
             let op = FlagChainOp::new(&params);
             for p in [1e-3, 1e-6, 1e-9, 1e-12] {
-                let t = op.survival_time(p);
+                let t = tail_time(&op, p);
                 assert!(t > 0.0 && t.is_finite());
                 let s = op.absorption_survival_batch(&[t])[0];
                 assert!(
@@ -2160,7 +2010,7 @@ mod tests {
         // Exact cross-check on the exponential corner: t* = −ln p / Σμ.
         let params = AsyncParams::new(vec![1.0, 2.0, 3.0], vec![0.0; 3]).unwrap();
         let op = FlagChainOp::new(&params);
-        let t = op.survival_time(1e-9);
+        let t = tail_time(&op, 1e-9);
         let want = -(1e-9_f64).ln() / 6.0;
         assert!((t / want - 1.0).abs() < 1e-8, "{t} vs {want}");
     }

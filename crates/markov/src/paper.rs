@@ -14,7 +14,7 @@
 //! interval `X` of the paper; Figures 2–6 and Table 1 all derive from
 //! this chain and its embedded discrete version `Y_d`.
 
-use crate::ctmc::{AbsorptionCdf, Ctmc};
+use crate::ctmc::{AbsorptionSeq, Column, Ctmc};
 use crate::dtmc::Dtmc;
 use crate::matfree::FlagChainOp;
 use crate::solver::SolverStrategy;
@@ -230,28 +230,19 @@ impl AsyncParams {
         self.chain_solver(strategy).mean_interval()
     }
 
-    /// Density f_X(t) at each requested time (paper Figure 6).
+    /// Density f_X(t) at each requested time (paper Figure 6), from the
+    /// same absorption sequence as [`AsyncParams::interval_cdf_batch`].
+    /// Negative times evaluate to 0. Non-finite times panic.
     pub fn interval_density(&self, ts: &[f64]) -> Vec<f64> {
-        self.chain_solver(self.solver_strategy())
-            .interval_density(ts)
+        self.distribution(self.solver_strategy(), Column::Inflow, ts)
     }
 
-    /// [`AsyncParams::interval_density`] on a caller-chosen backend —
-    /// the distribution-level conformance gates force the matrix-free
-    /// operator through this to pit its uniformization against the
-    /// materialised chain's on identical models.
-    pub fn interval_density_with(&self, strategy: SolverStrategy, ts: &[f64]) -> Vec<f64> {
-        self.chain_solver(strategy).interval_density(ts)
-    }
-
-    /// CDF of X at `t`.
+    /// CDF of X at `t`: one evaluation of
+    /// [`AsyncParams::interval_cdf_batch`], bit for bit. Negative `t`
+    /// evaluates to 0. Non-finite times panic.
     pub fn interval_cdf(&self, t: f64) -> f64 {
-        self.chain_solver(self.solver_strategy()).interval_cdf(t)
-    }
-
-    /// [`AsyncParams::interval_cdf`] on a caller-chosen backend.
-    pub fn interval_cdf_with(&self, strategy: SolverStrategy, t: f64) -> f64 {
-        self.chain_solver(strategy).interval_cdf(t)
+        assert!(t.is_finite(), "invalid time {t}");
+        self.interval_cdf_batch(&[t])[0]
     }
 
     /// CDF of X at **many** times from a single uniformization pass —
@@ -263,33 +254,39 @@ impl AsyncParams {
     /// exponential, after about the chain's mixing time (the **Geometric
     /// tail** of [`crate::matfree`]), so its cost does not grow with
     /// E\[X\]: a 64-point batch up to 6·E\[X\] takes milliseconds at
-    /// E\[X\] = 4·10⁵.
+    /// E\[X\] = 4·10⁵. Non-finite times panic.
     pub fn interval_cdf_batch(&self, ts: &[f64]) -> Vec<f64> {
-        self.chain_solver(self.solver_strategy())
-            .interval_cdf_batch(ts)
+        self.interval_cdf_batch_with(self.solver_strategy(), ts)
     }
 
     /// [`AsyncParams::interval_cdf_batch`] on a caller-chosen backend.
     pub fn interval_cdf_batch_with(&self, strategy: SolverStrategy, ts: &[f64]) -> Vec<f64> {
-        self.chain_solver(strategy).interval_cdf_batch(ts)
+        self.distribution(strategy, Column::Absorbed, ts)
     }
 
-    /// Survival (tail) function P(X > t) at many times — always on the
-    /// matrix-free operator, whose
-    /// [`FlagChainOp::absorption_survival_batch`] tracks the transient
-    /// mass directly and so keeps full *relative* precision in the
-    /// deep-tail regime (S ≤ 1e-12) where `1 − interval_cdf(t)` has no
-    /// correct digits left. This is the exact oracle the rare-event
-    /// splitting gates compare against.
+    /// Survival (tail) function P(X > t) at many times, from the same
+    /// absorption sequence and backend as
+    /// [`AsyncParams::interval_cdf_batch`]. It mixes the transient mass,
+    /// summed over the transient states, so it keeps full *relative*
+    /// precision deep in the tail (S ≤ 1e-12), where `1 − interval_cdf(t)`
+    /// has no digits left, and answers stiff models in milliseconds. This is
+    /// the exact survival oracle the rare-event splitting gates compare
+    /// against. Negative times evaluate to 1; non-finite times panic.
     pub fn interval_survival_batch(&self, ts: &[f64]) -> Vec<f64> {
-        self.matrix_free_op().absorption_survival_batch(ts)
+        self.distribution(self.solver_strategy(), Column::Transient, ts)
     }
 
     /// The time at which the interval tail reaches `p` (P(X > t) = p),
     /// for p as deep as 1e-12 — the level-placement oracle for
-    /// multilevel splitting ([`FlagChainOp::survival_time`]).
+    /// multilevel splitting: the bracket-and-bisect search of
+    /// [`AsyncParams::interval_quantile`] on the survival function, with
+    /// no mean solve first. Panics if `p` is outside `(1e-300, 1)`.
     pub fn interval_tail_time(&self, p: f64) -> f64 {
-        self.matrix_free_op().survival_time(p)
+        assert!(
+            p > 1e-300 && p < 1.0,
+            "survival level {p} out of (1e-300, 1)"
+        );
+        self.crossing(self.solver_strategy(), Column::Transient, p)
     }
 
     /// Second moment E\[X²\] of the inter-line interval.
@@ -339,27 +336,21 @@ impl AsyncParams {
             (0.0..1.0).contains(&p) && p > 0.0,
             "quantile level out of (0,1)"
         );
-        let solver = self.chain_solver(strategy);
-        let mut seq = solver.cdf_seq();
-        let mut cdf = |t: f64| seq.eval(t);
-        // Bracket: double until F(hi) > p.
-        let mut hi = 1.0 / self.total_mu();
-        let mut guard = 0;
-        while cdf(hi) < p {
-            hi *= 2.0;
-            guard += 1;
-            assert!(guard < 80, "quantile bracket failed");
-        }
-        let mut lo = 0.0;
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        self.crossing(strategy, Column::Absorbed, p)
+    }
+
+    /// Column `c` of the absorption sequence on `strategy`'s backend at
+    /// every time in `ts`.
+    fn distribution(&self, strategy: SolverStrategy, c: Column, ts: &[f64]) -> Vec<f64> {
+        self.chain_solver(strategy).seq().eval_at(c, ts)
+    }
+
+    /// The time at which column `c` crosses `level`, searched from
+    /// 1/Σμ on `strategy`'s backend.
+    fn crossing(&self, strategy: SolverStrategy, c: Column, level: f64) -> f64 {
+        self.chain_solver(strategy)
+            .seq()
+            .crossing(c, level, 1.0 / self.total_mu())
     }
 
     /// E\[Lᵢ\]: mean number of states saved by `Pᵢ` during X.
@@ -402,35 +393,12 @@ impl ChainSolver {
         }
     }
 
-    fn interval_cdf(&self, t: f64) -> f64 {
+    /// The absorption-time distribution as a lazily extended
+    /// uniformization: every distribution query evaluates it.
+    fn seq(&self) -> AbsorptionSeq<'_> {
         match self {
-            ChainSolver::Materialized(chain, _) => chain.ctmc.absorption_cdf(FlagChain::START, t),
-            ChainSolver::MatrixFree(op) => op.absorption_cdf(t),
-        }
-    }
-
-    fn interval_cdf_batch(&self, ts: &[f64]) -> Vec<f64> {
-        match self {
-            ChainSolver::Materialized(chain, _) => {
-                chain.ctmc.absorption_cdf_batch(FlagChain::START, ts)
-            }
-            ChainSolver::MatrixFree(op) => op.absorption_cdf_batch(ts),
-        }
-    }
-
-    /// The absorption CDF as a lazily extended uniformization, for
-    /// searches that probe it many times.
-    fn cdf_seq(&self) -> AbsorptionCdf<'_> {
-        match self {
-            ChainSolver::Materialized(chain, _) => chain.ctmc.absorption_cdf_seq(FlagChain::START),
-            ChainSolver::MatrixFree(op) => op.absorption_cdf_seq(),
-        }
-    }
-
-    fn interval_density(&self, ts: &[f64]) -> Vec<f64> {
-        match self {
-            ChainSolver::Materialized(chain, _) => chain.interval_density(ts),
-            ChainSolver::MatrixFree(op) => op.absorption_density(ts),
+            ChainSolver::Materialized(chain, _) => chain.ctmc.absorption_seq(FlagChain::START),
+            ChainSolver::MatrixFree(op) => op.absorption_seq(),
         }
     }
 
@@ -1166,15 +1134,15 @@ mod tests {
         ] {
             let batch = p.interval_cdf_batch_with(strategy, &ts);
             for (&t, &f) in ts.iter().zip(&batch) {
-                let want = if t < 0.0 {
-                    0.0
-                } else {
-                    p.interval_cdf_with(strategy, t)
-                };
-                assert!(
-                    (f - want).abs() < 1e-10,
+                let want = p.interval_cdf_batch_with(strategy, &[t])[0];
+                assert_eq!(
+                    f.to_bits(),
+                    want.to_bits(),
                     "{strategy:?} F({t}): batch {f} vs pointwise {want}"
                 );
+                if t < 0.0 {
+                    assert_eq!(f, 0.0, "{strategy:?} F({t})");
+                }
             }
             // Monotone in t over the non-negative points.
             for w in batch[1..].windows(2) {
@@ -1187,6 +1155,59 @@ mod tests {
         let mf = p.interval_cdf_batch_with(SolverStrategy::MatrixFree, &ts);
         for (a, b) in mat.iter().zip(&mf) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn distribution_queries_share_one_time_domain() {
+        // Every public entry on both backends: F = 0, S = 1 and f = 0 for
+        // t < 0; NaN and ±∞ are refused, each with its entry's message.
+        type Query = fn(&AsyncParams, f64) -> f64;
+        let queries: [(Query, f64, &str); 4] = [
+            (|p, t| p.interval_cdf(t), 0.0, "invalid time"),
+            (|p, t| p.interval_cdf_batch(&[t])[0], 0.0, "invalid CDF"),
+            (|p, t| p.interval_density(&[t])[0], 0.0, "invalid time"),
+            (
+                |p, t| p.interval_survival_batch(&[t])[0],
+                1.0,
+                "invalid survival",
+            ),
+        ];
+        for p in [
+            AsyncParams::three((1.5, 1.0, 0.5), (1.0, 0.5, 1.5)),
+            AsyncParams::symmetric(9, 1.0, 0.5),
+        ] {
+            for (k, (query, before, refusal)) in queries.into_iter().enumerate() {
+                for t in [-1e300, -1.0, -1e-300] {
+                    assert_eq!(query(&p, t), before, "query {k}, n = {}, t = {t}", p.n());
+                }
+                for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let err = std::panic::catch_unwind(|| query(&p, t)).expect_err("accepted");
+                    let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                    let msg = err.downcast_ref::<&str>().copied().unwrap_or(msg);
+                    assert!(msg.starts_with(refusal), "query {k} at {t}: {msg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_time_answers_domino_models() {
+        // Domino-regime models whose mean solve misses its acceptance
+        // residual: the tail time needs no mean, and must match the lumped
+        // chain at 40 digits (`tests/stiff_tail_reference.py`).
+        for (n, rho, want) in [
+            (9, 8.0, 19651785.323456265),
+            (12, 4.0, 12250625.375525627),
+            (10, 16.0, 29084878955.900448),
+        ] {
+            let p = AsyncParams::symmetric(n, 1.0, rho / (n - 1) as f64);
+            let got = p.interval_tail_time(1e-9);
+            let rel = (got - want).abs() / want;
+            assert!(
+                rel <= 1e-12,
+                "n = {n}, ρ = {rho}: t = {got}, reference {want} ({rel:.1e} relative)"
+            );
         }
     }
 
@@ -1293,8 +1314,8 @@ mod tests {
                 assert_eq!(got.to_bits(), want, "{mu:?} {lam:?}: q({level}) = {got}");
             }
             let chain = p.build_full_chain();
-            let mut seq = chain.ctmc.absorption_cdf_seq(FlagChain::START);
-            seq.eval(p.interval_quantile(0.999));
+            let mut seq = chain.ctmc.absorption_seq(FlagChain::START);
+            seq.eval(Column::Absorbed, p.interval_quantile(0.999));
             assert!(seq.tail().is_some(), "{mu:?} {lam:?}: no tail switch");
         }
     }
@@ -1330,7 +1351,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn geometric_tail_keeps_the_propagated_cdf(
+        fn geometric_tail_keeps_the_propagated_distribution(
             p in arb_skewed_params(),
             fracs in prop::collection::vec(0.0f64..1.0, 1..24),
         ) {
@@ -1338,23 +1359,31 @@ mod tests {
             // 4096 jump steps at S_r's exit rate, the largest: past the
             // closed-form threshold, within reach of the propagated
             // reference. On both backends the tailed CDF must match it,
-            // lie in [0, 1] and never decrease.
+            // lie in [0, 1] and never decrease, and the tailed S and f
+            // must match theirs to 1e-10 relative.
             let mean = p.mean_interval_with(SolverStrategy::Dense);
             let t_max = (6.0 * mean).min(4096.0 / p.normalization());
             let mut ts: Vec<f64> = fracs.iter().map(|f| f * t_max).collect();
             ts.sort_by(f64::total_cmp);
             for strategy in [SolverStrategy::Dense, SolverStrategy::MatrixFree] {
                 let solver = p.chain_solver(strategy);
-                let mut tailed = solver.cdf_seq();
-                let mut full = solver.cdf_seq().untailed();
-                let got: Vec<f64> = ts.iter().map(|&t| tailed.eval(t)).collect();
+                let mut tailed = solver.seq();
+                let mut full = solver.seq().untailed();
+                let got: Vec<f64> = ts.iter().map(|&t| tailed.eval(Column::Absorbed, t)).collect();
                 for (&t, &g) in ts.iter().zip(&got) {
-                    let want = full.eval(t);
+                    let want = full.eval(Column::Absorbed, t);
                     prop_assert!((g - want).abs() < 1e-10, "{strategy:?} F({t}): {g} vs {want}");
                     prop_assert!((0.0..=1.0).contains(&g), "{strategy:?} F({t}) = {g}");
                 }
                 for (k, f) in got.windows(2).enumerate() {
                     prop_assert!(f[1] >= f[0], "{strategy:?}: F decreases after t = {}", ts[k]);
+                }
+                let (mut tailed, mut full) = (solver.seq(), solver.seq().untailed());
+                for &t in &ts {
+                    for c in [Column::Transient, Column::Inflow] {
+                        let (g, w) = (tailed.eval(c, t), full.eval(c, t));
+                        prop_assert!((g - w).abs() <= 1e-10 * w, "{strategy:?} {c:?}({t}): {g} vs {w}");
+                    }
                 }
             }
         }

