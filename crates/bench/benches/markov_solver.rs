@@ -1,8 +1,8 @@
 //! Criterion: Markov-solver scaling.
 //!
 //! How expensive are the analytic solves as the process count grows?
-//! The full chain is 2ⁿ+1 states — dense LU through n = 8, matrix-free
-//! Krylov beyond — the lumped chain n+2 states, and the density solve is
+//! The full chain is 2ⁿ+1 states, solved matrix-free at every n; the
+//! lumped chain has n+2 states, solved by GTH; and the density solve is
 //! uniformization over the full chain. The `mean_interval/strategy`
 //! group times the default path on symmetric and skewed models next to
 //! forced sparse Gauss–Seidel on the symmetric ones (the CI perf-smoke

@@ -113,8 +113,9 @@ struct Fig3Result {
     large_n_lumpability: Vec<LargeNRow>,
 }
 
-/// Sizes of the matrix-free lumpability sweep — all far beyond the
-/// dense cap (2⁸ transient states), topping out at 2²⁰+1.
+/// Sizes of the matrix-free lumpability sweep — all far beyond what a
+/// dense solve of the materialised chain could hold, topping out at
+/// 2²⁰+1.
 const LARGE_NS: [usize; 4] = [14, 16, 18, 20];
 
 fn main() {

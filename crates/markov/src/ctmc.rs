@@ -7,14 +7,14 @@
 //! experiments need:
 //!
 //! * the **mean absorption time** E\[X\] from the linear system
-//!   (−Q_TT)·τ = 1 (dense LU for small chains, operator-interface
-//!   BiCGSTAB for large);
+//!   (−Q_TT)·τ = 1 (dense GTH elimination for small chains,
+//!   operator-interface BiCGSTAB for large);
 //! * the **absorption-time distribution**: the CDF, the survival
 //!   function and the density f_X(t) (paper Figure 6), each a Poisson
 //!   mixture over one uniformized jump-chain propagation (`AbsorptionSeq`,
 //!   shared with the matrix-free flag chain).
 
-use crate::linalg::{LuFactors, Matrix};
+use crate::linalg::{GthFactors, Matrix};
 use crate::matfree::{bicgstab, Jacobi, LinOp};
 use crate::solver::SolverStrategy;
 use crate::sparse::{Csr, Triplets};
@@ -130,8 +130,9 @@ impl Ctmc {
     /// Mean time to absorption starting from `start`.
     ///
     /// Solves (−Q_TT)·τ = 1 over the transient states with the backend
-    /// [`SolverStrategy::auto`] picks for the block size: dense LU or
-    /// operator-interface BiCGSTAB.
+    /// [`SolverStrategy::auto`] picks for the block size: dense GTH
+    /// elimination ([`crate::linalg::GthFactors`]) or operator-interface
+    /// BiCGSTAB.
     ///
     /// # Panics
     /// Panics if the chain has no absorbing state, or if `start` is
@@ -235,17 +236,24 @@ impl Ctmc {
         assert_eq!(b.len(), nt);
         match strategy {
             SolverStrategy::Dense => {
-                // Dense: A = −Q_TT.
-                let mut a = Matrix::zeros(nt, nt);
+                // GTH over the off-diagonal transient rates and the rates
+                // straight into the absorbing states.
+                let mut rates = Matrix::zeros(nt, nt);
+                let mut absorb = vec![0.0; nt];
                 for (k, &s) in transient.iter().enumerate() {
                     for (c, v) in self.q.row(s) {
-                        if local[c] != usize::MAX {
-                            a[(k, local[c])] = -v;
+                        if c == s {
+                            continue;
+                        }
+                        match local[c] {
+                            usize::MAX => absorb[k] += v,
+                            lc => rates[(k, lc)] = v,
                         }
                     }
                 }
-                let lu = LuFactors::new(a).expect("transient generator block is nonsingular");
-                lu.solve(b)
+                GthFactors::new(rates, absorb)
+                    .expect("every transient state reaches absorption")
+                    .solve(b)
             }
             SolverStrategy::GaussSeidel => {
                 // Gauss–Seidel on xᵢ = (bᵢ + Σ_{j≠i} q_ij xⱼ) / (−q_ii).

@@ -5,8 +5,9 @@
 //! as the absorption time of a continuous-time Markov chain over the
 //! "last-action" flag vector (x₁,…,xₙ) ∈ {0,1}ⁿ. This crate implements:
 //!
-//! * [`linalg`] — dense matrices with LU factorisation (the state spaces
-//!   of interest are ≤ a few thousand states; no external BLAS needed);
+//! * [`linalg`] — dense matrices with LU factorisation and GTH
+//!   elimination for absorbing chains (the state spaces of interest are
+//!   ≤ a few thousand states; no external BLAS needed);
 //! * [`sparse`] — CSR matrices for the larger chains used in the
 //!   process-count sweeps (2ⁿ+1 states grows quickly);
 //! * [`ctmc`] — generator construction, uniformization for transient
@@ -14,12 +15,14 @@
 //!   distributions);
 //! * [`dtmc`] — embedded/uniformized discrete chains, fundamental-matrix
 //!   expected-visit counts;
-//! * [`solver`] — the [`solver::SolverStrategy`] dispatch every
-//!   absorption solve goes through (dense LU ≤ 2⁸ transient states,
-//!   matrix-free Krylov above; CSR Gauss–Seidel only when forced);
+//! * [`solver`] — the [`solver::SolverStrategy`] dispatch of the generic
+//!   chains' absorption solves (dense GTH ≤ 2⁸ transient states, Krylov
+//!   above; CSR Gauss–Seidel only when forced);
 //! * [`matfree`] — the flag chain as a never-materialised bit-mask
-//!   operator plus two-level-preconditioned BiCGSTAB, scaling the full
-//!   chain to n ≥ 20 (2²⁰+1 states) in O(2ⁿ) memory;
+//!   operator plus two-level-preconditioned BiCGSTAB refined on a
+//!   cancellation-free residual: the backend of every flag-chain query
+//!   at every n, from the n = 2 toy chain to n ≥ 20 (2²⁰+1 states) in
+//!   O(2ⁿ) memory;
 //! * [`paper`] — the paper's concrete models: the full chain (rules
 //!   R1–R4, Figure 2), the lumped symmetric chain (rules R1′–R4′,
 //!   Figure 3), and the split chain `Y_d` used for E\[Lᵢ\] (Figure 4).

@@ -186,11 +186,14 @@ impl AsyncParams {
         FlagChainOp::new(self)
     }
 
-    /// The backend [`SolverStrategy::auto`] picks for this model's 2ⁿ
-    /// transient states: dense LU through n = 8, matrix-free Krylov
-    /// beyond.
+    /// The backend every default-path query runs on: the matrix-free
+    /// operator ([`FlagChainOp`]) at every n. Its refined solve keeps
+    /// working precision in the domino regime, and it is the faster
+    /// backend from n = 4 up. The materialised chain serves only the
+    /// `*_with` calls that force [`SolverStrategy::Dense`] or
+    /// [`SolverStrategy::GaussSeidel`].
     pub fn solver_strategy(&self) -> SolverStrategy {
-        SolverStrategy::auto(1usize << self.n())
+        SolverStrategy::MatrixFree
     }
 
     /// The absorption-solve backend for this model at `strategy`:
@@ -204,9 +207,14 @@ impl AsyncParams {
 
     /// Mean inter-recovery-line interval E\[X\] (paper §2.3-I).
     ///
-    /// Dispatches on [`AsyncParams::solver_strategy`], so the same call
-    /// scales from the n = 2 toy chain to the n ≥ 20 matrix-free
-    /// regime.
+    /// One matrix-free solve ([`FlagChainOp::mean_absorption_time`]) at
+    /// every n, from the n = 2 toy chain to the n ≥ 20 regime. The solve
+    /// refines itself on a cancellation-free residual (the
+    /// **Refinement** of [`crate::matfree`]), so domino-regime models with
+    /// E\[X\] up to about 10¹² keep working precision; an answer is
+    /// returned only with a small residual or a verified error estimate,
+    /// and the solve panics, naming n, its residual and its correction,
+    /// otherwise.
     ///
     /// ```
     /// use rbmarkov::paper::AsyncParams;
@@ -376,8 +384,9 @@ impl AsyncParams {
 }
 
 /// One absorption-solve backend bound to a concrete model: either the
-/// materialised chain (dense LU or CSR Gauss–Seidel over its CSR
-/// generator) or the never-materialised bit-mask operator.
+/// materialised chain (dense GTH or CSR Gauss–Seidel over its CSR
+/// generator, for the forcing `*_with` calls) or the never-materialised
+/// bit-mask operator (every default-path query).
 enum ChainSolver {
     Materialized(FlagChain, SolverStrategy),
     MatrixFree(FlagChainOp),
@@ -1272,39 +1281,39 @@ mod tests {
     #[test]
     fn table1_quantiles_reproduce_pinned_bits() {
         // `interval_quantile(0.99)` and `(0.999)` of Table 1's five
-        // cases, as f64 bits, recorded before the CDF sequence learned
-        // its geometric tail. These searches do switch to the tail, and
-        // must still land on the same bits.
+        // cases, as f64 bits, recorded when the default path moved to the
+        // matrix-free sequence at every n. These searches switch to the
+        // geometric tail and must keep landing on the same bits.
         let cases = [
             (
                 (1.0, 1.0, 1.0),
                 (1.0, 1.0, 1.0),
-                0x4032_41f1_a575_9d9c,
-                0x403c_df76_8fb2_db68,
+                0x4032_41f1_a575_694e,
+                0x403c_df76_8fb0_da12,
             ),
             (
                 (1.5, 1.0, 0.5),
                 (1.0, 1.0, 1.0),
-                0x4038_480a_45ce_abc8,
-                0x4043_415f_31f3_fffa,
+                0x4038_480a_45ce_b6d0,
+                0x4043_415f_31f5_0608,
             ),
             (
                 (1.0, 1.0, 1.0),
                 (1.5, 0.5, 1.0),
-                0x4031_e983_61b2_beca,
-                0x403c_546d_58bc_e938,
+                0x4031_e983_61b3_06e0,
+                0x403c_546d_58ba_37f8,
             ),
             (
                 (1.5, 1.0, 0.5),
                 (1.5, 0.5, 1.0),
-                0x4037_063d_bd32_b784,
-                0x4042_4dc0_2bd9_2980,
+                0x4037_063d_bd32_d706,
+                0x4042_4dc0_2bda_aaaa,
             ),
             (
                 (1.5, 1.0, 0.5),
                 (0.5, 1.5, 1.0),
-                0x4038_9ce1_3b13_6a66,
-                0x4043_7c3c_f69f_800a,
+                0x4038_9ce1_3b13_6072,
+                0x4043_7c3c_f69c_bdba,
             ),
         ];
         for (mu, lam, q99, q999) in cases {
@@ -1313,8 +1322,8 @@ mod tests {
                 let got = p.interval_quantile(level);
                 assert_eq!(got.to_bits(), want, "{mu:?} {lam:?}: q({level}) = {got}");
             }
-            let chain = p.build_full_chain();
-            let mut seq = chain.ctmc.absorption_seq(FlagChain::START);
+            let op = p.matrix_free_op();
+            let mut seq = op.absorption_seq();
             seq.eval(Column::Absorbed, p.interval_quantile(0.999));
             assert!(seq.tail().is_some(), "{mu:?} {lam:?}: no tail switch");
         }
@@ -1391,7 +1400,7 @@ mod tests {
 
     #[test]
     fn all_strategies_agree_on_heterogeneous_rates() {
-        // The same model solved three ways — dense LU, CSR
+        // The same model solved three ways — dense GTH, CSR
         // Gauss–Seidel, matrix-free Krylov — must agree to solver
         // precision, at every size the dense reference can reach.
         for n in [3usize, 5, 7] {
@@ -1416,16 +1425,11 @@ mod tests {
 
     #[test]
     fn auto_strategy_tracks_state_count() {
-        for (n, want) in [
-            (3, SolverStrategy::Dense),
-            (8, SolverStrategy::Dense),
-            (9, SolverStrategy::MatrixFree),
-            (12, SolverStrategy::MatrixFree),
-            (14, SolverStrategy::MatrixFree),
-        ] {
+        // One backend at every size the operator admits.
+        for n in 2..=FlagChainOp::MAX_N {
             assert_eq!(
                 AsyncParams::symmetric(n, 1.0, 1.0).solver_strategy(),
-                want,
+                SolverStrategy::MatrixFree,
                 "n = {n}"
             );
         }

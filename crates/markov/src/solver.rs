@@ -1,33 +1,39 @@
 //! Solver-strategy selection for absorption solves.
 //!
-//! The workspace solves `(−Q_TT)·x = b` (and its transpose) over chains
-//! whose transient state count spans six orders of magnitude: the n = 2
-//! flag chain has 4 transient states, the n = 20 chain has 2²⁰. No
-//! single backend covers that range, so every absorption entry point
-//! dispatches on a [`SolverStrategy`]:
+//! The generic chains ([`crate::Ctmc`], [`crate::Dtmc`]) solve
+//! `(−Q_TT)·x = b` (and its transpose) over transient blocks from a few
+//! states (the lumped chain of Figure 3) to about 1.5·2¹⁶ (the split
+//! chain of Figure 4), so every generic absorption entry point dispatches
+//! on a [`SolverStrategy`]:
 //!
 //! | strategy | transient states | memory | work |
 //! |----------|------------------|--------|------|
-//! | [`SolverStrategy::Dense`] | ≤ 2⁸ | O(S²) | O(S³) LU factorisation |
-//! | [`SolverStrategy::MatrixFree`] | above | O(S) vectors | O(nnz) per [`crate::matfree`] operator apply — the matrix is never stored |
+//! | [`SolverStrategy::Dense`] | ≤ 2⁸ | O(S²) | O(S³) GTH elimination (`Ctmc`), LU (`Dtmc`) |
+//! | [`SolverStrategy::MatrixFree`] | above | O(S) vectors | O(nnz) per CSR operator apply, Jacobi-preconditioned BiCGSTAB |
 //! | [`SolverStrategy::GaussSeidel`] | forced only | O(nnz) CSR | O(nnz) per sweep |
 //!
-//! [`SolverStrategy::auto`] picks dense LU or matrix-free Krylov;
+//! [`SolverStrategy::auto`] picks the dense or the Krylov backend;
 //! Gauss–Seidel is never picked (on skewed flag chains its sweep count
 //! explodes) but stays available to callers that force it, as an
-//! independent reference. Benches and conformance tests force specific
-//! backends to compare them on identical problems.
+//! independent reference.
+//!
+//! The paper's flag chain does not dispatch on its size:
+//! [`crate::paper::AsyncParams`] answers every query through the
+//! never-materialised [`crate::matfree`] operator at every n, and the
+//! materialised chain serves only the `*_with` calls that force
+//! [`SolverStrategy::Dense`] or [`SolverStrategy::GaussSeidel`]. Benches
+//! and conformance tests force specific backends to compare them on
+//! identical problems.
 
-/// Largest transient-state count solved by dense LU (2⁸ — the n = 8
-/// full flag chain). From n = 9 on, the matrix-free solve with its
-/// Gauss–Seidel-smoothed two-level preconditioner is faster on
-/// symmetric and skewed rates alike.
+/// Largest transient-state count a generic chain solves densely (2⁸):
+/// O(S³) elimination stays in the low milliseconds up to there.
 pub const DENSE_MAX_STATES: usize = 1 << 8;
 
 /// Which backend an absorption solve runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverStrategy {
-    /// Dense partially-pivoted LU over the materialised transient block.
+    /// Dense elimination over the materialised transient block: GTH for a
+    /// [`crate::Ctmc`], partially pivoted LU for a [`crate::Dtmc`].
     Dense,
     /// Gauss–Seidel sweeps over the materialised CSR generator. Never
     /// chosen by [`SolverStrategy::auto`]; callers force it as a
@@ -36,13 +42,15 @@ pub enum SolverStrategy {
     /// Preconditioned BiCGSTAB touching the matrix only through
     /// operator applies ([`crate::matfree::LinOp`]); for the flag chain
     /// the applies come straight from the R1–R4 bit-mask rules and the
-    /// generator is never materialised.
+    /// generator is never materialised. The flag chain's default backend
+    /// at every n.
     MatrixFree,
 }
 
 impl SolverStrategy {
-    /// The default backend for a system with `n_transient` transient
-    /// states: dense ≤ [`DENSE_MAX_STATES`], matrix-free Krylov above.
+    /// The default backend for a generic chain with `n_transient`
+    /// transient states: dense ≤ [`DENSE_MAX_STATES`], Krylov above. The
+    /// flag chain does not ask ([`crate::paper::AsyncParams::solver_strategy`]).
     pub fn auto(n_transient: usize) -> SolverStrategy {
         if n_transient <= DENSE_MAX_STATES {
             SolverStrategy::Dense

@@ -1,17 +1,16 @@
 //! Heterogeneous-rate gates for the default solver dispatch.
 //!
-//! `AsyncParams::mean_interval()` goes through `SolverStrategy::auto`:
-//! dense LU through n = 8, the matrix-free Krylov solve above. The
-//! matrix-free preconditioner's coarse level is exact only for
-//! homogeneous rates, so these gates pin the skewed families the
-//! default path actually serves, n = 6…14:
+//! `AsyncParams::mean_interval()` answers through the matrix-free Krylov
+//! solve at every n. Its preconditioner's coarse level is exact only for
+//! homogeneous rates, so these gates pin skewed families on the default
+//! path, n = 6…14:
 //!
 //! * the benchmark family μᵢ = 0.5 + 1.5·i/n (i = 0…n−1), with pair
 //!   rates spread over (0.2…0.8)/(n−1);
 //! * the same family shifted to i = 1…n;
 //! * a stalled-process family: the benchmark family with μ₀ = 0.05.
 //!
-//! Each mean is checked against an independent backend — dense LU for
+//! Each mean is checked against an independent backend — dense GTH for
 //! n ≤ 10, CSR Gauss–Seidel for n = 11–13 — and every matrix-free solve
 //! must converge in a bounded number of BiCGSTAB iterations. Ignored in
 //! debug builds (the Gauss–Seidel references take minutes unoptimised);

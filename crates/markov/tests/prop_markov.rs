@@ -12,9 +12,9 @@ use rbmarkov::solver::SolverStrategy;
 /// Random heterogeneous parameters for `n` processes: strictly positive
 /// μ and non-negative λ. The λ range keeps ρ below the domino regime —
 /// there E\[X\] (and with it the condition number of −Q_TT) grows
-/// exponentially, and *every* f64 backend loses digits to κ·ε, so
-/// backend-agreement assertions at 1e-9 would test conditioning, not
-/// correctness.
+/// exponentially, and LU and Gauss–Seidel lose digits to κ·ε, so
+/// agreement assertions at 1e-9 would test their conditioning, not
+/// correctness. `domino.rs` covers that regime against GTH.
 fn arb_params(n: usize) -> impl Strategy<Value = AsyncParams> {
     (
         prop::collection::vec(0.2f64..3.0, n),
@@ -174,7 +174,7 @@ proptest! {
     #[test]
     fn matrix_free_mean_matches_dense_and_gs(p in arb_params(5)) {
         // Three backends, one model: the matrix-free Krylov solve must
-        // reproduce the dense LU and CSR Gauss–Seidel answers to 1e-9
+        // reproduce the dense GTH and CSR Gauss–Seidel answers to 1e-9
         // relative error (the PR's acceptance tolerance for n ≤ 10).
         let dense = p.mean_interval_with(SolverStrategy::Dense);
         let gs = p.mean_interval_with(SolverStrategy::GaussSeidel);

@@ -12,7 +12,10 @@ For each symmetric model (mu = 1, lambda = rho/(n-1) rounded to f64, as
   is the f64 nearest the reference and t_i is rounded as f64 arithmetic
   rounds it, so the Rust gate evaluates at the very same points.
 
-It then prints a second table, `DISTRIBUTION`, for the same models plus
+It then prints a table, `LUMPED`, of E[X] alone for the domino-regime
+models whose lumped mean `domino.rs` gates (partially pivoted LU declared
+the first four singular), and a second table, `DISTRIBUTION`, for the
+`MODELS` plus
 the domino models (9, 8) and (10, 16), and a third, `PINNED`, for the
 symmetric models that `survival_reproduces_pinned_bits` pins ((3, 2),
 (4, 0) and (10, 1)):
@@ -26,7 +29,8 @@ The survival function S(t) = e_0' exp(Q_TT t) 1 comes from the
 eigendecomposition of Q_TT; every CDF point and every density point is
 cross-checked against mpmath's `expm`. Run it with
 `python3 stiff_tail_reference.py` and paste its output over the
-`REFERENCE`, `DISTRIBUTION` and `PINNED` tables in `stiff_tail.rs`.
+`REFERENCE`, `DISTRIBUTION` and `PINNED` tables in `stiff_tail.rs` and the
+`LUMPED` table in `domino.rs`.
 """
 
 import mpmath as mp
@@ -34,6 +38,7 @@ import mpmath as mp
 mp.mp.dps = 40
 
 MODELS = [(6, 4), (6, 8), (6, 16), (8, 8), (9, 4), (12, 2), (12, 4)]
+LUMPED = [(12, 32), (14, 16), (16, 16), (20, 8), (16, 8), (9, 8), (10, 16), (11, 16), (14, 8)]
 POINTS = 64
 # Grid indices (1-based) of the survival and density points.
 GRID_POINTS = (1, 16, 32, 64)
@@ -159,6 +164,11 @@ def main():
             row = ", ".join(repr(float(x)) for x in cdf[k : k + 4])
             print(f"        {row},")
         print("    ]),")
+    print()
+    print("// LUMPED: (n, rho, E[X])")
+    for n, rho in LUMPED:
+        _, ex, _ = model(n, rho)
+        print(f"    ({n}, {rho}.0, {float(ex)!r}),")
     for name, rows in (("DISTRIBUTION", DISTRIBUTION), ("PINNED", PINNED)):
         print()
         print(f"// {name}: (n, rho, (t, S(t), f(t)) points, (p, t_p) levels)")

@@ -192,7 +192,7 @@ impl SchemeConformance {
         let mut checks = Vec::new();
 
         // Path A: full-chain CTMC absorption solve on the default
-        // backend (dense LU at the matrix's sizes).
+        // backend (the refined matrix-free solve).
         let ex_ctmc = params.mean_interval();
 
         // Path B: embedded discrete chain with state splitting — an
