@@ -6,7 +6,7 @@
 //!
 //! | scheme | paths compared |
 //! |--------|----------------|
-//! | asynchronous (§2) | event simulation ↔ full-chain CTMC (LU absorption solve) ↔ embedded split-chain DTMC (fundamental matrix) ↔ lumped chain (symmetric) ↔ `Exp(Σμ)` closed form (λ = 0) |
+//! | asynchronous (§2) | event simulation ↔ full-chain CTMC (materialised chain, GTH absorption solve) ↔ matrix-free flag-chain operator (the default backend) ↔ embedded split-chain DTMC (fundamental matrix) ↔ lumped chain (symmetric) ↔ `Exp(Σμ)` closed form (λ = 0) |
 //! | synchronized (§3) | commit-round simulation ↔ inclusion–exclusion closed form ↔ adaptive quadrature of the paper's integral, plus the idle-time identity |
 //! | PRP (§4) | storage-timeline simulation ↔ §4 closed-form overheads, plus Poisson RP-count checks and the rollback-distance bound under fault injection |
 //!
@@ -14,13 +14,13 @@
 //! `z · std_err` from the run's own Welford accumulator (plus a small
 //! absolute floor for near-zero quantities); analytic-vs-analytic
 //! checks use fixed numerical tolerances matched to the solver
-//! precision (LU/fundamental-matrix ~1e-7 relative, quadrature ~1e-5).
+//! precision (GTH/Krylov/fundamental-matrix ~1e-7 relative, quadrature ~1e-5).
 //!
 //! **Distribution-level checks** go beyond the scalar moments: every
 //! scenario's simulated interval *sample* is gated against the analytic
-//! CDF with a Kolmogorov–Smirnov statistic (through the auto backend
-//! and the forced matrix-free operator — two independent uniformization
-//! constructions) and a Pearson χ² over binned expected masses with the
+//! CDF with a Kolmogorov–Smirnov statistic (through the materialised
+//! chain, forced dense, and the default matrix-free operator — two
+//! independent uniformization constructions) and a Pearson χ² over binned expected masses with the
 //! histogram's out-of-range mass as explicit cells; the synchronized
 //! scheme's establishment span is gated against its order-statistics
 //! closed form the same way. Critical values sit at
@@ -191,9 +191,11 @@ impl SchemeConformance {
         let params = sc.params();
         let mut checks = Vec::new();
 
-        // Path A: full-chain CTMC absorption solve on the default
-        // backend (the refined matrix-free solve).
-        let ex_ctmc = params.mean_interval();
+        // Path A: full-chain CTMC absorption solve on the materialised
+        // chain, forced dense (GTH elimination of −Q_TT; cheap at the
+        // scenario sizes). The default matrix-free backend is gated
+        // against it in Path D′.
+        let ex_ctmc = params.mean_interval_with(SolverStrategy::Dense);
 
         // Path B: embedded discrete chain with state splitting — an
         // independent construction *and* an independent solver
@@ -231,14 +233,14 @@ impl SchemeConformance {
             ));
         }
 
-        // Path D′: the matrix-free Krylov backend, *forced* at every
-        // size (auto dispatch only reaches it at n ≥ 14). The operator
+        // Path D′: the default backend — the matrix-free Krylov solve
+        // every `AsyncParams` query takes at every n. The operator
         // regenerated from the R1–R4 bit-mask rules must land on the
-        // same E[X] as whichever materialised backend the size picks —
-        // this wires the large-n solver into the whole matrix, so a
-        // perf-motivated change to the operator or the preconditioner
+        // same E[X] as the materialised chain of Path A — this wires the
+        // default solver into the whole matrix, so a perf-motivated
+        // change to the operator, the preconditioner or the refinement
         // trips the conformance gate, not just the scaling benches.
-        let ex_matfree = params.mean_interval_with(SolverStrategy::MatrixFree);
+        let ex_matfree = params.mean_interval();
         checks.push(Check::within(
             "async/EX/ctmc-vs-matrix-free",
             ex_ctmc,
@@ -279,10 +281,10 @@ impl SchemeConformance {
 
         // Distribution-level gates: the whole simulated interval sample
         // against the analytic law, not just its first moment. Two CDF
-        // constructions are gated — the auto backend (materialised CSR
-        // uniformization at these sizes) and the forced matrix-free
-        // bit-rule operator — plus the Exp(Σμ) closed form where the
-        // chain degenerates to the first-RP race.
+        // constructions are gated — the materialised chain, forced dense
+        // (CSR uniformization of the built `FlagChain`), and the default
+        // matrix-free bit-rule operator — plus the Exp(Σμ) closed form
+        // where the chain degenerates to the first-RP race.
         let samples = stats.samples.as_ref().expect("samples were requested");
         let mut sorted = samples.clone();
         sorted.sort_by(f64::total_cmp);
@@ -290,15 +292,15 @@ impl SchemeConformance {
             &sorted,
             stats.interval.mean(),
             "ctmc",
-            |ts| params.interval_cdf_batch(ts),
+            |ts| params.interval_cdf_batch_with(SolverStrategy::Dense, ts),
             &mut checks,
         );
-        // The forced matrix-free operator is an independent CDF
+        // The default matrix-free operator is an independent CDF
         // construction; KS alone is enough there (χ² already gated the
-        // binned shape against the auto backend above).
+        // binned shape against the materialised chain above).
         let pts = gof::ks_eval_points(&sorted);
         let ks_crit = gof::ks_critical(sorted.len() as u64, self.gof_alpha);
-        let f_mf = params.interval_cdf_batch_with(SolverStrategy::MatrixFree, &pts);
+        let f_mf = params.interval_cdf_batch(&pts);
         checks.push(Check::at_most(
             "async/Xdist/ks-sim-vs-matrix-free",
             gof::ks_statistic_at(&sorted, &f_mf),

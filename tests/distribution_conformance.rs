@@ -65,13 +65,13 @@ fn every_matrix_scenario_runs_distribution_checks_and_passes() {
             sc.id,
             dist_checks.len()
         );
-        // The forced matrix-free CDF is gated on every scenario, not
-        // just the large-n one.
+        // The matrix-free CDF is gated on every scenario, not just the
+        // large-n one.
         assert!(
             dist_checks
                 .iter()
                 .any(|c| c.label.ends_with("ks-sim-vs-matrix-free")),
-            "{}: no forced matrix-free KS check",
+            "{}: no matrix-free KS check",
             sc.id
         );
         report.assert_ok();
