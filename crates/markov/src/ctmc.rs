@@ -325,12 +325,12 @@ impl Ctmc {
     }
 
     /// [`Ctmc::absorption_cdf`] at **many** times in one uniformization
-    /// pass: the jump chain is propagated once up to the horizon the
-    /// largest `t` needs, recording the absorbed mass after each step;
-    /// every F(t) is then a Poisson mixture over that sequence. Cost is
-    /// one propagation plus O(Λ·tᵢ) scalar work per point — the hook
-    /// the distribution-level conformance gates (KS over thousands of
-    /// sample points) rely on. Once the transient mass decays
+    /// pass: the jump chain is propagated once up to the right edge of the
+    /// largest `t`'s Poisson window, recording the absorbed mass after
+    /// each step; every F(t) is then a Poisson mixture over that sequence.
+    /// Cost is one propagation plus O(√(Λ·tᵢ)) scalar work per point —
+    /// the hook the distribution-level conformance gates (KS over
+    /// thousands of sample points) rely on. Once the transient mass decays
     /// geometrically the propagation stops, and points past 2¹⁰ steps
     /// cost O(k₀) each (see the **Geometric tail** of [`crate::matfree`]).
     ///
@@ -383,7 +383,8 @@ impl Ctmc {
     }
 }
 
-/// Truncation mass of the absorption-time Poisson mixtures.
+/// Truncation of the absorption-time Poisson mixtures: the Poisson mass
+/// a window may leave out on either side (see [`poisson_mixture`]).
 const MIXTURE_EPS: f64 = 1e-12;
 
 /// Consecutive jump steps whose decay ratio must stay settled before
@@ -395,7 +396,7 @@ const TAIL_SETTLE_STEPS: usize = 16;
 /// ratio on the flag chains).
 const TAIL_SETTLE_TOL: f64 = 1e-13;
 
-/// Query horizons of at least this many jump steps evaluate the geometric
+/// Query windows reaching this many jump steps evaluate the geometric
 /// tail in closed form; shorter ones extend the sequence with scalars.
 const TAIL_CLOSED_FORM_STEPS: usize = 1 << 10;
 
@@ -410,6 +411,19 @@ pub(crate) enum Column {
     Inflow,
 }
 
+impl Column {
+    /// The `base` its [`poisson_mixture`] is taken around. F mixes
+    /// 1 − absorbed, which only decreases, so F stays monotone where it
+    /// rounds near 1; S and f mix their entries directly.
+    fn base(self) -> f64 {
+        if self == Column::Absorbed {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
 /// The absorption-time distribution as Poisson mixtures over one
 /// jump-chain propagation. After k uniformized jumps it has recorded the
 /// absorbed mass, the transient mass and the mass absorbed in each step,
@@ -421,11 +435,14 @@ pub(crate) enum Column {
 ///   precision deep in the tail, where F rounds to 1;
 /// - f(t) is Λ times the mix of the per-step inflow.
 ///
-/// A batch of evaluations, or the dozens of probes a quantile or
-/// tail-time search makes, therefore pays for a single propagation to the
-/// final horizon, then O(Λ·t) scalars per query. Shared by the
-/// materialised chain and the matrix-free flag-chain operator; only the
-/// jump step differs.
+/// A query at time t reads only the Fox–Glynn window of Pois(Λt) (see
+/// [`poisson_mixture`]): O(√(Λt)) entries around the mode, up to the right
+/// edge R(Λt) ≈ Λt + 7.4·√(Λt) that [`window_right`] bounds in O(1). A
+/// batch of evaluations, or the 8–19 probes of a quantile search on
+/// Table 1's models ([`AbsorptionSeq::crossing`]), therefore pays for a single
+/// propagation to the largest window's right edge, then O(√(Λt)) scalars
+/// per query. Shared by the materialised chain and the matrix-free
+/// flag-chain operator; only the jump step differs.
 ///
 /// **Geometric tail.** Let mₖ = 1 − absorbedₖ be the transient mass after
 /// k steps. The ratio qₖ = mₖ/mₖ₋₁ is the power iteration on the
@@ -439,15 +456,12 @@ pub(crate) enum Column {
 /// α + β·q^{k−k₀}: (α, β) is (1, −m_{k₀}) for the absorbed mass,
 /// (0, s_{k₀}) for the recorded transient mass s, and (0, (1 − q)·s_{k₀})
 /// for the inflow.
-/// - A query whose horizon is under 2¹⁰ steps extends the columns with
-///   those scalars and sums its [`poisson_mixture`] as before.
+/// - A query whose window ends before step 2¹⁰ extends the columns to
+///   its right edge with those scalars and mixes them as before.
 /// - A longer one evaluates the tail in closed form, in O(k₀), for all
-///   three columns alike:
+///   three columns alike, without computing a window:
 ///   Σ_{k≥k₀} Pois(k; a)·(α + β·q^{k−k₀})
 ///   = α·P(Pois(a) ≥ k₀) + β·e^{−a(1−q)}·q^{−k₀}·P(Pois(a·q) ≥ k₀).
-///   The mixture's log-weight recurrence drifts by about ε·a^{3/2} over
-///   a terms (1.2e-11 of F at a = 7.7·10³), while the closed form's
-///   weights are computed directly.
 /// - 1 − qₖ is the mass absorbed in step k, summed from the transient
 ///   states' flux, over mₖ₋₁. On stiff chains q lies within 1e-7 of 1:
 ///   taken as a difference of two absorbed masses, 1 − qₖ carries rounding
@@ -483,10 +497,16 @@ pub(crate) struct AbsorptionSeq<'a> {
     watch: RatioWatch,
     /// Set once the ratio has settled; the propagation stops there.
     tail: Option<GeometricTail>,
+    /// The largest |entry| recorded in any column: bounds the entries a
+    /// window leaves out on its left.
+    peak: f64,
     /// Never switch to the tail: the propagated reference the tail is
     /// tested against.
     #[cfg(test)]
     untailed: bool,
+    /// Evaluations so far: the work of a search, which the tests bound.
+    #[cfg(test)]
+    evals: usize,
 }
 
 /// The latest decay ratio and how long it has stayed settled.
@@ -579,8 +599,11 @@ impl<'a> AbsorptionSeq<'a> {
             signed_decay: 0.0,
             watch: RatioWatch::default(),
             tail: None,
+            peak: absorbed0.abs().max(transient0.abs()),
             #[cfg(test)]
             untailed: false,
+            #[cfg(test)]
+            evals: 0,
         }
     }
 
@@ -621,27 +644,32 @@ impl<'a> AbsorptionSeq<'a> {
     /// `x⁻` pass through unclamped. A chain that never moves (Λ = 0) has
     /// no density.
     pub(crate) fn eval(&mut self, c: Column, t: f64) -> f64 {
+        #[cfg(test)]
+        {
+            self.evals += 1;
+        }
         if t < 0.0 || (c == Column::Inflow && self.lambda == 0.0) {
             return if c == Column::Transient { 1.0 } else { 0.0 };
         }
         let lt = self.lambda * t;
-        // The mixture reads entries 0..=k_need of the column: at t = 0
-        // only the first.
-        let k_need = if lt > 0.0 {
-            (lt + 10.0 * lt.sqrt() + 64.0) as usize
-        } else {
-            0
-        };
+        // The window reads entries 0..=right of the column: at t = 0 only
+        // the first.
+        let right = window_right(lt);
         // Once the column has converged the remaining steps cannot change
         // its mixture beyond the truncation, so stop propagating (keeps the
         // pass bounded by the chain's mixing time, not by the largest t).
         // A settled decay ratio stops it too: the rest of the sequence is
         // the geometric tail.
-        while self.tail.is_none() && self.column(c).len() <= k_need && !self.converged(c) {
+        while self.tail.is_none() && self.column(c).len() <= right && !self.converged(c) {
             let (absorbed, transient, inflow) = (self.step)();
             self.absorbed.push(absorbed);
             self.transient.push(transient);
             self.inflow.push(inflow);
+            self.peak = self
+                .peak
+                .max(absorbed.abs())
+                .max(transient.abs())
+                .max(inflow.abs());
             self.signed *= self.signed_decay;
             self.watch_ratio();
         }
@@ -651,52 +679,56 @@ impl<'a> AbsorptionSeq<'a> {
             1.0
         };
         if let Some(tail) = self.tail {
-            if k_need >= TAIL_CLOSED_FORM_STEPS && tail.k0 as f64 <= lt * (1.0 - tail.d) {
+            if right >= TAIL_CLOSED_FORM_STEPS && tail.k0 as f64 <= lt * (1.0 - tail.d) {
                 return scale * tail.mixture(lt, &self.column(c)[..tail.k0], c);
             }
-            while self.column(c).len() <= k_need && !self.converged(c) {
+            // Extended entries shrink geometrically from recorded ones, so
+            // `peak` still bounds them.
+            while self.column(c).len() <= right && !self.converged(c) {
                 let k = self.absorbed.len();
                 self.absorbed.push(tail.entry(Column::Absorbed, k));
                 self.transient.push(tail.entry(Column::Transient, k));
                 self.inflow.push(tail.entry(Column::Inflow, k - 1));
             }
         }
-        scale * poisson_mixture(lt, self.column(c), MIXTURE_EPS)
+        scale * poisson_mixture(lt, self.column(c), c.base(), self.peak)
     }
 
     /// The time at which column `c` crosses `level`: F rising to it or S
-    /// falling to it. The search brackets by doubling from `t0`, then
-    /// bisects 80 times; every probe reuses the one propagation.
+    /// falling to it. The search doubles from `t0` until the level is
+    /// bracketed, then runs Brent's method on F − level, or on
+    /// ln S − ln level, which the geometric tail makes nearly linear. It
+    /// stops once the bracket is a few ulps wide, after 8–19 evaluations
+    /// on Table 1's models; every probe reuses the one propagation.
     ///
     /// # Panics
     /// Panics if 80 doublings do not bracket the level.
     pub(crate) fn crossing(&mut self, c: Column, level: f64, t0: f64) -> f64 {
         debug_assert!(c != Column::Inflow, "the density has no crossing");
-        let mut before = |t: f64| {
+        // Negative before the crossing, positive after it. S is floored at
+        // the smallest normal so that ln S stays finite past an underflow.
+        let mut g = |t: f64| {
             let v = self.eval(c, t);
             if c == Column::Transient {
-                v > level
+                level.ln() - v.max(f64::MIN_POSITIVE).ln()
             } else {
-                v < level
+                v - level
             }
         };
-        let mut hi = t0;
+        let (mut lo, mut g_lo) = (0.0, f64::NAN);
+        let (mut hi, mut g_hi) = (t0, g(t0));
         let mut guard = 0;
-        while before(hi) {
+        while g_hi < 0.0 {
+            (lo, g_lo) = (hi, g_hi);
             hi *= 2.0;
+            g_hi = g(hi);
             guard += 1;
             assert!(guard < 80, "bracket failed to reach {c:?} level {level}");
         }
-        let mut lo = 0.0;
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if before(mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
+        if guard == 0 {
+            g_lo = g(lo);
         }
-        0.5 * (lo + hi)
+        brent(g, lo, g_lo, hi, g_hi)
     }
 
     /// The recorded column `c`.
@@ -765,6 +797,18 @@ impl<'a> AbsorptionSeq<'a> {
         self.tail.map_or(self.absorbed.len() - 1, |t| t.k0)
     }
 
+    /// The uniformization rate Λ.
+    #[cfg(test)]
+    pub(crate) fn rate(&self) -> f64 {
+        self.lambda
+    }
+
+    /// Evaluations of any column so far.
+    #[cfg(test)]
+    pub(crate) fn evals(&self) -> usize {
+        self.evals
+    }
+
     /// The geometric tail, once the ratio has settled.
     #[cfg(test)]
     pub(crate) fn tail(&self) -> Option<GeometricTail> {
@@ -772,31 +816,116 @@ impl<'a> AbsorptionSeq<'a> {
     }
 }
 
-/// `Σ_k Pois(k; lt) · seq[min(k, last)]` with adaptive truncation
-/// (weights accumulated in log space; total truncated mass ≤ eps). The
-/// clamp to the last entry is exact up to eps when the sequence has
-/// converged there (see the early cutoff in the batch CDF).
-pub(crate) fn poisson_mixture(lt: f64, seq: &[f64], eps: f64) -> f64 {
-    if lt <= 0.0 {
-        return if lt < 0.0 { 0.0 } else { seq[0] };
+/// The right edge R of the Poisson window at mean `a`, in O(1): with
+/// x = L/3 + √(L²/9 + 2·L·a) and L = −ln [`MIXTURE_EPS`], R = ⌈a + x⌉
+/// and P(Pois(a) > R) ≤ e^{−x²/(2(a + x/3))} = `MIXTURE_EPS` (the Chernoff
+/// bound, with (1 + u)·ln(1 + u) − u ≥ u²/(2(1 + u/3))). About
+/// a + 7.4·√a for large a; 0 at a = 0.
+pub(crate) fn window_right(a: f64) -> usize {
+    if a <= 0.0 {
+        return 0;
     }
-    let ln_lt = lt.ln();
-    let mut ln_w = -lt;
-    let mut acc = 0.0;
-    let mut cum = 0.0;
-    let k_max = (lt + 10.0 * lt.sqrt() + 64.0) as u64;
-    for k in 0..=k_max {
-        let w = ln_w.exp();
-        if w > 0.0 {
-            acc += w * seq[(k as usize).min(seq.len() - 1)];
-            cum += w;
-        }
-        if cum >= 1.0 - eps {
+    let l = -MIXTURE_EPS.ln();
+    (a + l / 3.0 + (l * l / 9.0 + 2.0 * l * a).sqrt()).ceil() as usize
+}
+
+/// `Σ_k Pois(k; a)·seq[min(k, last)]`, taken as `base` plus the mixture of
+/// `seq − base`, over a Fox–Glynn window (Fox & Glynn, "Computing Poisson
+/// probabilities", *CACM* 31(4), 1988). The clamp to the last entry is
+/// exact up to the truncation when the sequence has converged there (see
+/// [`AbsorptionSeq::eval`]).
+///
+/// The weights start at 1 on the mode ⌊a⌋ and recur outward by the ratios
+/// a/(k + 1) and k/a: no exp, ln or lgamma per term, and a relative error
+/// of O(ε) per step from the mode instead of a log-weight drift of
+/// ε·a^{3/2}. The right side ends at [`window_right`]. The left side ends
+/// at k once the rest is negligible: the weights below k, whose ratios
+/// stay below (k − 1)/a, times the largest |`seq` − `base`| (at most
+/// `peak` + |`base`|), within `MIXTURE_EPS` of the window's weight sum
+/// when `base` ≠ 0 (F's error is absolute), or of the mixed value
+/// otherwise (S and f keep their relative precision, so deep in the tail
+/// their windows reach further left). The sum is normalised by the
+/// window's own weights, so a cut never loses mass.
+pub(crate) fn poisson_mixture(a: f64, seq: &[f64], base: f64, peak: f64) -> f64 {
+    if a == 0.0 {
+        return seq[0];
+    }
+    let last = seq.len() - 1;
+    let term = |k: usize| seq[k.min(last)] - base;
+    let mode = a as usize;
+    let (mut acc, mut sum, mut w) = (term(mode), 1.0, 1.0);
+    for k in mode + 1..=window_right(a) {
+        w *= a / k as f64;
+        acc += w * term(k);
+        sum += w;
+    }
+    let bound = peak + base.abs();
+    let mut w = 1.0;
+    for k in (1..=mode).rev() {
+        // Weights left of k sum to at most w_{k−1}/(1 − (k − 1)/a).
+        let next = w * k as f64 / a;
+        let scale = (base * sum + acc).abs().max(base.abs() * sum);
+        if next * bound <= MIXTURE_EPS * scale * (1.0 - (k - 1) as f64 / a) {
             break;
         }
-        ln_w += ln_lt - ((k + 1) as f64).ln();
+        w = next;
+        acc += w * term(k - 1);
+        sum += w;
     }
-    acc
+    base + acc / sum
+}
+
+/// Brent's method (Brent, *Algorithms for Minimization without
+/// Derivatives*, 1973, ch. 4) for the root of `g` in [`a`, `b`], where
+/// `fa` = g(a) and `fb` = g(b) differ in sign: inverse quadratic or
+/// secant steps while they shrink the bracket fast enough, bisection
+/// otherwise. Stops once the bracket is within 4ε of its best end.
+fn brent(mut g: impl FnMut(f64) -> f64, mut a: f64, mut fa: f64, mut b: f64, mut fb: f64) -> f64 {
+    let (mut c, mut fc) = (a, fa);
+    let (mut d, mut e) = (b - a, b - a);
+    loop {
+        if (fb > 0.0) == (fc > 0.0) {
+            (c, fc) = (a, fa);
+            (d, e) = (b - a, b - a);
+        }
+        if fc.abs() < fb.abs() {
+            (a, fa) = (b, fb);
+            (b, fb) = (c, fc);
+            (c, fc) = (a, fa);
+        }
+        let tol = 2.0 * f64::EPSILON * b.abs() + f64::MIN_POSITIVE;
+        let m = 0.5 * (c - b);
+        if m.abs() <= tol || fb == 0.0 {
+            return b;
+        }
+        if e.abs() < tol || fa.abs() <= fb.abs() {
+            (d, e) = (m, m);
+        } else {
+            let s = fb / fa;
+            let (mut p, mut q) = if a == c {
+                (2.0 * m * s, 1.0 - s)
+            } else {
+                let (qa, r) = (fa / fc, fb / fc);
+                (
+                    s * (2.0 * m * qa * (qa - r) - (b - a) * (r - 1.0)),
+                    (qa - 1.0) * (r - 1.0) * (s - 1.0),
+                )
+            };
+            if p > 0.0 {
+                q = -q;
+            } else {
+                p = -p;
+            }
+            if 2.0 * p < (3.0 * m * q - (tol * q).abs()).min((e * q).abs()) {
+                (e, d) = (d, p / q);
+            } else {
+                (d, e) = (m, m);
+            }
+        }
+        (a, fa) = (b, fb);
+        b += if d.abs() > tol { d } else { tol.copysign(m) };
+        fb = g(b);
+    }
 }
 
 /// `−Q_TT` of a materialised chain as a [`LinOp`] (the CSR is touched
@@ -1074,9 +1203,8 @@ mod tests {
     #[test]
     fn geometric_tail_closed_form_matches_the_extended_mixture() {
         // Σ_{k≥k₀} Pois(k; a)·(α + β·q^{k−k₀}) in closed form against the
-        // same tail extended entry by entry and summed by `poisson_mixture`,
-        // which truncates at 1e-12 and whose log-weights drift by a few
-        // 1e-12 at a = 10⁵, for each column's (α, β).
+        // same tail extended entry by entry to the window's right edge and
+        // mixed by `poisson_mixture`, for each column's (α, β).
         for a in [10.0, 1e3, 1e5] {
             for (k0, m0, d) in [(5, 0.9, 0.3), (8, 0.7, 1e-2), (150, 0.6, 3e-5)] {
                 if k0 as f64 > a * (1.0 - d) {
@@ -1092,9 +1220,9 @@ mod tests {
                 for c in [Column::Absorbed, Column::Transient, Column::Inflow] {
                     let mut seq: Vec<f64> = (0..k0).map(|k| 0.1 * k as f64 / k0 as f64).collect();
                     let closed = tail.mixture(a, &seq, c);
-                    let k_need = (a + 10.0 * a.sqrt() + 64.0) as usize;
-                    seq.extend((k0..=k_need).map(|k| tail.entry(c, k)));
-                    let summed = poisson_mixture(a, &seq, MIXTURE_EPS);
+                    seq.extend((k0..=window_right(a)).map(|k| tail.entry(c, k)));
+                    let peak = seq.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+                    let summed = poisson_mixture(a, &seq, c.base(), peak);
                     assert!(
                         (closed - summed).abs() < 1e-11,
                         "{c:?}, a = {a}, k0 = {k0}, d = {d}: closed form {closed} vs mixture {summed}"

@@ -123,6 +123,19 @@ impl AsyncParams {
             .expect("symmetric parameters are valid by construction")
     }
 
+    /// μᵢ = 0.5 + 1.5·i/n; the k-th of the m pairs has
+    /// λ = (0.2 + 0.6·k/(m−1))/(n−1): skewed rates with a moderate E\[X\],
+    /// the benchmark's skewed family.
+    #[cfg(test)]
+    pub(crate) fn graded(n: usize) -> Self {
+        let mu = (0..n).map(|i| 0.5 + 1.5 * i as f64 / n as f64).collect();
+        let m = n * (n - 1) / 2;
+        let lambda = (0..m)
+            .map(|k| (0.2 + 0.6 * k as f64 / (m - 1) as f64) / (n - 1) as f64)
+            .collect();
+        AsyncParams::new(mu, lambda).expect("graded rates are valid by construction")
+    }
+
     /// The 3-process configurations of Table 1 / Figure 6:
     /// `mu = (μ₁,μ₂,μ₃)`, `lam = (λ₁₂, λ₂₃, λ₁₃)` — note the paper's
     /// pair order, which differs from our canonical (λ₁₂, λ₁₃, λ₂₃).
@@ -286,9 +299,9 @@ impl AsyncParams {
 
     /// The time at which the interval tail reaches `p` (P(X > t) = p),
     /// for p as deep as 1e-12 — the level-placement oracle for
-    /// multilevel splitting: the bracket-and-bisect search of
-    /// [`AsyncParams::interval_quantile`] on the survival function, with
-    /// no mean solve first. Panics if `p` is outside `(1e-300, 1)`.
+    /// multilevel splitting: the search of
+    /// [`AsyncParams::interval_quantile`] on ln S, which the geometric tail
+    /// makes nearly linear in t, with no mean solve first. Panics if `p` is outside `(1e-300, 1)`.
     pub fn interval_tail_time(&self, p: f64) -> f64 {
         assert!(
             p > 1e-300 && p < 1.0,
@@ -318,17 +331,19 @@ impl AsyncParams {
         self.interval_second_moment() / self.mean_interval()
     }
 
-    /// The p-quantile of X (0 < p < 1) by bisection on the CDF —
+    /// The p-quantile of X (0 < p < 1), the root of F(t) = p —
     /// e.g. `interval_quantile(0.99)` bounds the rollback exposure a
     /// time-critical task must budget for under the asynchronous
     /// scheme.
     ///
-    /// Every probe of the bracket-and-bisect search is a Poisson mixture
-    /// over one lazily extended uniformization, so the whole search
-    /// costs a single jump-chain propagation to the bracket's horizon,
-    /// or only to the chain's mixing time once the survival function has
-    /// become one exponential (the **Geometric tail** of
-    /// [`crate::matfree`]). Past 2¹⁰ jump steps each probe takes that
+    /// The search doubles t from 1/Σμ until it brackets the level, then
+    /// converges superlinearly by Brent's method to a bracket a few ulps
+    /// wide: 8–19 probes on Table 1's cases and the benchmark's n ≤ 8
+    /// models. Every probe is a Poisson mixture over one lazily extended
+    /// uniformization, so the whole search costs a single jump-chain
+    /// propagation to the bracket's Poisson window, or only to the
+    /// chain's mixing time once the survival function has become one
+    /// exponential (the **Geometric tail** of [`crate::matfree`]). Past 2¹⁰ jump steps each probe takes that
     /// tail in closed form, so a quantile at E\[X\] = 4·10⁵ costs
     /// milliseconds instead of about 7·10⁷ steps, and agrees with a
     /// 40-digit reference to 1e-13.
@@ -975,6 +990,7 @@ impl SplitChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctmc::window_right;
     use proptest::prelude::*;
 
     #[test]
@@ -1266,7 +1282,7 @@ mod tests {
     fn exponential_case_quantiles_closed_form() {
         // λ = 0 ⇒ X ~ Exp(Σμ): q_p = −ln(1−p)/Σμ — including the
         // near-degenerate levels, where the relative agreement must
-        // survive the bracket-and-bisect search.
+        // survive the bracketed search.
         let p = AsyncParams::new(vec![1.0, 2.0], vec![0.0]).unwrap();
         for level in [1e-6, 0.25, 0.5, 0.9, 1.0 - 1e-6] {
             let want = -(1.0_f64 - level).ln() / 3.0;
@@ -1278,45 +1294,109 @@ mod tests {
         }
     }
 
+    /// Three rates, in `AsyncParams::three`'s order.
+    type Rates = (f64, f64, f64);
+
+    /// Table 1's five 3-process cases, as (μ, λ) in the paper's order.
+    const TABLE1: [(Rates, Rates); 5] = [
+        ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+        ((1.5, 1.0, 0.5), (1.0, 1.0, 1.0)),
+        ((1.0, 1.0, 1.0), (1.5, 0.5, 1.0)),
+        ((1.5, 1.0, 0.5), (1.5, 0.5, 1.0)),
+        ((1.5, 1.0, 0.5), (0.5, 1.5, 1.0)),
+    ];
+
+    #[test]
+    fn quantile_searches_take_at_most_30_evaluations() {
+        // Each probe of a quantile search is one Poisson mixture: Table 1's
+        // quantiles and the benchmark's q₀.₉₉ models (symmetric and graded,
+        // n = 6 and 8) bracket by doubling and then converge superlinearly,
+        // landing on `interval_quantile`'s bits.
+        let table1 = TABLE1.iter().flat_map(|&(mu, lam)| {
+            [0.5, 0.99, 0.999].map(|level| (AsyncParams::three(mu, lam), level))
+        });
+        let bench = [6, 8].into_iter().flat_map(|n| {
+            [
+                (AsyncParams::symmetric(n, 1.0, 1.0 / (n - 1) as f64), 0.99),
+                (AsyncParams::graded(n), 0.99),
+            ]
+        });
+        for (p, level) in table1.chain(bench) {
+            let solver = p.chain_solver(p.solver_strategy());
+            let mut seq = solver.seq();
+            let q = seq.crossing(Column::Absorbed, level, 1.0 / p.total_mu());
+            assert_eq!(q.to_bits(), p.interval_quantile(level).to_bits());
+            assert!(
+                seq.evals() <= 30,
+                "{p:?}: q({level}) took {} evaluations",
+                seq.evals()
+            );
+        }
+    }
+
+    #[test]
+    fn cdf_batch_propagates_only_to_the_last_window() {
+        // A 64-point batch on (0, 6·E[X]] of the graded n = 8 model reads
+        // the Poisson window of its last point, and no more.
+        let p = AsyncParams::graded(8);
+        let t_max = 6.0 * p.mean_interval();
+        let solver = p.chain_solver(p.solver_strategy());
+        let mut seq = solver.seq();
+        for i in 1..=64 {
+            seq.eval(Column::Absorbed, t_max * i as f64 / 64.0);
+        }
+        let right = window_right(seq.rate() * t_max);
+        assert!(
+            seq.steps() <= right,
+            "{} steps past the window's edge {right}",
+            seq.steps()
+        );
+    }
+
+    #[test]
+    fn cdf_never_decreases_near_one() {
+        // The dense n = 8 skewed model of proptest seed 0xce4f0c37b6bb125e
+        // (E[X] = 0.32). A mixture that drops the last 1e-12 of Poisson mass
+        // unnormalised lets F decrease out here, F(73.11) > F(74.36); each
+        // window normalised by its own weights keeps F non-decreasing on a
+        // fine grid out to 300 means, where F has converged to within 1e-12
+        // of 1.
+        let p = arb_skewed_params().sample(&mut TestRng::from_seed(0xce4f_0c37_b6bb_125e));
+        assert_eq!(p.n(), 8);
+        let ts: Vec<f64> = (0..=10_000).map(|i| 0.01 * i as f64).collect();
+        let f = p
+            .chain_solver(SolverStrategy::Dense)
+            .seq()
+            .eval_at(Column::Absorbed, &ts);
+        for (k, w) in f.windows(2).enumerate() {
+            assert!(
+                w[1] >= w[0],
+                "F({}) = {} > F({}) = {}",
+                ts[k],
+                w[0],
+                ts[k + 1],
+                w[1]
+            );
+        }
+        assert!(1.0 - f[10_000] <= 1e-12, "F(100) = {}", f[10_000]);
+    }
+
     #[test]
     fn table1_quantiles_reproduce_pinned_bits() {
         // `interval_quantile(0.99)` and `(0.999)` of Table 1's five
-        // cases, as f64 bits, recorded when the default path moved to the
-        // matrix-free sequence at every n. These searches switch to the
-        // geometric tail and must keep landing on the same bits.
-        let cases = [
-            (
-                (1.0, 1.0, 1.0),
-                (1.0, 1.0, 1.0),
-                0x4032_41f1_a575_694e,
-                0x403c_df76_8fb0_da12,
-            ),
-            (
-                (1.5, 1.0, 0.5),
-                (1.0, 1.0, 1.0),
-                0x4038_480a_45ce_b6d0,
-                0x4043_415f_31f5_0608,
-            ),
-            (
-                (1.0, 1.0, 1.0),
-                (1.5, 0.5, 1.0),
-                0x4031_e983_61b3_06e0,
-                0x403c_546d_58ba_37f8,
-            ),
-            (
-                (1.5, 1.0, 0.5),
-                (1.5, 0.5, 1.0),
-                0x4037_063d_bd32_d706,
-                0x4042_4dc0_2bda_aaaa,
-            ),
-            (
-                (1.5, 1.0, 0.5),
-                (0.5, 1.5, 1.0),
-                0x4038_9ce1_3b13_6072,
-                0x4043_7c3c_f69c_bdba,
-            ),
+        // cases, as f64 bits, recorded when the mixture moved to Fox–Glynn
+        // windows and the search to Brent's method. They lie within 2.4e-12
+        // of the 40-digit reference that `tests/stiff_tail.rs` checks them
+        // against. These searches switch to the geometric tail and must
+        // keep landing on the same bits.
+        let pins = [
+            (0x4032_41f1_a574_2ec0, 0x403c_df76_8fa3_7537),
+            (0x4038_480a_45cc_1125, 0x4043_415f_31eb_37cf),
+            (0x4031_e983_61b1_1d15, 0x403c_546d_58ae_2f70),
+            (0x4037_063d_bd30_f0d2, 0x4042_4dc0_2bd0_319f),
+            (0x4038_9ce1_3b11_70b6, 0x4043_7c3c_f692_c88b),
         ];
-        for (mu, lam, q99, q999) in cases {
+        for ((mu, lam), (q99, q999)) in TABLE1.into_iter().zip(pins) {
             let p = AsyncParams::three(mu, lam);
             for (level, want) in [(0.99, q99), (0.999, q999)] {
                 let got = p.interval_quantile(level);
@@ -1364,14 +1444,13 @@ mod tests {
             p in arb_skewed_params(),
             fracs in prop::collection::vec(0.0f64..1.0, 1..24),
         ) {
-            // Up to six means, as the CDF-batch proptest asks, but at most
-            // 4096 jump steps at S_r's exit rate, the largest: past the
-            // closed-form threshold, within reach of the propagated
-            // reference. On both backends the tailed CDF must match it,
-            // lie in [0, 1] and never decrease, and the tailed S and f
-            // must match theirs to 1e-10 relative.
-            let mean = p.mean_interval_with(SolverStrategy::Dense);
-            let t_max = (6.0 * mean).min(4096.0 / p.normalization());
+            // Out to 4096 jump steps at S_r's exit rate, the largest: past
+            // the closed-form threshold, within reach of the propagated
+            // reference, and hundreds of means deep for most models. On
+            // both backends the tailed CDF must match it, lie in [0, 1] and
+            // never decrease, and the tailed S and f must match theirs to
+            // 1e-10 relative.
+            let t_max = 4096.0 / p.normalization();
             let mut ts: Vec<f64> = fracs.iter().map(|f| f * t_max).collect();
             ts.sort_by(f64::total_cmp);
             for strategy in [SolverStrategy::Dense, SolverStrategy::MatrixFree] {

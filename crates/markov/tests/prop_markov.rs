@@ -278,7 +278,7 @@ proptest! {
         level in 0.02f64..0.98,
     ) {
         // The distribution-level analogue of the E[X] backend race: the
-        // bisection runs on two independently built CDFs (CSR
+        // search runs on two independently built CDFs (CSR
         // uniformization vs bit-rule operator) and must land on the
         // same quantile to solver precision.
         let dense = p.interval_quantile_with(SolverStrategy::Dense, level);

@@ -25,12 +25,18 @@ symmetric models that `survival_reproduces_pinned_bits` pins ((3, 2),
 * the tail time t_p with S(t_p) = p at p = 1e-6, 1e-9 and 1e-12 (the
   pinned n = 10 model: p = 0.2, its pinned level).
 
+A last table, `TABLE1`, holds the quantiles q_p with F(q_p) = p at
+p = 0.5, 0.99 and 0.999 (the f64 levels, taken exactly) of paper Table 1's
+five 3-process cases. Their rates are heterogeneous, so they are computed
+on the full 2^3 + 1-state flag chain (rules R1-R4, the same chain as
+`FlagChain::build`), not on the lumped one.
+
 The survival function S(t) = e_0' exp(Q_TT t) 1 comes from the
 eigendecomposition of Q_TT; every CDF point and every density point is
 cross-checked against mpmath's `expm`. Run it with
 `python3 stiff_tail_reference.py` and paste its output over the
-`REFERENCE`, `DISTRIBUTION` and `PINNED` tables in `stiff_tail.rs` and the
-`LUMPED` table in `domino.rs`.
+`REFERENCE`, `DISTRIBUTION`, `PINNED` and `TABLE1` tables in
+`stiff_tail.rs` and the `LUMPED` table in `domino.rs`.
 """
 
 import mpmath as mp
@@ -50,6 +56,16 @@ PINNED = [
     (4, 0, (0.3, 3.0, 30.0), DEEP),
     (10, 1, (0.3, 3.0, 30.0), ("0.2",)),
 ]
+# Table 1's cases as (mu, lam) with lam = (lambda12, lambda23, lambda13),
+# the paper's pair order (`AsyncParams::three`).
+TABLE1 = [
+    ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+    ((1.5, 1.0, 0.5), (1.0, 1.0, 1.0)),
+    ((1.0, 1.0, 1.0), (1.5, 0.5, 1.0)),
+    ((1.5, 1.0, 0.5), (1.5, 0.5, 1.0)),
+    ((1.5, 1.0, 0.5), (0.5, 1.5, 1.0)),
+]
+TABLE1_LEVELS = (0.5, 0.99, 0.999)
 
 
 def lumped_qtt(n, mu, lam):
@@ -74,6 +90,38 @@ def lumped_qtt(n, mu, lam):
             add(frm, frm - 2, mp.mpf(u * (u - 1) // 2) * lam)
         if u >= 1:
             add(frm, frm - 1, mp.mpf(u * (n - u)) * lam)
+    return q
+
+
+def full_qtt(mu, lam):
+    """Q_TT of the full flag chain over n processes with rates mu[i] and
+    lam[(i, j)] (i < j): index 0 is S_r, 1 + mask the intermediate state of
+    `mask`; the all-ones mask is the absorbing S_{r+1}."""
+    n = len(mu)
+    full = (1 << n) - 1
+    q = mp.zeros(full + 1, full + 1)
+
+    def add(frm, mask, rate):
+        # `mask` None or all ones is the absorbing state S_{r+1}.
+        if rate == 0:
+            return
+        q[frm, frm] -= rate
+        if mask is not None and mask != full:
+            q[frm, 1 + mask] += rate
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    add(0, None, mp.fsum(mu))  # R4
+    for i, j in pairs:  # R2 from S_r, where every flag is 1
+        add(0, full & ~(1 << i) & ~(1 << j), lam[(i, j)])
+    for mask in range(full):
+        frm = 1 + mask
+        for i in range(n):  # R1
+            if not mask >> i & 1:
+                add(frm, mask | 1 << i, mu[i])
+        for i, j in pairs:  # R2 / R3; both flags 0 changes nothing
+            bi, bj = mask >> i & 1, mask >> j & 1
+            if bi or bj:
+                add(frm, mask & ~(bi << i) & ~(bj << j), lam[(i, j)])
     return q
 
 
@@ -148,6 +196,19 @@ def distribution_rows(rows):
         print("    ]),")
 
 
+def table1_rows():
+    """Prints (mu, lam, (q_p for each level)) for Table 1's cases."""
+    for mu, lam in TABLE1:
+        l12, l23, l13 = (mp.mpf(x) for x in lam)
+        q = full_qtt([mp.mpf(x) for x in mu], {(0, 1): l12, (0, 2): l13, (1, 2): l23})
+        ex = mp.lu_solve(-q, mp.matrix([1] * q.rows))[0]
+        s, f = survival_fn(q)
+        cross_check(q, s, f, 1.0)
+        qs = [crossing(s, 1 - mp.mpf(p), ex) for p in TABLE1_LEVELS]
+        row = ", ".join(repr(float(x)) for x in qs)
+        print(f"    ({mu}, {lam}, [{row}]),")
+
+
 def main():
     print("// Generated by stiff_tail_reference.py (mpmath, 40 digits).")
     for n, rho in MODELS:
@@ -173,6 +234,9 @@ def main():
         print()
         print(f"// {name}: (n, rho, (t, S(t), f(t)) points, (p, t_p) levels)")
         distribution_rows(rows)
+    print()
+    print("// TABLE1: (mu, lam, [q0.5, q0.99, q0.999])")
+    table1_rows()
 
 
 if __name__ == "__main__":
