@@ -4,13 +4,11 @@
 //! The full chain is 2ⁿ+1 states, solved matrix-free at every n; the
 //! lumped chain has n+2 states, solved by GTH; and the density solve is
 //! uniformization over the full chain. The `mean_interval/strategy`
-//! group times the default path on symmetric and skewed models next to
-//! forced sparse Gauss–Seidel on the symmetric ones (the CI perf-smoke
-//! job runs this group on every PR).
+//! group times the default path on symmetric and skewed models (the CI
+//! perf-smoke job runs this group on every PR).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbmarkov::paper::{mean_interval_symmetric, AsyncParams, SplitChain};
-use rbmarkov::solver::SolverStrategy;
 use std::hint::black_box;
 
 fn bench_mean_interval_full(c: &mut Criterion) {
@@ -52,17 +50,10 @@ fn skewed(n: usize) -> AsyncParams {
 }
 
 fn bench_solver_strategies(c: &mut Criterion) {
-    // Symmetric models (ρ = 1): forced Gauss–Seidel at the sizes it
-    // still finishes, against the default matrix-free path to n = 16
-    // (n = 20 lives in the fig3_markov sweep and the matfree_scale
-    // gates). Skewed models go through the default path only.
+    // The default matrix-free path on symmetric models (ρ = 1) to
+    // n = 16 (n = 20 lives in the fig3_markov sweep and the matfree_scale
+    // gates) and on skewed ones.
     let mut g = c.benchmark_group("mean_interval/strategy");
-    for n in [12usize, 13] {
-        let params = AsyncParams::symmetric(n, 1.0, 1.0 / (n as f64 - 1.0));
-        g.bench_with_input(BenchmarkId::new("sparse_gs", n), &params, |b, p| {
-            b.iter(|| black_box(p.mean_interval_with(SolverStrategy::GaussSeidel)))
-        });
-    }
     for n in [12usize, 13, 14, 16] {
         let params = AsyncParams::symmetric(n, 1.0, 1.0 / (n as f64 - 1.0));
         g.bench_with_input(BenchmarkId::new("auto_sym", n), &params, |b, p| {

@@ -15,7 +15,6 @@ use rbcore::metrics::Metric;
 use rbcore::schemes::synchronized::{run_sync_timeline, simulate_commit_losses, SyncStrategy};
 use rbcore::workload::{canon_async_params, canon_f64, canon_f64s, Workload};
 use rbmarkov::paper::{mean_interval_symmetric, AsyncParams};
-use rbmarkov::solver::SolverStrategy;
 
 pub use rbcore::workload::{
     AsyncDensity, AsyncIntervals, Conversations, DistSpec, FailureEpisodes, HistoryAudit,
@@ -230,7 +229,7 @@ impl Workload for MatrixFreeLumpability {
     fn run(&self, _seed: u64) -> Vec<Metric> {
         let lambda = 1.0 / (self.n as f64 - 1.0);
         let params = AsyncParams::symmetric(self.n, 1.0, lambda);
-        let ex = params.mean_interval_with(SolverStrategy::MatrixFree);
+        let ex = params.mean_interval();
         let lumped = mean_interval_symmetric(self.n, 1.0, lambda);
         let rel_err = (ex - lumped).abs() / lumped;
         vec![

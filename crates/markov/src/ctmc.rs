@@ -129,10 +129,11 @@ impl Ctmc {
 
     /// Mean time to absorption starting from `start`.
     ///
-    /// Solves (−Q_TT)·τ = 1 over the transient states with the backend
-    /// [`SolverStrategy::auto`] picks for the block size: dense GTH
-    /// elimination ([`crate::linalg::GthFactors`]) or operator-interface
-    /// BiCGSTAB.
+    /// Solves (−Q_TT)·τ = 1 over the transient states by the generic
+    /// chains' one rule ([`crate::solver`]): dense GTH elimination
+    /// ([`crate::linalg::GthFactors`]) up to
+    /// [`crate::solver::DENSE_MAX_STATES`] transient states,
+    /// operator-interface BiCGSTAB above.
     ///
     /// # Panics
     /// Panics if the chain has no absorbing state, or if `start` is

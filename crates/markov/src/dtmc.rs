@@ -7,9 +7,9 @@
 //! expected count of marked transitions before absorption, computed from
 //! the fundamental matrix N = (I − Q)⁻¹.
 
-use crate::linalg::{LuFactors, Matrix};
+use crate::linalg::{GthFactors, Matrix};
 use crate::matfree::{bicgstab, Jacobi, LinOp};
-use crate::solver::SolverStrategy;
+use crate::solver::DENSE_MAX_STATES;
 use crate::sparse::{Csr, Triplets};
 
 /// A finite-state DTMC described by its (row-stochastic) transition
@@ -71,23 +71,18 @@ impl Dtmc {
     /// indices (absorbing states get 0).
     ///
     /// `is_transient[s]` declares which states are transient; absorbing
-    /// states (and their self-loops) are excluded from Q.
+    /// states (and their self-loops) are excluded from Q. Up to
+    /// [`DENSE_MAX_STATES`] transient states the solve is GTH elimination
+    /// of I − Q, which is the transient block of an absorbing chain in
+    /// its own right: its off-diagonal rates are the transient pᵢⱼ and
+    /// each row's rate into absorption is its probability of absorbing.
+    /// Larger blocks go through Jacobi-preconditioned BiCGSTAB on the CSR
+    /// matrix.
     ///
     /// # Panics
     /// Panics if `start` is not transient, or if no absorbing state is
     /// reachable (the expected counts would diverge).
     pub fn expected_visits(&self, start: usize, is_transient: &[bool]) -> Vec<f64> {
-        let strategy = SolverStrategy::auto(is_transient.iter().filter(|&&t| t).count());
-        self.expected_visits_with(start, is_transient, strategy)
-    }
-
-    /// [`Dtmc::expected_visits`] on a caller-chosen backend.
-    pub fn expected_visits_with(
-        &self,
-        start: usize,
-        is_transient: &[bool],
-        strategy: SolverStrategy,
-    ) -> Vec<f64> {
         assert_eq!(is_transient.len(), self.n);
         assert!(is_transient[start], "start state must be transient");
         let transient: Vec<usize> = (0..self.n).filter(|&s| is_transient[s]).collect();
@@ -97,91 +92,43 @@ impl Dtmc {
         for (k, &s) in transient.iter().enumerate() {
             local[s] = k;
         }
-        let start_local = local[start];
+        // (I − Qᵀ)·v = e_start: v[j] = expected visits to j.
+        let mut b = vec![0.0; nt];
+        b[local[start]] = 1.0;
 
-        let v_local = match strategy {
-            SolverStrategy::Dense => {
-                // Solve (I − Qᵀ)·v = e_start: v[j] = expected visits to j.
-                let mut a = Matrix::zeros(nt, nt);
-                for (k, &s) in transient.iter().enumerate() {
-                    a[(k, k)] += 1.0;
-                    for (c, p) in self.p.row(s) {
-                        if local[c] != usize::MAX {
-                            a[(local[c], k)] -= p;
-                        }
+        let v_local = if nt <= DENSE_MAX_STATES {
+            let mut rates = Matrix::zeros(nt, nt);
+            let mut absorb = vec![0.0; nt];
+            for (k, &s) in transient.iter().enumerate() {
+                for (c, p) in self.p.row(s) {
+                    match local[c] {
+                        usize::MAX => absorb[k] += p,
+                        lc if lc != k => rates[(k, lc)] = p,
+                        _ => {}
                     }
                 }
-                let mut b = vec![0.0; nt];
-                b[start_local] = 1.0;
-                LuFactors::new(a)
-                    .expect("fundamental matrix is nonsingular for absorbing chains")
-                    .solve(&b)
             }
-            SolverStrategy::GaussSeidel => {
-                // Gauss–Seidel on v = e_start + Qᵀ·v.
-                // Build the transposed adjacency once.
-                let mut incoming: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nt];
-                let mut self_loop = vec![0.0; nt];
-                for (k, &s) in transient.iter().enumerate() {
-                    for (c, p) in self.p.row(s) {
-                        if local[c] == usize::MAX {
-                            continue;
-                        }
-                        if local[c] == k {
-                            self_loop[k] = p;
-                        } else {
-                            incoming[local[c]].push((k, p));
-                        }
-                    }
-                }
-                let mut v = vec![0.0; nt];
-                let max_iter = 500_000;
-                let tol = 1e-12;
-                let mut converged = false;
-                for _ in 0..max_iter {
-                    let mut delta = 0.0_f64;
-                    for j in 0..nt {
-                        let mut acc = if j == start_local { 1.0 } else { 0.0 };
-                        for &(k, p) in &incoming[j] {
-                            acc += p * v[k];
-                        }
-                        let new = acc / (1.0 - self_loop[j]);
-                        delta = delta.max((new - v[j]).abs());
-                        v[j] = new;
-                    }
-                    if delta < tol {
-                        converged = true;
-                        break;
-                    }
-                }
-                assert!(
-                    converged,
-                    "Gauss–Seidel failed to converge on expected visits"
-                );
-                v
-            }
-            SolverStrategy::MatrixFree => {
-                // BiCGSTAB on (I − Qᵀ)·v = e_start, touching the CSR
-                // only through operator applies.
-                let op = FundamentalTransposed {
-                    p: &self.p,
-                    transient: &transient,
-                    local: &local,
-                };
-                let diag: Vec<f64> = transient.iter().map(|&s| 1.0 - self.prob(s, s)).collect();
-                let mut b = vec![0.0; nt];
-                b[start_local] = 1.0;
-                let mut v = vec![0.0; nt];
-                let outcome = bicgstab(&op, &Jacobi::new(&diag), &b, &mut v, 1e-13, 2000);
-                assert!(
-                    outcome.relative_residual <= 1e-9,
-                    "BiCGSTAB failed to converge on expected visits \
-                     (relative residual {} after {} iterations)",
-                    outcome.relative_residual,
-                    outcome.iterations
-                );
-                v
-            }
+            GthFactors::new(rates, absorb)
+                .expect("every transient state reaches absorption")
+                .solve_transpose(&b)
+        } else {
+            // BiCGSTAB touching the CSR only through operator applies.
+            let op = FundamentalTransposed {
+                p: &self.p,
+                transient: &transient,
+                local: &local,
+            };
+            let diag: Vec<f64> = transient.iter().map(|&s| 1.0 - self.prob(s, s)).collect();
+            let mut v = vec![0.0; nt];
+            let outcome = bicgstab(&op, &Jacobi::new(&diag), &b, &mut v, 1e-13, 2000);
+            assert!(
+                outcome.relative_residual <= 1e-9,
+                "BiCGSTAB failed to converge on expected visits \
+                 (relative residual {} after {} iterations)",
+                outcome.relative_residual,
+                outcome.iterations
+            );
+            v
         };
 
         let mut out = vec![0.0; self.n];
@@ -300,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn visit_solver_strategies_agree() {
+    fn gth_visits_match_the_lu_reference() {
         let d = Dtmc::from_transitions(
             4,
             &[
@@ -313,12 +260,57 @@ mod tests {
             ],
         );
         let transient = [true, true, true, false];
-        let dense = d.expected_visits_with(0, &transient, SolverStrategy::Dense);
-        let gs = d.expected_visits_with(0, &transient, SolverStrategy::GaussSeidel);
-        let krylov = d.expected_visits_with(0, &transient, SolverStrategy::MatrixFree);
-        for s in 0..4 {
-            assert!((dense[s] - gs[s]).abs() < 1e-9, "state {s}: GS");
-            assert!((dense[s] - krylov[s]).abs() < 1e-9, "state {s}: Krylov");
+        let gth = d.expected_visits(0, &transient);
+        // (I − Qᵀ)·v = e_0 by partially pivoted LU.
+        let mut a = Matrix::identity(3);
+        for i in 0..3 {
+            for j in 0..3 {
+                a[(j, i)] -= d.prob(i, j);
+            }
+        }
+        let lu = crate::linalg::solve(a, &[1.0, 0.0, 0.0]).unwrap();
+        for s in 0..3 {
+            assert!(
+                (gth[s] - lu[s]).abs() < 1e-9,
+                "state {s}: {} vs {}",
+                gth[s],
+                lu[s]
+            );
+        }
+        assert_eq!(gth[3], 0.0);
+    }
+
+    #[test]
+    fn krylov_visits_match_gamblers_ruin_closed_form() {
+        // A biased walk on 0..=N with both ends absorbing: N − 1 = 300
+        // transient states, past the dense cap, so the solve runs on the
+        // Krylov arm. Up with p, down with q = 1 − p, r = q/p: from i the
+        // walk wins with probability (1 − rⁱ)/(1 − r^N) and lasts
+        // i/(q − p) − N/(q − p)·(1 − rⁱ)/(1 − r^N) steps on average.
+        let n = 301usize;
+        let (p, q) = (0.55, 0.45);
+        let mut tr = Vec::new();
+        for s in 1..n {
+            tr.push((s, s + 1, p));
+            tr.push((s, s - 1, q));
+        }
+        let d = Dtmc::from_transitions(n + 1, &tr);
+        let transient: Vec<bool> = (0..=n).map(|s| s != 0 && s != n).collect();
+        assert!(transient.iter().filter(|&&t| t).count() > DENSE_MAX_STATES);
+        let r: f64 = q / p;
+        for start in [1usize, 150, 299] {
+            let win = (1.0 - r.powi(start as i32)) / (1.0 - r.powi(n as i32));
+            let steps = start as f64 / (q - p) - n as f64 / (q - p) * win;
+            let got_steps = d.expected_steps(start, &transient);
+            assert!(
+                (got_steps - steps).abs() <= 1e-9 * steps,
+                "steps from {start}: {got_steps} vs {steps}"
+            );
+            let got_win = d.absorption_probability(start, n, &transient);
+            assert!(
+                (got_win - win).abs() <= 1e-9,
+                "win from {start}: {got_win} vs {win}"
+            );
         }
     }
 

@@ -5,9 +5,9 @@
 //! as the absorption time of a continuous-time Markov chain over the
 //! "last-action" flag vector (x₁,…,xₙ) ∈ {0,1}ⁿ. This crate implements:
 //!
-//! * [`linalg`] — dense matrices with LU factorisation and GTH
-//!   elimination for absorbing chains (the state spaces of interest are
-//!   ≤ a few thousand states; no external BLAS needed);
+//! * [`linalg`] — dense matrices and GTH elimination for absorbing
+//!   chains (dense solves stay at ≤ 2⁸ transient states; no external
+//!   BLAS needed);
 //! * [`sparse`] — CSR matrices for the larger chains used in the
 //!   process-count sweeps (2ⁿ+1 states grows quickly);
 //! * [`ctmc`] — generator construction, uniformization for transient
@@ -15,9 +15,10 @@
 //!   distributions);
 //! * [`dtmc`] — embedded/uniformized discrete chains, fundamental-matrix
 //!   expected-visit counts;
-//! * [`solver`] — the [`solver::SolverStrategy`] dispatch of the generic
-//!   chains' absorption solves (dense GTH ≤ 2⁸ transient states, Krylov
-//!   above; CSR Gauss–Seidel only when forced);
+//! * [`solver`] — the one solve rule of the generic chains (dense GTH
+//!   ≤ 2⁸ transient states, Krylov above) and the
+//!   [`solver::SolverStrategy`] that tests and benches force to compare
+//!   backends;
 //! * [`matfree`] — the flag chain as a never-materialised bit-mask
 //!   operator plus two-level-preconditioned BiCGSTAB refined on a
 //!   cancellation-free residual: the backend of every flag-chain query

@@ -1,12 +1,14 @@
-//! Small dense linear algebra: row-major matrices, LU solves, and GTH
-//! elimination for the transient block of an absorbing chain.
+//! Small dense linear algebra: row-major matrices and GTH elimination
+//! for the transient block of an absorbing chain.
 //!
-//! The recovery-line chains solved densely here have at most a few
-//! thousand states, where straightforward elimination is both simple and
-//! fast enough; larger chains go through [`crate::sparse`] and iterative
-//! solves instead. Absorption solves of a CTMC use [`GthFactors`], which
-//! keeps its digits however stiff the chain; [`LuFactors`] serves the
-//! discrete chains.
+//! The recovery-line chains solved densely here have at most
+//! [`crate::solver::DENSE_MAX_STATES`] transient states, where
+//! straightforward elimination is both simple and fast enough; larger
+//! chains go through [`crate::sparse`] and iterative solves instead.
+//! Every dense absorption solve, of a CTMC's −Q_TT and of a DTMC's
+//! I − Q alike, uses [`GthFactors`], which keeps its digits however stiff
+//! the chain. A partially pivoted LU solve is compiled for the tests
+//! alone, as the independent reference GTH is checked against.
 
 use std::fmt;
 
@@ -186,15 +188,18 @@ impl fmt::Debug for Matrix {
     }
 }
 
-/// An LU factorisation with partial pivoting, `P·A = L·U`.
-pub struct LuFactors {
+/// An LU factorisation with partial pivoting, `P·A = L·U`: the tests'
+/// reference for [`GthFactors`].
+#[cfg(test)]
+pub(crate) struct LuFactors {
     lu: Matrix,
     perm: Vec<usize>,
 }
 
+#[cfg(test)]
 impl LuFactors {
     /// Factorises `a` (consumed).
-    pub fn new(mut a: Matrix) -> Result<Self, SingularMatrix> {
+    pub(crate) fn new(mut a: Matrix) -> Result<Self, SingularMatrix> {
         assert_eq!(a.rows, a.cols, "LU requires a square matrix");
         let n = a.rows;
         // Relative singularity threshold: a pivot below machine epsilon
@@ -240,7 +245,7 @@ impl LuFactors {
     }
 
     /// Solves `A·x = b`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.lu.rows;
         assert_eq!(b.len(), n, "dimension mismatch");
         // Apply permutation, then forward/back substitution.
@@ -264,7 +269,8 @@ impl LuFactors {
 }
 
 /// Convenience: solves `A·x = b` by LU with partial pivoting.
-pub fn solve(a: Matrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrix> {
+#[cfg(test)]
+pub(crate) fn solve(a: Matrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrix> {
     Ok(LuFactors::new(a)?.solve(b))
 }
 
@@ -372,6 +378,7 @@ impl GthFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
         a.mul_vec(x)
@@ -506,6 +513,35 @@ mod tests {
         for b in [[1.0, 0.0], [0.0, 1.0], [2.0, 5.0]] {
             let x = lu.solve(&b);
             assert!(residual(&a, &x, &b) < 1e-12);
+        }
+    }
+
+    fn diag_dominant_matrix(n: usize) -> impl Strategy<Value = Matrix> {
+        prop::collection::vec(-1.0f64..1.0, n * n).prop_map(move |vals| {
+            let mut m = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    m[(i, j)] = vals[i * n + j];
+                }
+                m[(i, i)] += n as f64 + 1.0;
+            }
+            m
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lu_solves_diag_dominant_systems(
+            a in diag_dominant_matrix(8),
+            b in prop::collection::vec(-10.0f64..10.0, 8),
+        ) {
+            let x = solve(a.clone(), &b).expect("diag dominant is nonsingular");
+            let r = a.mul_vec(&x);
+            for (ri, bi) in r.iter().zip(&b) {
+                prop_assert!((ri - bi).abs() < 1e-8, "residual {} vs {}", ri, bi);
+            }
         }
     }
 }

@@ -135,7 +135,7 @@
 
 use std::sync::OnceLock;
 
-use crate::ctmc::{AbsorptionSeq, Column};
+use crate::ctmc::AbsorptionSeq;
 use crate::linalg::{GthFactors, Matrix};
 use crate::paper::{AsyncParams, SymmetricChain};
 
@@ -1224,18 +1224,7 @@ impl FlagChainOp {
     /// the convergence report — the building block behind the
     /// absorption accessors, exposed for benches and scaling gates.
     pub fn solve(&self, b: &[f64], transpose: bool) -> (Vec<f64>, KrylovOutcome) {
-        self.solve_with_tol(b, transpose, self.default_tol(), KRYLOV_MAX_ITER)
-    }
-
-    /// [`FlagChainOp::solve`] with explicit convergence parameters
-    /// (`tol` is a relative-residual target).
-    pub fn solve_with_tol(
-        &self,
-        b: &[f64],
-        transpose: bool,
-        tol: f64,
-        max_iter: usize,
-    ) -> (Vec<f64>, KrylovOutcome) {
+        let (tol, max_iter) = (self.default_tol(), KRYLOV_MAX_ITER);
         let mut x = vec![0.0; self.n_transient()];
         let pre = TwoLevel::new(self, transpose);
         let outcome = if transpose {
@@ -1319,36 +1308,19 @@ impl FlagChainOp {
         self.solve_transient(&e0, true)
     }
 
-    /// The absorption-time CDF F(t) = P(X ≤ t) from S_r: one evaluation
-    /// of [`FlagChainOp::absorption_cdf_batch`], bit for bit.
-    /// Non-finite times panic.
-    pub fn absorption_cdf(&self, t: f64) -> f64 {
-        assert!(t.is_finite(), "invalid time {t}");
-        self.absorption_cdf_batch(&[t])[0]
-    }
-
-    /// [`FlagChainOp::absorption_cdf`] at **many** times from a single
-    /// jump-chain propagation: the bit-rule chain is propagated once to
-    /// the right edge of the largest `t`'s Poisson window (`window_right`
-    /// in [`crate::ctmc`]), recording the absorbed mass
-    /// after each step; each F(t) is then a Poisson mixture over that
-    /// sequence. The propagation stops early once the absorbed mass
-    /// converges or the transient mass decays geometrically (module doc,
-    /// **Geometric tail**), so its length is bounded by the chain's
-    /// mixing time, not by the largest `t`.
-    /// This is what makes KS gates over thousands of simulated interval
-    /// samples affordable at n ≥ 14 (2¹⁴+1 states): one O(n²·2ⁿ) pass
-    /// per propagation step, then O(√(Λ·tᵢ)) scalars per query point.
-    ///
-    /// Negative `t` evaluates to 0, so left-limit points `x⁻` from
-    /// `rbsim::gof::ks_eval_points` pass through unclamped.
-    pub fn absorption_cdf_batch(&self, ts: &[f64]) -> Vec<f64> {
-        self.absorption_seq().eval_at(Column::Absorbed, ts)
-    }
-
     /// The absorption-time distribution from S_r as a lazily extended
     /// matrix-free uniformization at [`FlagChainOp::distribution_rate`],
-    /// with S_r's signed mass (module doc, **Uniformization rate**).
+    /// with S_r's signed mass (module doc, **Uniformization rate**): the
+    /// sequence behind every distribution query of
+    /// [`crate::paper::AsyncParams`]. Each jump step records the absorbed
+    /// mass (for F), the transient mass summed over the transient states
+    /// (for S, which keeps its relative precision deep in the tail, where
+    /// 1 − F has no digits left) and the probability flux into S_{r+1}
+    /// (for f). The propagation stops early once the absorbed mass
+    /// converges or the transient mass decays geometrically (module doc,
+    /// **Geometric tail**), so its length is bounded by the chain's mixing
+    /// time: one O(n²·2ⁿ) pass per step, then O(√(Λ·tᵢ)) scalars per query
+    /// point.
     pub(crate) fn absorption_seq(&self) -> AbsorptionSeq<'_> {
         let lambda = self.distribution_rate();
         let nt = self.n_transient();
@@ -1363,31 +1335,6 @@ impl FlagChainOp {
         };
         let entry_decay = (1.0 - self.exit[0] / lambda).abs();
         AbsorptionSeq::new(lambda, 0.0, 1.0, Box::new(step)).with_signed_entry(entry_decay)
-    }
-
-    /// The survival (tail) function S(t) = P(X > t) at **many** times
-    /// from a single jump-chain propagation — the deep-tail counterpart
-    /// of [`FlagChainOp::absorption_cdf_batch`], from the same sequence.
-    ///
-    /// Computing `1 − F(t)` loses *all* relative precision once F
-    /// rounds to 1 (S ≲ 1e-16 at f64); this batch instead mixes the
-    /// **transient mass** after each uniformized jump, summed over the
-    /// transient states, so S(t) keeps its relative precision down to
-    /// (and far below) the 1e-12 regime the rare-event splitting gates
-    /// probe, through the geometric tail as well. Negative `t` evaluates
-    /// to 1. Non-finite times panic.
-    pub fn absorption_survival_batch(&self, ts: &[f64]) -> Vec<f64> {
-        self.absorption_seq().eval_at(Column::Transient, ts)
-    }
-
-    /// The absorption-time density f(t) at each requested time: the
-    /// probability flux into S_{r+1}, Λ times the Poisson mixture of the
-    /// mass absorbed in each jump step, from the same sequence as
-    /// [`FlagChainOp::absorption_cdf_batch`]. The flux from a state is
-    /// Σμ from S_r via R4 and μᵢ from each one-flag-short mask via R1.
-    /// Negative `t` evaluates to 0. Non-finite times panic.
-    pub fn absorption_density(&self, ts: &[f64]) -> Vec<f64> {
-        self.absorption_seq().eval_at(Column::Inflow, ts)
     }
 
     /// The probability flux into S_{r+1} under the distribution `pi` over
@@ -1661,6 +1608,7 @@ impl Precond for TwoLevel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctmc::Column;
     use crate::paper::FlagChain;
 
     /// Deterministic mildly-skewed parameters for n processes.
@@ -2031,6 +1979,11 @@ mod tests {
             .crossing(Column::Transient, p, 1.0 / op.total_mu)
     }
 
+    /// Column `c` of `op`'s absorption sequence at each time in `ts`.
+    fn column(op: &FlagChainOp, c: Column, ts: &[f64]) -> Vec<f64> {
+        op.absorption_seq().eval_at(c, ts)
+    }
+
     #[test]
     fn survival_reproduces_pinned_bits() {
         // S(0.3), S(3), S(30) and the tail time at each level, as f64
@@ -2109,7 +2062,7 @@ mod tests {
         ];
         for (params, levels, s_bits, t_bits) in cases {
             let op = FlagChainOp::new(&params);
-            let s = op.absorption_survival_batch(&[0.3, 3.0, 30.0]);
+            let s = column(&op, Column::Transient, &[0.3, 3.0, 30.0]);
             for (s, want) in s.iter().zip(s_bits) {
                 assert_eq!(s.to_bits(), want, "{params:?}: S = {s}");
             }
@@ -2192,13 +2145,13 @@ mod tests {
         let op = FlagChainOp::new(&params);
         let ts = [0.0, 0.2, 0.7, 1.5, 4.0];
         let want_f = chain.interval_density(&ts);
-        let got_f = op.absorption_density(&ts);
+        let got_f = column(&op, Column::Inflow, &ts);
         for (&t, (g, w)) in ts.iter().zip(got_f.iter().zip(&want_f)) {
             assert!((g - w).abs() < 1e-9, "f({t}): {g} vs {w}");
         }
         for &t in &ts {
             let want = chain.ctmc.absorption_cdf(FlagChain::START, t);
-            let got = op.absorption_cdf(t);
+            let got = column(&op, Column::Absorbed, &[t])[0];
             assert!((got - want).abs() < 1e-9, "F({t}): {got} vs {want}");
         }
     }
@@ -2208,8 +2161,8 @@ mod tests {
         let params = skewed_params(3);
         let op = FlagChainOp::new(&params);
         let ts = [-1.0, 0.0, 0.3, 1.0, 2.5, 6.0];
-        let s = op.absorption_survival_batch(&ts);
-        let f = op.absorption_cdf_batch(&ts);
+        let s = column(&op, Column::Transient, &ts);
+        let f = column(&op, Column::Absorbed, &ts);
         for (&t, (&s, &f)) in ts.iter().zip(s.iter().zip(&f)) {
             let want = if t < 0.0 { 1.0 } else { 1.0 - f };
             assert!((s - want).abs() < 1e-10, "S({t}) = {s} vs 1−F = {want}");
@@ -2230,7 +2183,7 @@ mod tests {
             .iter()
             .map(|p: &f64| -p.ln() / 6.0)
             .collect();
-        let s = op.absorption_survival_batch(&ts);
+        let s = column(&op, Column::Transient, &ts);
         for (&t, &got) in ts.iter().zip(&s) {
             let want = (-6.0 * t).exp();
             assert!(
@@ -2248,7 +2201,7 @@ mod tests {
             for p in [1e-3, 1e-6, 1e-9, 1e-12] {
                 let t = tail_time(&op, p);
                 assert!(t > 0.0 && t.is_finite());
-                let s = op.absorption_survival_batch(&[t])[0];
+                let s = column(&op, Column::Transient, &[t])[0];
                 assert!(
                     (s / p - 1.0).abs() < 1e-6,
                     "n={} p={p}: S({t}) = {s}",
@@ -2272,7 +2225,7 @@ mod tests {
         assert!((op.mean_absorption_time() - 1.0 / 6.0).abs() < 1e-12);
         let t = 0.4_f64;
         let want = 1.0 - (-6.0 * t).exp();
-        assert!((op.absorption_cdf(t) - want).abs() < 1e-9);
+        assert!((column(&op, Column::Absorbed, &[t])[0] - want).abs() < 1e-9);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! interval `X` of the paper; Figures 2–6 and Table 1 all derive from
 //! this chain and its embedded discrete version `Y_d`.
 
-use crate::ctmc::{AbsorptionSeq, Column, Ctmc};
+use crate::ctmc::{Column, Ctmc};
 use crate::dtmc::Dtmc;
 use crate::matfree::FlagChainOp;
 use crate::solver::SolverStrategy;
@@ -199,23 +199,14 @@ impl AsyncParams {
         FlagChainOp::new(self)
     }
 
-    /// The backend every default-path query runs on: the matrix-free
-    /// operator ([`FlagChainOp`]) at every n. Its refined solve keeps
-    /// working precision in the domino regime, and it is the faster
-    /// backend from n = 4 up. The materialised chain serves only the
-    /// `*_with` calls that force [`SolverStrategy::Dense`] or
-    /// [`SolverStrategy::GaussSeidel`].
+    /// The backend every query runs on: the matrix-free operator
+    /// ([`FlagChainOp`]) at every n. Its refined solve keeps working
+    /// precision in the domino regime, and it is the faster backend from
+    /// n = 4 up. The materialised chain serves only the
+    /// [`AsyncParams::mean_interval_with`] calls that force
+    /// [`SolverStrategy::Dense`] or [`SolverStrategy::GaussSeidel`].
     pub fn solver_strategy(&self) -> SolverStrategy {
         SolverStrategy::MatrixFree
-    }
-
-    /// The absorption-solve backend for this model at `strategy`:
-    /// either the materialised chain or the matrix-free operator.
-    fn chain_solver(&self, strategy: SolverStrategy) -> ChainSolver {
-        match strategy {
-            SolverStrategy::MatrixFree => ChainSolver::MatrixFree(self.matrix_free_op()),
-            s => ChainSolver::Materialized(self.build_full_chain(), s),
-        }
     }
 
     /// Mean inter-recovery-line interval E\[X\] (paper §2.3-I).
@@ -241,21 +232,30 @@ impl AsyncParams {
     /// assert!((free - 1.0 / 3.0).abs() < 1e-9);
     /// ```
     pub fn mean_interval(&self) -> f64 {
-        self.mean_interval_with(self.solver_strategy())
+        self.matrix_free_op().mean_absorption_time()
     }
 
-    /// [`AsyncParams::mean_interval`] on a caller-chosen backend —
-    /// the conformance matrix and the `markov_solver` bench use this to
-    /// pit the backends against each other on identical models.
+    /// [`AsyncParams::mean_interval`] on a caller-chosen backend — the
+    /// conformance matrix, the tests and the benchmark's reference table
+    /// use this to pit the backends against each other on identical
+    /// models. [`SolverStrategy::MatrixFree`] is `mean_interval` itself;
+    /// the other two solve the materialised chain
+    /// ([`Ctmc::mean_absorption_time_with`]).
     pub fn mean_interval_with(&self, strategy: SolverStrategy) -> f64 {
-        self.chain_solver(strategy).mean_interval()
+        match strategy {
+            SolverStrategy::MatrixFree => self.mean_interval(),
+            s => self
+                .build_full_chain()
+                .ctmc
+                .mean_absorption_time_with(FlagChain::START, s),
+        }
     }
 
     /// Density f_X(t) at each requested time (paper Figure 6), from the
     /// same absorption sequence as [`AsyncParams::interval_cdf_batch`].
     /// Negative times evaluate to 0. Non-finite times panic.
     pub fn interval_density(&self, ts: &[f64]) -> Vec<f64> {
-        self.distribution(self.solver_strategy(), Column::Inflow, ts)
+        self.distribution(Column::Inflow, ts)
     }
 
     /// CDF of X at `t`: one evaluation of
@@ -277,24 +277,19 @@ impl AsyncParams {
     /// E\[X\]: a 64-point batch up to 6·E\[X\] takes milliseconds at
     /// E\[X\] = 4·10⁵. Non-finite times panic.
     pub fn interval_cdf_batch(&self, ts: &[f64]) -> Vec<f64> {
-        self.interval_cdf_batch_with(self.solver_strategy(), ts)
-    }
-
-    /// [`AsyncParams::interval_cdf_batch`] on a caller-chosen backend.
-    pub fn interval_cdf_batch_with(&self, strategy: SolverStrategy, ts: &[f64]) -> Vec<f64> {
-        self.distribution(strategy, Column::Absorbed, ts)
+        self.distribution(Column::Absorbed, ts)
     }
 
     /// Survival (tail) function P(X > t) at many times, from the same
-    /// absorption sequence and backend as
-    /// [`AsyncParams::interval_cdf_batch`]. It mixes the transient mass,
-    /// summed over the transient states, so it keeps full *relative*
-    /// precision deep in the tail (S ≤ 1e-12), where `1 − interval_cdf(t)`
-    /// has no digits left, and answers stiff models in milliseconds. This is
-    /// the exact survival oracle the rare-event splitting gates compare
-    /// against. Negative times evaluate to 1; non-finite times panic.
+    /// absorption sequence as [`AsyncParams::interval_cdf_batch`]. It
+    /// mixes the transient mass, summed over the transient states, so it
+    /// keeps full *relative* precision deep in the tail (S ≤ 1e-12), where
+    /// `1 − interval_cdf(t)` has no digits left, and answers stiff models
+    /// in milliseconds. This is the exact survival oracle the rare-event
+    /// splitting gates compare against. Negative times evaluate to 1;
+    /// non-finite times panic.
     pub fn interval_survival_batch(&self, ts: &[f64]) -> Vec<f64> {
-        self.distribution(self.solver_strategy(), Column::Transient, ts)
+        self.distribution(Column::Transient, ts)
     }
 
     /// The time at which the interval tail reaches `p` (P(X > t) = p),
@@ -307,17 +302,18 @@ impl AsyncParams {
             p > 1e-300 && p < 1.0,
             "survival level {p} out of (1e-300, 1)"
         );
-        self.crossing(self.solver_strategy(), Column::Transient, p)
+        self.crossing(Column::Transient, p)
     }
 
     /// Second moment E\[X²\] of the inter-line interval.
     pub fn interval_second_moment(&self) -> f64 {
-        self.chain_solver(self.solver_strategy()).second_moment()
+        self.matrix_free_op().absorption_time_second_moment()
     }
 
     /// Variance of the inter-line interval.
     pub fn interval_variance(&self) -> f64 {
-        let (m1, m2) = self.chain_solver(self.solver_strategy()).moments();
+        // The mean rides the second-moment recursion's τ solve.
+        let (m1, m2) = self.matrix_free_op().absorption_time_moments();
         (m2 - m1 * m1).max(0.0)
     }
 
@@ -348,31 +344,23 @@ impl AsyncParams {
     /// milliseconds instead of about 7·10⁷ steps, and agrees with a
     /// 40-digit reference to 1e-13.
     pub fn interval_quantile(&self, p: f64) -> f64 {
-        self.interval_quantile_with(self.solver_strategy(), p)
-    }
-
-    /// [`AsyncParams::interval_quantile`] on a caller-chosen backend —
-    /// lets the conformance tests pin matrix-free quantiles against the
-    /// dense reference.
-    pub fn interval_quantile_with(&self, strategy: SolverStrategy, p: f64) -> f64 {
         assert!(
             (0.0..1.0).contains(&p) && p > 0.0,
             "quantile level out of (0,1)"
         );
-        self.crossing(strategy, Column::Absorbed, p)
+        self.crossing(Column::Absorbed, p)
     }
 
-    /// Column `c` of the absorption sequence on `strategy`'s backend at
-    /// every time in `ts`.
-    fn distribution(&self, strategy: SolverStrategy, c: Column, ts: &[f64]) -> Vec<f64> {
-        self.chain_solver(strategy).seq().eval_at(c, ts)
+    /// Column `c` of the matrix-free absorption sequence at every time in
+    /// `ts`.
+    fn distribution(&self, c: Column, ts: &[f64]) -> Vec<f64> {
+        self.matrix_free_op().absorption_seq().eval_at(c, ts)
     }
 
-    /// The time at which column `c` crosses `level`, searched from
-    /// 1/Σμ on `strategy`'s backend.
-    fn crossing(&self, strategy: SolverStrategy, c: Column, level: f64) -> f64 {
-        self.chain_solver(strategy)
-            .seq()
+    /// The time at which column `c` crosses `level`, searched from 1/Σμ.
+    fn crossing(&self, c: Column, level: f64) -> f64 {
+        self.matrix_free_op()
+            .absorption_seq()
             .crossing(c, level, 1.0 / self.total_mu())
     }
 
@@ -395,53 +383,6 @@ impl AsyncParams {
     /// exposes as an option.
     pub fn mean_rp_count_yd(&self, i: usize, include_terminal: bool) -> f64 {
         SplitChain::build(self, i).expected_rp_count(include_terminal)
-    }
-}
-
-/// One absorption-solve backend bound to a concrete model: either the
-/// materialised chain (dense GTH or CSR Gauss–Seidel over its CSR
-/// generator, for the forcing `*_with` calls) or the never-materialised
-/// bit-mask operator (every default-path query).
-enum ChainSolver {
-    Materialized(FlagChain, SolverStrategy),
-    MatrixFree(FlagChainOp),
-}
-
-impl ChainSolver {
-    fn mean_interval(&self) -> f64 {
-        match self {
-            ChainSolver::Materialized(chain, s) => {
-                chain.ctmc.mean_absorption_time_with(FlagChain::START, *s)
-            }
-            ChainSolver::MatrixFree(op) => op.mean_absorption_time(),
-        }
-    }
-
-    /// The absorption-time distribution as a lazily extended
-    /// uniformization: every distribution query evaluates it.
-    fn seq(&self) -> AbsorptionSeq<'_> {
-        match self {
-            ChainSolver::Materialized(chain, _) => chain.ctmc.absorption_seq(FlagChain::START),
-            ChainSolver::MatrixFree(op) => op.absorption_seq(),
-        }
-    }
-
-    fn second_moment(&self) -> f64 {
-        match self {
-            ChainSolver::Materialized(chain, _) => {
-                chain.ctmc.absorption_time_second_moment(FlagChain::START)
-            }
-            ChainSolver::MatrixFree(op) => op.absorption_time_second_moment(),
-        }
-    }
-
-    /// (E\[X\], E\[X²\]) — on the matrix-free path the mean rides the
-    /// second-moment recursion's τ solve instead of paying its own.
-    fn moments(&self) -> (f64, f64) {
-        match self {
-            ChainSolver::Materialized(..) => (self.mean_interval(), self.second_moment()),
-            ChainSolver::MatrixFree(op) => op.absorption_time_moments(),
-        }
     }
 }
 
@@ -990,7 +931,7 @@ impl SplitChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctmc::window_right;
+    use crate::ctmc::{window_right, AbsorptionSeq};
     use proptest::prelude::*;
 
     #[test]
@@ -1149,24 +1090,29 @@ mod tests {
     }
 
     #[test]
-    fn cdf_batch_matches_pointwise_on_every_backend() {
+    fn cdf_batch_matches_pointwise_on_both_chains() {
         let p = AsyncParams::three((1.5, 1.0, 0.5), (1.0, 0.5, 1.5));
         let ts = [-0.5, 0.0, 0.1, 0.7, 1.3, 2.9, 6.0];
-        for strategy in [
-            SolverStrategy::Dense,
-            SolverStrategy::GaussSeidel,
-            SolverStrategy::MatrixFree,
-        ] {
-            let batch = p.interval_cdf_batch_with(strategy, &ts);
+        let chain = p.build_full_chain();
+        type Batch<'a> = Box<dyn Fn(&[f64]) -> Vec<f64> + 'a>;
+        let backends: [(&str, Batch); 2] = [
+            (
+                "materialised",
+                Box::new(|ts| chain.ctmc.absorption_cdf_batch(FlagChain::START, ts)),
+            ),
+            ("matrix-free", Box::new(|ts| p.interval_cdf_batch(ts))),
+        ];
+        for (backend, cdf) in &backends {
+            let batch = cdf(&ts);
             for (&t, &f) in ts.iter().zip(&batch) {
-                let want = p.interval_cdf_batch_with(strategy, &[t])[0];
+                let want = cdf(&[t])[0];
                 assert_eq!(
                     f.to_bits(),
                     want.to_bits(),
-                    "{strategy:?} F({t}): batch {f} vs pointwise {want}"
+                    "{backend} F({t}): batch {f} vs pointwise {want}"
                 );
                 if t < 0.0 {
-                    assert_eq!(f, 0.0, "{strategy:?} F({t})");
+                    assert_eq!(f, 0.0, "{backend} F({t})");
                 }
             }
             // Monotone in t over the non-negative points.
@@ -1176,8 +1122,7 @@ mod tests {
         }
         // The two genuinely independent uniformization paths (CSR chain
         // vs bit-rule operator) agree on the whole batch.
-        let mat = p.interval_cdf_batch_with(SolverStrategy::Dense, &ts);
-        let mf = p.interval_cdf_batch_with(SolverStrategy::MatrixFree, &ts);
+        let (mat, mf) = (backends[0].1(&ts), backends[1].1(&ts));
         for (a, b) in mat.iter().zip(&mf) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
@@ -1267,13 +1212,18 @@ mod tests {
 
     #[test]
     fn quantile_backends_agree_to_solver_precision() {
+        // The materialised chain's CDF at the matrix-free quantile: a
+        // quantile within 1e-9·max(q, 1) of the dense one leaves F within
+        // that distance times the density of the level.
         let p = AsyncParams::three((1.5, 1.0, 0.5), (1.0, 1.0, 1.0));
+        let chain = p.build_full_chain();
         for level in [0.05, 0.5, 0.9, 0.99] {
-            let dense = p.interval_quantile_with(SolverStrategy::Dense, level);
-            let mf = p.interval_quantile_with(SolverStrategy::MatrixFree, level);
+            let q = p.interval_quantile(level);
+            let f = chain.ctmc.absorption_cdf(FlagChain::START, q);
+            let density = chain.interval_density(&[q])[0];
             assert!(
-                (dense - mf).abs() < 1e-9 * dense.max(1.0),
-                "q({level}): dense {dense} vs matrix-free {mf}"
+                (f - level).abs() <= 1e-9 * q.max(1.0) * density,
+                "q({level}) = {q}: dense F = {f}, f = {density}"
             );
         }
     }
@@ -1322,8 +1272,8 @@ mod tests {
             ]
         });
         for (p, level) in table1.chain(bench) {
-            let solver = p.chain_solver(p.solver_strategy());
-            let mut seq = solver.seq();
+            let op = p.matrix_free_op();
+            let mut seq = op.absorption_seq();
             let q = seq.crossing(Column::Absorbed, level, 1.0 / p.total_mu());
             assert_eq!(q.to_bits(), p.interval_quantile(level).to_bits());
             assert!(
@@ -1340,8 +1290,8 @@ mod tests {
         // the Poisson window of its last point, and no more.
         let p = AsyncParams::graded(8);
         let t_max = 6.0 * p.mean_interval();
-        let solver = p.chain_solver(p.solver_strategy());
-        let mut seq = solver.seq();
+        let op = p.matrix_free_op();
+        let mut seq = op.absorption_seq();
         for i in 1..=64 {
             seq.eval(Column::Absorbed, t_max * i as f64 / 64.0);
         }
@@ -1365,9 +1315,9 @@ mod tests {
         assert_eq!(p.n(), 8);
         let ts: Vec<f64> = (0..=10_000).map(|i| 0.01 * i as f64).collect();
         let f = p
-            .chain_solver(SolverStrategy::Dense)
-            .seq()
-            .eval_at(Column::Absorbed, &ts);
+            .build_full_chain()
+            .ctmc
+            .absorption_cdf_batch(FlagChain::START, &ts);
         for (k, w) in f.windows(2).enumerate() {
             assert!(
                 w[1] >= w[0],
@@ -1453,24 +1403,29 @@ mod tests {
             let t_max = 4096.0 / p.normalization();
             let mut ts: Vec<f64> = fracs.iter().map(|f| f * t_max).collect();
             ts.sort_by(f64::total_cmp);
-            for strategy in [SolverStrategy::Dense, SolverStrategy::MatrixFree] {
-                let solver = p.chain_solver(strategy);
-                let mut tailed = solver.seq();
-                let mut full = solver.seq().untailed();
+            let (chain, op) = (p.build_full_chain(), p.matrix_free_op());
+            type MakeSeq<'a> = Box<dyn Fn() -> AbsorptionSeq<'a> + 'a>;
+            let backends: [(&str, MakeSeq); 2] = [
+                ("materialised", Box::new(|| chain.ctmc.absorption_seq(FlagChain::START))),
+                ("matrix-free", Box::new(|| op.absorption_seq())),
+            ];
+            for (backend, seq) in &backends {
+                let mut tailed = seq();
+                let mut full = seq().untailed();
                 let got: Vec<f64> = ts.iter().map(|&t| tailed.eval(Column::Absorbed, t)).collect();
                 for (&t, &g) in ts.iter().zip(&got) {
                     let want = full.eval(Column::Absorbed, t);
-                    prop_assert!((g - want).abs() < 1e-10, "{strategy:?} F({t}): {g} vs {want}");
-                    prop_assert!((0.0..=1.0).contains(&g), "{strategy:?} F({t}) = {g}");
+                    prop_assert!((g - want).abs() < 1e-10, "{backend} F({t}): {g} vs {want}");
+                    prop_assert!((0.0..=1.0).contains(&g), "{backend} F({t}) = {g}");
                 }
                 for (k, f) in got.windows(2).enumerate() {
-                    prop_assert!(f[1] >= f[0], "{strategy:?}: F decreases after t = {}", ts[k]);
+                    prop_assert!(f[1] >= f[0], "{backend}: F decreases after t = {}", ts[k]);
                 }
-                let (mut tailed, mut full) = (solver.seq(), solver.seq().untailed());
+                let (mut tailed, mut full) = (seq(), seq().untailed());
                 for &t in &ts {
                     for c in [Column::Transient, Column::Inflow] {
                         let (g, w) = (tailed.eval(c, t), full.eval(c, t));
-                        prop_assert!((g - w).abs() <= 1e-10 * w, "{strategy:?} {c:?}({t}): {g} vs {w}");
+                        prop_assert!((g - w).abs() <= 1e-10 * w, "{backend} {c:?}({t}): {g} vs {w}");
                     }
                 }
             }

@@ -3,27 +3,21 @@
 //! The generic chains ([`crate::Ctmc`], [`crate::Dtmc`]) solve
 //! `(−Q_TT)·x = b` (and its transpose) over transient blocks from a few
 //! states (the lumped chain of Figure 3) to about 1.5·2¹⁶ (the split
-//! chain of Figure 4), so every generic absorption entry point dispatches
-//! on a [`SolverStrategy`]:
+//! chain of Figure 4), by one rule on the block size:
 //!
-//! | strategy | transient states | memory | work |
-//! |----------|------------------|--------|------|
-//! | [`SolverStrategy::Dense`] | ≤ 2⁸ | O(S²) | O(S³) GTH elimination (`Ctmc`), LU (`Dtmc`) |
-//! | [`SolverStrategy::MatrixFree`] | above | O(S) vectors | O(nnz) per CSR operator apply, Jacobi-preconditioned BiCGSTAB |
-//! | [`SolverStrategy::GaussSeidel`] | forced only | O(nnz) CSR | O(nnz) per sweep |
-//!
-//! [`SolverStrategy::auto`] picks the dense or the Krylov backend;
-//! Gauss–Seidel is never picked (on skewed flag chains its sweep count
-//! explodes) but stays available to callers that force it, as an
-//! independent reference.
+//! | transient states | backend | memory | work |
+//! |------------------|---------|--------|------|
+//! | ≤ [`DENSE_MAX_STATES`] | GTH elimination ([`crate::linalg::GthFactors`]) | O(S²) | O(S³) |
+//! | above | Jacobi-preconditioned BiCGSTAB on the CSR matrix | O(S) vectors | O(nnz) per operator apply |
 //!
 //! The paper's flag chain does not dispatch on its size:
 //! [`crate::paper::AsyncParams`] answers every query through the
-//! never-materialised [`crate::matfree`] operator at every n, and the
-//! materialised chain serves only the `*_with` calls that force
-//! [`SolverStrategy::Dense`] or [`SolverStrategy::GaussSeidel`]. Benches
-//! and conformance tests force specific backends to compare them on
-//! identical problems.
+//! never-materialised [`crate::matfree`] operator at every n.
+//! [`SolverStrategy`] survives only as the backend argument of
+//! [`crate::Ctmc::mean_absorption_time_with`] and
+//! [`crate::paper::AsyncParams::mean_interval_with`], which benches and
+//! conformance tests force to compare backends on identical problems;
+//! [`SolverStrategy::GaussSeidel`] is never picked by any default path.
 
 /// Largest transient-state count a generic chain solves densely (2⁸):
 /// O(S³) elimination stays in the low milliseconds up to there.
@@ -32,12 +26,11 @@ pub const DENSE_MAX_STATES: usize = 1 << 8;
 /// Which backend an absorption solve runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverStrategy {
-    /// Dense elimination over the materialised transient block: GTH for a
-    /// [`crate::Ctmc`], partially pivoted LU for a [`crate::Dtmc`].
+    /// GTH elimination over the materialised transient block.
     Dense,
-    /// Gauss–Seidel sweeps over the materialised CSR generator. Never
-    /// chosen by [`SolverStrategy::auto`]; callers force it as a
-    /// reference.
+    /// Gauss–Seidel sweeps over the materialised CSR generator of a
+    /// [`crate::Ctmc`]. Never chosen by a default path; callers force it
+    /// as a reference.
     GaussSeidel,
     /// Preconditioned BiCGSTAB touching the matrix only through
     /// operator applies ([`crate::matfree::LinOp`]); for the flag chain
@@ -48,10 +41,10 @@ pub enum SolverStrategy {
 }
 
 impl SolverStrategy {
-    /// The default backend for a generic chain with `n_transient`
-    /// transient states: dense ≤ [`DENSE_MAX_STATES`], Krylov above. The
-    /// flag chain does not ask ([`crate::paper::AsyncParams::solver_strategy`]).
-    pub fn auto(n_transient: usize) -> SolverStrategy {
+    /// The backend a generic chain with `n_transient` transient states
+    /// solves on: dense ≤ [`DENSE_MAX_STATES`], Krylov above. The flag
+    /// chain does not ask ([`crate::paper::AsyncParams::solver_strategy`]).
+    pub(crate) fn auto(n_transient: usize) -> SolverStrategy {
         if n_transient <= DENSE_MAX_STATES {
             SolverStrategy::Dense
         } else {
@@ -63,7 +56,7 @@ impl SolverStrategy {
 impl std::fmt::Display for SolverStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SolverStrategy::Dense => write!(f, "dense-lu"),
+            SolverStrategy::Dense => write!(f, "dense-gth"),
             SolverStrategy::GaussSeidel => write!(f, "sparse-gauss-seidel"),
             SolverStrategy::MatrixFree => write!(f, "matrix-free-bicgstab"),
         }
@@ -88,7 +81,7 @@ mod tests {
 
     #[test]
     fn displays_name_each_backend() {
-        assert_eq!(SolverStrategy::Dense.to_string(), "dense-lu");
+        assert_eq!(SolverStrategy::Dense.to_string(), "dense-gth");
         assert_eq!(
             SolverStrategy::GaussSeidel.to_string(),
             "sparse-gauss-seidel"

@@ -100,15 +100,14 @@ fn n14_cdf_and_density_match_the_materialised_chain() {
     // uniformization on 2¹⁴+1 states. Times stay small relative to
     // E[X] — uniformization cost grows with Λ·t.
     let (params, _) = rho_one_params(14);
-    let op = FlagChainOp::new(&params);
     let chain = params.build_full_chain();
     let ts = [0.5, 2.0, 8.0];
     let want_density = chain.interval_density(&ts);
-    let got_density = op.absorption_density(&ts);
+    let got_density = params.interval_density(&ts);
     let mut prev = 0.0;
     for (&t, (g, w)) in ts.iter().zip(got_density.iter().zip(&want_density)) {
         assert!((g - w).abs() < 1e-9, "f({t}): matrix-free {g} vs CSR {w}");
-        let cdf_mf = op.absorption_cdf(t);
+        let cdf_mf = params.interval_cdf(t);
         let cdf_csr = chain.ctmc.absorption_cdf(0, t);
         assert!(
             (cdf_mf - cdf_csr).abs() < 1e-9,

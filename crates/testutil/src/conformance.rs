@@ -38,7 +38,7 @@ use rbcore::schemes::asynchronous::{AsyncConfig, AsyncScheme};
 use rbcore::schemes::prp::{PrpConfig, PrpScheme};
 use rbcore::schemes::synchronized::simulate_commit_losses;
 use rbcore::workload::GOF_ALPHA;
-use rbmarkov::paper::{mean_interval_symmetric, AsyncParams, SplitChain};
+use rbmarkov::paper::{mean_interval_symmetric, AsyncParams, FlagChain, SplitChain};
 use rbmarkov::solver::SolverStrategy;
 use rbsim::gof;
 use rbsim::stats::Histogram;
@@ -281,8 +281,8 @@ impl SchemeConformance {
 
         // Distribution-level gates: the whole simulated interval sample
         // against the analytic law, not just its first moment. Two CDF
-        // constructions are gated — the materialised chain, forced dense
-        // (CSR uniformization of the built `FlagChain`), and the default
+        // constructions are gated — the materialised chain (CSR
+        // uniformization of the built `FlagChain`), and the default
         // matrix-free bit-rule operator — plus the Exp(Σμ) closed form
         // where the chain degenerates to the first-RP race.
         let samples = stats.samples.as_ref().expect("samples were requested");
@@ -292,7 +292,12 @@ impl SchemeConformance {
             &sorted,
             stats.interval.mean(),
             "ctmc",
-            |ts| params.interval_cdf_batch_with(SolverStrategy::Dense, ts),
+            |ts| {
+                params
+                    .build_full_chain()
+                    .ctmc
+                    .absorption_cdf_batch(FlagChain::START, ts)
+            },
             &mut checks,
         );
         // The default matrix-free operator is an independent CDF
@@ -389,24 +394,14 @@ impl SchemeConformance {
         )
     }
 
-    /// Distribution-only conformance for one scenario against one
-    /// forced solver backend: KS over the raw interval sample and χ²
-    /// over the binned counts, both vs that backend's CDF. This is the
-    /// path the large-n gate uses — the full [`Self::check_async`]
-    /// battery builds split chains and dense solves that do not scale
-    /// past n ≈ 13, while this stays O(2ⁿ) through the matrix-free
-    /// operator.
-    pub fn check_interval_distribution(
-        &self,
-        sc: &Scenario,
-        strategy: SolverStrategy,
-    ) -> ConformanceReport {
+    /// Distribution-only conformance for one scenario against the
+    /// default matrix-free CDF: KS over the raw interval sample and χ²
+    /// over the binned counts. This is the path the large-n gate uses —
+    /// the full [`Self::check_async`] battery builds split chains and
+    /// dense solves that do not scale past n ≈ 13, while this stays
+    /// O(2ⁿ) through the matrix-free operator.
+    pub fn check_interval_distribution(&self, sc: &Scenario) -> ConformanceReport {
         let params = sc.params();
-        let label = match strategy {
-            SolverStrategy::Dense => "dense",
-            SolverStrategy::GaussSeidel => "gauss-seidel",
-            SolverStrategy::MatrixFree => "matrix-free",
-        };
         let stats = AsyncScheme::new(AsyncConfig::new(params.clone()), sc.seed)
             .run_intervals_samples(self.intervals);
         let samples = stats.samples.as_ref().expect("samples were requested");
@@ -416,8 +411,8 @@ impl SchemeConformance {
         let x_hist = self.interval_distribution_gates(
             &sorted,
             stats.interval.mean(),
-            label,
-            |ts| params.interval_cdf_batch_with(strategy, ts),
+            "matrix-free",
+            |ts| params.interval_cdf_batch(ts),
             &mut checks,
         );
         ConformanceReport {

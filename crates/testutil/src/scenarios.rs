@@ -181,13 +181,13 @@ pub fn single_process_mus() -> Vec<Vec<f64>> {
 }
 
 /// The large-n distribution scenario: n = 14 (2¹⁴ + 1 chain states,
-/// homogeneous rates at ρ = 0.5) — past the CSR materialization cap, so
-/// its analytic CDF can only come from the matrix-free operator. Kept
-/// out of [`standard_matrix`] because the full per-scheme battery
-/// builds split chains and dense solves that do not scale to this n;
-/// the distribution gate runs it through
-/// `SchemeConformance::check_interval_distribution` with a forced
-/// `SolverStrategy::MatrixFree` (see `tests/distribution_conformance.rs`).
+/// homogeneous rates at ρ = 0.5) — far past the dense cap, so its
+/// analytic CDF comes from the matrix-free operator. Kept out of
+/// [`standard_matrix`] because the full per-scheme battery builds split
+/// chains and dense solves that do not scale to this n; the
+/// distribution gate runs it through
+/// `SchemeConformance::check_interval_distribution`, whose CDF is the
+/// default matrix-free one (see `tests/distribution_conformance.rs`).
 pub fn matfree_large_scenario(master_seed: u64) -> Scenario {
     let n = 14usize;
     // ρ = 0.5: interaction-coupled enough that all 2¹⁴ masks carry

@@ -24,7 +24,6 @@
 //! to `Metric` serialization or the scenario matrix).
 
 use rbcore::workload::GOF_ALPHA;
-use rbmarkov::solver::SolverStrategy;
 use rbtestutil::{matfree_large_scenario, standard_matrix, ScenarioKind, SchemeConformance};
 
 /// Same master seed as `tests/scheme_conformance.rs`.
@@ -137,8 +136,7 @@ fn negative_control_rejects_5_percent_mu_perturbation_per_class() {
 }
 
 /// The large-n distribution gate: simulated intervals at n = 14 vs the
-/// forced matrix-free CDF (the only backend that exists at 2¹⁴ + 1
-/// states), under a wall-clock budget so the CI perf-smoke job doubles
+/// default matrix-free CDF at 2¹⁴ + 1 states, under a wall-clock budget so the CI perf-smoke job doubles
 /// as a performance regression gate for the batched uniformization.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: large-n uniformization")]
@@ -150,7 +148,7 @@ fn large_n_matrix_free_distribution_gate() {
         intervals: 3_000,
         ..dist_driver()
     };
-    let report = d.check_interval_distribution(&sc, SolverStrategy::MatrixFree);
+    let report = d.check_interval_distribution(&sc);
     report.assert_ok();
     assert!(report
         .checks
