@@ -21,7 +21,7 @@
 //!   under `(label, params, seed)` skip their solves, freshly solved
 //!   cells are appended, and the emitted artifact is byte-identical
 //!   either way — so re-running a killed binary with the same `--cache`
-//!   resumes it; `--journal <dir>` is an alias;
+//!   resumes it;
 //! * `--cache-hot <n>` — capacity of the cache's in-memory hot tier of
 //!   decoded reports (`0` disables it; requires `--cache`);
 //! * `--compact` — after a cached run, compact the cache WAL
@@ -59,8 +59,7 @@ pub struct BenchArgs {
     pub threads: Option<usize>,
     /// `--out`: artifact directory override.
     pub out: Option<PathBuf>,
-    /// `--cache` (or its alias `--journal`): directory of the
-    /// content-addressed result cache.
+    /// `--cache`: directory of the content-addressed result cache.
     pub cache: Option<PathBuf>,
     /// `--cache-hot`: hot-tier capacity (decoded reports in memory).
     pub cache_hot: Option<usize>,
@@ -110,7 +109,6 @@ impl BenchArgs {
              \x20               the artifact is byte-identical either way, so a\n\
              \x20               killed run resumes by re-running with the same\n\
              \x20               <dir> (one process per <dir> at a time)\n\
-             --journal <dir> alias of --cache <dir>\n\
              --cache-hot <n> keep up to <n> decoded reports in the cache's\n\
              \x20               in-memory hot tier (0 disables; requires --cache)\n\
              --compact       compact the cache WAL after the run: duplicate\n\
@@ -141,7 +139,7 @@ impl BenchArgs {
                     out.threads = Some(t);
                 }
                 "--out" => out.out = Some(Self::dir(&arg, args.next())?),
-                "--cache" | "--journal" => out.cache = Some(Self::dir(&arg, args.next())?),
+                "--cache" => out.cache = Some(Self::dir(&arg, args.next())?),
                 "--cache-hot" => out.cache_hot = Some(Self::value(&arg, args.next())?),
                 "--compact" => out.compact = true,
                 "--adaptive" => {
@@ -332,19 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_is_an_alias_of_cache() {
-        let a = parse(&["--journal", "/tmp/j"]).unwrap();
-        assert_eq!(a, parse(&["--cache", "/tmp/j"]).unwrap());
-        assert!(invalid(&["--cache", ""]).contains("requires a directory"));
-        // The alias satisfies the cache-only flags too.
-        assert!(
-            parse(&["--journal", "/tmp/j", "--compact"])
-                .unwrap()
-                .compact
-        );
-    }
-
-    #[test]
     fn cache_lifecycle_flags_require_the_cache() {
         let a = parse(&["--cache", "/tmp/c", "--cache-hot", "8", "--compact"]).unwrap();
         assert_eq!(a.cache_hot, Some(8));
@@ -388,7 +373,7 @@ mod tests {
         assert!(invalid(&["--seed"]).contains("requires a value"));
         assert!(invalid(&["--seed", "abc"]).contains("invalid value"));
         assert!(invalid(&["--out"]).contains("requires a directory"));
-        assert!(invalid(&["--journal", ""]).contains("requires a directory"));
+        assert!(invalid(&["--cache", ""]).contains("requires a directory"));
         assert!(invalid(&["--frobnicate"]).contains("unknown argument"));
     }
 
@@ -399,7 +384,6 @@ mod tests {
             "--seed",
             "--threads",
             "--out",
-            "--journal",
             "--cache",
             "--cache-hot",
             "--compact",

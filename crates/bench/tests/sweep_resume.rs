@@ -254,13 +254,12 @@ fn flipped_checksum_byte_reruns_the_affected_cells() {
 
 #[test]
 fn editing_one_cell_under_the_same_id_resolves_exactly_that_cell() {
-    // The binaries' resume path: `--journal <dir>` (an alias of
-    // `--cache <dir>`) through `BenchArgs::run_sweep`. A store that
-    // keyed cells by sweep name and id alone would replay the stale
-    // record for the edited cell here.
+    // The binaries' resume path: `--cache <dir>` through
+    // `BenchArgs::run_sweep`. A store that keyed cells by sweep name and
+    // id alone would replay the stale record for the edited cell here.
     let dir = scratch("stale");
     let args = BenchArgs::parse_from(
-        ["--journal", dir.to_str().unwrap(), "--threads", "2"]
+        ["--cache", dir.to_str().unwrap(), "--threads", "2"]
             .into_iter()
             .map(String::from),
     )

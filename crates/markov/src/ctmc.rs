@@ -7,16 +7,14 @@
 //! experiments need:
 //!
 //! * the **mean absorption time** E\[X\] from the linear system
-//!   (−Q_TT)·τ = 1 (dense GTH elimination for small chains,
-//!   operator-interface BiCGSTAB for large);
+//!   (−Q_TT)·τ = 1, solved by the transient block's one rule
+//!   ([`crate::solver`]);
 //! * the **absorption-time distribution**: the CDF, the survival
 //!   function and the density f_X(t) (paper Figure 6), each a Poisson
 //!   mixture over one uniformized jump-chain propagation (`AbsorptionSeq`,
 //!   shared with the matrix-free flag chain).
 
-use crate::linalg::{GthFactors, Matrix};
-use crate::matfree::{bicgstab, Jacobi, LinOp};
-use crate::solver::SolverStrategy;
+use crate::solver::{SolverStrategy, TransientBlock};
 use crate::sparse::{Csr, Triplets};
 
 /// A finite-state CTMC described by its generator matrix.
@@ -130,54 +128,23 @@ impl Ctmc {
     /// Mean time to absorption starting from `start`.
     ///
     /// Solves (−Q_TT)·τ = 1 over the transient states by the generic
-    /// chains' one rule ([`crate::solver`]): dense GTH elimination
-    /// ([`crate::linalg::GthFactors`]) up to
-    /// [`crate::solver::DENSE_MAX_STATES`] transient states,
-    /// operator-interface BiCGSTAB above.
+    /// chains' one rule ([`crate::solver`]): GTH elimination up to the
+    /// dense cap, Jacobi-preconditioned BiCGSTAB above it.
     ///
     /// # Panics
     /// Panics if the chain has no absorbing state, or if `start` is
     /// absorbing (the answer would trivially be 0 — asking is a bug).
     pub fn mean_absorption_time(&self, start: usize) -> f64 {
-        let transient = self.transient_states(start);
-        self.mean_absorption_on(SolverStrategy::auto(transient.len()), &transient, start)
+        let block = self.transient_block(start);
+        block.solve(&vec![1.0; block.dim()])[block.local(start)]
     }
 
     /// [`Ctmc::mean_absorption_time`] on a caller-chosen backend —
     /// benches and conformance tests use this to compare solver
     /// strategies on identical chains.
     pub fn mean_absorption_time_with(&self, start: usize, strategy: SolverStrategy) -> f64 {
-        let transient = self.transient_states(start);
-        self.mean_absorption_on(strategy, &transient, start)
-    }
-
-    /// The transient state list, validated for an absorption query from
-    /// `start`.
-    fn transient_states(&self, start: usize) -> Vec<usize> {
-        assert!(
-            !self.is_absorbing(start),
-            "start state {start} is absorbing"
-        );
-        let transient: Vec<usize> = (0..self.n).filter(|&s| !self.is_absorbing(s)).collect();
-        assert!(
-            transient.len() < self.n,
-            "chain has no absorbing state; absorption time is infinite"
-        );
-        transient
-    }
-
-    fn mean_absorption_on(
-        &self,
-        strategy: SolverStrategy,
-        transient: &[usize],
-        start: usize,
-    ) -> f64 {
-        let tau = self.solve_neg_qtt_with(strategy, transient, &vec![1.0; transient.len()]);
-        let local = transient
-            .iter()
-            .position(|&s| s == start)
-            .expect("start is transient");
-        tau[local]
+        let block = self.transient_block(start);
+        block.solve_with(strategy, &vec![1.0; block.dim()])[block.local(start)]
     }
 
     /// Second moment of the absorption time from `start`:
@@ -187,126 +154,32 @@ impl Ctmc {
     /// # Panics
     /// As for [`Ctmc::mean_absorption_time`].
     pub fn absorption_time_second_moment(&self, start: usize) -> f64 {
-        assert!(
-            !self.is_absorbing(start),
-            "start state {start} is absorbing"
-        );
-        let transient: Vec<usize> = (0..self.n).filter(|&s| !self.is_absorbing(s)).collect();
-        assert!(transient.len() < self.n, "chain has no absorbing state");
-        let tau = self.absorption_times(&transient);
-        let rhs: Vec<f64> = tau.iter().map(|&t| 2.0 * t).collect();
-        let m2 = self.solve_neg_qtt(&transient, &rhs);
-        let local = transient
-            .iter()
-            .position(|&s| s == start)
-            .expect("start is transient");
-        m2[local]
+        self.absorption_time_moments(start).1
     }
 
     /// Variance of the absorption time from `start`.
     pub fn absorption_time_variance(&self, start: usize) -> f64 {
-        let m1 = self.mean_absorption_time(start);
-        let m2 = self.absorption_time_second_moment(start);
+        let (m1, m2) = self.absorption_time_moments(start);
         (m2 - m1 * m1).max(0.0)
     }
 
-    /// Expected absorption times for every transient state (in the order
-    /// given by `transient`).
-    fn absorption_times(&self, transient: &[usize]) -> Vec<f64> {
-        self.solve_neg_qtt(transient, &vec![1.0; transient.len()])
+    /// (E\[T\], E\[T²\]) from `start` from one τ solve and one m₂ solve.
+    fn absorption_time_moments(&self, start: usize) -> (f64, f64) {
+        let block = self.transient_block(start);
+        let tau = block.solve(&vec![1.0; block.dim()]);
+        let rhs: Vec<f64> = tau.iter().map(|&t| 2.0 * t).collect();
+        let k = block.local(start);
+        (tau[k], block.solve(&rhs)[k])
     }
 
-    /// Solves (−Q_TT)·x = b over the given transient states with the
-    /// auto-selected backend.
-    fn solve_neg_qtt(&self, transient: &[usize], b: &[f64]) -> Vec<f64> {
-        self.solve_neg_qtt_with(SolverStrategy::auto(transient.len()), transient, b)
-    }
-
-    /// Solves (−Q_TT)·x = b on an explicit backend.
-    fn solve_neg_qtt_with(
-        &self,
-        strategy: SolverStrategy,
-        transient: &[usize],
-        b: &[f64],
-    ) -> Vec<f64> {
-        let nt = transient.len();
-        let mut local = vec![usize::MAX; self.n];
-        for (k, &s) in transient.iter().enumerate() {
-            local[s] = k;
-        }
-        assert_eq!(b.len(), nt);
-        match strategy {
-            SolverStrategy::Dense => {
-                // GTH over the off-diagonal transient rates and the rates
-                // straight into the absorbing states.
-                let mut rates = Matrix::zeros(nt, nt);
-                let mut absorb = vec![0.0; nt];
-                for (k, &s) in transient.iter().enumerate() {
-                    for (c, v) in self.q.row(s) {
-                        if c == s {
-                            continue;
-                        }
-                        match local[c] {
-                            usize::MAX => absorb[k] += v,
-                            lc => rates[(k, lc)] = v,
-                        }
-                    }
-                }
-                GthFactors::new(rates, absorb)
-                    .expect("every transient state reaches absorption")
-                    .solve(b)
-            }
-            SolverStrategy::GaussSeidel => {
-                // Gauss–Seidel on xᵢ = (bᵢ + Σ_{j≠i} q_ij xⱼ) / (−q_ii).
-                let mut tau = vec![0.0; nt];
-                let max_iter = 200_000;
-                let tol = 1e-12;
-                for _ in 0..max_iter {
-                    let mut delta = 0.0_f64;
-                    for (k, &s) in transient.iter().enumerate() {
-                        let mut acc = b[k];
-                        let mut diag = 0.0;
-                        for (c, v) in self.q.row(s) {
-                            if c == s {
-                                diag = -v;
-                            } else if local[c] != usize::MAX {
-                                acc += v * tau[local[c]];
-                            }
-                        }
-                        debug_assert!(diag > 0.0);
-                        let new = acc / diag;
-                        delta = delta.max((new - tau[k]).abs());
-                        tau[k] = new;
-                    }
-                    if delta < tol {
-                        return tau;
-                    }
-                }
-                panic!("Gauss–Seidel failed to converge on absorption times");
-            }
-            SolverStrategy::MatrixFree => {
-                // BiCGSTAB touching the CSR generator only through
-                // operator applies. (The flag chain has a cheaper,
-                // never-materialised operator in `crate::matfree`;
-                // this path serves arbitrary chains.)
-                let op = CsrNegQtt {
-                    q: &self.q,
-                    transient,
-                    local: &local,
-                };
-                let diag: Vec<f64> = transient.iter().map(|&s| self.exit[s]).collect();
-                let mut x = vec![0.0; nt];
-                let outcome = bicgstab(&op, &Jacobi::new(&diag), b, &mut x, 1e-13, 2000);
-                assert!(
-                    outcome.relative_residual <= 1e-9,
-                    "BiCGSTAB failed to converge on absorption times \
-                     (relative residual {} after {} iterations)",
-                    outcome.relative_residual,
-                    outcome.iterations
-                );
-                x
-            }
-        }
+    /// The transient block −Q_TT, validated for an absorption query from
+    /// `start`.
+    pub(crate) fn transient_block(&self, start: usize) -> TransientBlock {
+        assert!(
+            !self.is_absorbing(start),
+            "start state {start} is absorbing"
+        );
+        TransientBlock::new(self.n, |s| !self.is_absorbing(s), |s| self.q.row(s), |q| -q)
     }
 
     /// The absorption-time density f(t) from `start`, evaluated at each
@@ -929,33 +802,6 @@ fn brent(mut g: impl FnMut(f64) -> f64, mut a: f64, mut fa: f64, mut b: f64, mut
     }
 }
 
-/// `−Q_TT` of a materialised chain as a [`LinOp`] (the CSR is touched
-/// only through row sweeps inside `apply`).
-struct CsrNegQtt<'a> {
-    q: &'a Csr,
-    transient: &'a [usize],
-    local: &'a [usize],
-}
-
-impl LinOp for CsrNegQtt<'_> {
-    fn dim(&self) -> usize {
-        self.transient.len()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        for (k, &s) in self.transient.iter().enumerate() {
-            let mut acc = 0.0;
-            for (c, v) in self.q.row(s) {
-                let lc = self.local[c];
-                if lc != usize::MAX {
-                    acc -= v * x[lc];
-                }
-            }
-            y[k] = acc;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1130,33 +976,6 @@ mod tests {
                 assert!((s - 1.0).abs() < 1e-12, "row {r} sums to {s}");
             }
         }
-    }
-
-    #[test]
-    fn all_solver_strategies_agree() {
-        // A chain with cycles, several absorbing exits and uneven rates.
-        let c = Ctmc::from_transitions(
-            6,
-            &[
-                (0, 1, 1.0),
-                (1, 2, 0.8),
-                (2, 1, 0.3),
-                (1, 0, 0.2),
-                (2, 3, 1.1),
-                (3, 0, 0.4),
-                (3, 4, 0.9),
-                (2, 5, 0.05),
-            ],
-        );
-        let dense = c.mean_absorption_time_with(0, SolverStrategy::Dense);
-        let gs = c.mean_absorption_time_with(0, SolverStrategy::GaussSeidel);
-        let krylov = c.mean_absorption_time_with(0, SolverStrategy::MatrixFree);
-        assert!((dense - gs).abs() < 1e-9 * dense, "{dense} vs GS {gs}");
-        assert!(
-            (dense - krylov).abs() < 1e-9 * dense,
-            "{dense} vs Krylov {krylov}"
-        );
-        assert!((c.mean_absorption_time(0) - dense).abs() < 1e-12);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! expected count of marked transitions before absorption, computed from
 //! the fundamental matrix N = (I − Q)⁻¹.
 
-use crate::linalg::{GthFactors, Matrix};
-use crate::matfree::{bicgstab, Jacobi, LinOp};
-use crate::solver::DENSE_MAX_STATES;
+use crate::solver::TransientBlock;
 use crate::sparse::{Csr, Triplets};
 
 /// A finite-state DTMC described by its (row-stochastic) transition
@@ -71,13 +69,10 @@ impl Dtmc {
     /// indices (absorbing states get 0).
     ///
     /// `is_transient[s]` declares which states are transient; absorbing
-    /// states (and their self-loops) are excluded from Q. Up to
-    /// [`DENSE_MAX_STATES`] transient states the solve is GTH elimination
-    /// of I − Q, which is the transient block of an absorbing chain in
-    /// its own right: its off-diagonal rates are the transient pᵢⱼ and
-    /// each row's rate into absorption is its probability of absorbing.
-    /// Larger blocks go through Jacobi-preconditioned BiCGSTAB on the CSR
-    /// matrix.
+    /// states (and their self-loops) are excluded from Q. I − Q is the
+    /// transient block ([`crate::solver`]) whose rates are the transient
+    /// pᵢⱼ and whose rate into absorption is each row's probability of
+    /// absorbing; the visits are its transposed solve.
     ///
     /// # Panics
     /// Panics if `start` is not transient, or if no absorbing state is
@@ -85,55 +80,15 @@ impl Dtmc {
     pub fn expected_visits(&self, start: usize, is_transient: &[bool]) -> Vec<f64> {
         assert_eq!(is_transient.len(), self.n);
         assert!(is_transient[start], "start state must be transient");
-        let transient: Vec<usize> = (0..self.n).filter(|&s| is_transient[s]).collect();
-        let nt = transient.len();
-        assert!(nt < self.n, "no absorbing state declared");
-        let mut local = vec![usize::MAX; self.n];
-        for (k, &s) in transient.iter().enumerate() {
-            local[s] = k;
-        }
+        let block =
+            TransientBlock::new(self.n, |s| is_transient[s], |s| self.p.row(s), |p| 1.0 - p);
         // (I − Qᵀ)·v = e_start: v[j] = expected visits to j.
-        let mut b = vec![0.0; nt];
-        b[local[start]] = 1.0;
-
-        let v_local = if nt <= DENSE_MAX_STATES {
-            let mut rates = Matrix::zeros(nt, nt);
-            let mut absorb = vec![0.0; nt];
-            for (k, &s) in transient.iter().enumerate() {
-                for (c, p) in self.p.row(s) {
-                    match local[c] {
-                        usize::MAX => absorb[k] += p,
-                        lc if lc != k => rates[(k, lc)] = p,
-                        _ => {}
-                    }
-                }
-            }
-            GthFactors::new(rates, absorb)
-                .expect("every transient state reaches absorption")
-                .solve_transpose(&b)
-        } else {
-            // BiCGSTAB touching the CSR only through operator applies.
-            let op = FundamentalTransposed {
-                p: &self.p,
-                transient: &transient,
-                local: &local,
-            };
-            let diag: Vec<f64> = transient.iter().map(|&s| 1.0 - self.prob(s, s)).collect();
-            let mut v = vec![0.0; nt];
-            let outcome = bicgstab(&op, &Jacobi::new(&diag), &b, &mut v, 1e-13, 2000);
-            assert!(
-                outcome.relative_residual <= 1e-9,
-                "BiCGSTAB failed to converge on expected visits \
-                 (relative residual {} after {} iterations)",
-                outcome.relative_residual,
-                outcome.iterations
-            );
-            v
-        };
-
+        let mut b = vec![0.0; block.dim()];
+        b[block.local(start)] = 1.0;
+        let visits = block.solve_transpose(&b);
         let mut out = vec![0.0; self.n];
-        for (k, &s) in transient.iter().enumerate() {
-            out[s] = v_local[k];
+        for (k, s) in (0..self.n).filter(|&s| is_transient[s]).enumerate() {
+            out[s] = visits[k];
         }
         out
     }
@@ -160,38 +115,11 @@ impl Dtmc {
     }
 }
 
-/// `(I − Qᵀ)` of a materialised DTMC as a [`LinOp`].
-struct FundamentalTransposed<'a> {
-    p: &'a Csr,
-    transient: &'a [usize],
-    local: &'a [usize],
-}
-
-impl LinOp for FundamentalTransposed<'_> {
-    fn dim(&self) -> usize {
-        self.transient.len()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(x);
-        for (k, &s) in self.transient.iter().enumerate() {
-            let xs = x[k];
-            if xs == 0.0 {
-                continue;
-            }
-            for (c, p) in self.p.row(s) {
-                let lc = self.local[c];
-                if lc != usize::MAX {
-                    y[lc] -= p * xs;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::Matrix;
+    use crate::solver::DENSE_MAX_STATES;
 
     #[test]
     fn geometric_visits() {

@@ -15,10 +15,10 @@
 //!   distributions);
 //! * [`dtmc`] — embedded/uniformized discrete chains, fundamental-matrix
 //!   expected-visit counts;
-//! * [`solver`] — the one solve rule of the generic chains (dense GTH
-//!   ≤ 2⁸ transient states, Krylov above) and the
-//!   [`solver::SolverStrategy`] that tests and benches force to compare
-//!   backends;
+//! * [`solver`] — the transient block of every materialised chain and
+//!   its one solve rule (dense GTH ≤ 2⁸ transient states, Krylov above),
+//!   and the [`solver::SolverStrategy`] that tests and benches force to
+//!   compare backends;
 //! * [`matfree`] — the flag chain as a never-materialised bit-mask
 //!   operator plus two-level-preconditioned BiCGSTAB refined on a
 //!   cancellation-free residual: the backend of every flag-chain query

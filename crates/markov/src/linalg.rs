@@ -1,8 +1,8 @@
 //! Small dense linear algebra: row-major matrices and GTH elimination
 //! for the transient block of an absorbing chain.
 //!
-//! The recovery-line chains solved densely here have at most
-//! [`crate::solver::DENSE_MAX_STATES`] transient states, where
+//! The recovery-line chains solved densely here stay under the dense
+//! cap of [`crate::solver`] (2⁸ transient states), where
 //! straightforward elimination is both simple and fast enough; larger
 //! chains go through [`crate::sparse`] and iterative solves instead.
 //! Every dense absorption solve, of a CTMC's −Q_TT and of a DTMC's

@@ -136,8 +136,8 @@
 use std::sync::OnceLock;
 
 use crate::ctmc::AbsorptionSeq;
-use crate::linalg::{GthFactors, Matrix};
 use crate::paper::{AsyncParams, SymmetricChain};
+use crate::solver::TransientBlock;
 
 /// A linear operator touched only through matrix–vector products.
 ///
@@ -1398,9 +1398,10 @@ impl LinOp for NegQttTransposed<'_> {
 /// Figure 3 makes exact for homogeneous rates.
 ///
 /// The coarse operator is the lumped chain's `−Q̃_TT` built from the
-/// *averaged* rates μ̄, λ̄ ((n+1)×(n+1), factorised once by GTH, so the
-/// correction keeps its digits in the domino regime, where LU declares
-/// the lumped block singular). The
+/// *averaged* rates μ̄, λ̄: an (n+1)×(n+1) [`TransientBlock`], which the
+/// generic rule factorises once by GTH, so the correction keeps its
+/// digits in the domino regime, where LU declares the lumped block
+/// singular. The
 /// Galerkin-consistent coarse solve uses aggregate means against the
 /// forward operator and size-weighted sums against the transpose.
 ///
@@ -1414,9 +1415,9 @@ impl LinOp for NegQttTransposed<'_> {
 struct TwoLevel<'a> {
     op: &'a FlagChainOp,
     transpose: bool,
-    /// GTH factors of the coarse `−Q̃_TT`; the transposed fine system
-    /// solves with their transpose.
-    coarse: GthFactors,
+    /// The coarse `−Q̃_TT`; the transposed fine system solves with its
+    /// transpose.
+    coarse: TransientBlock,
     /// Aggregate sizes: 1 for S_r, C(n, u) for popcount class u.
     sizes: Vec<f64>,
 }
@@ -1425,23 +1426,11 @@ impl<'a> TwoLevel<'a> {
     fn new(op: &'a FlagChainOp, transpose: bool) -> TwoLevel<'a> {
         let n = op.n;
         let mu_bar = op.total_mu / n as f64;
-        let lumped = SymmetricChain::build(n, mu_bar, op.lambda_bar);
-        // Coarse transient states: S_r (0) and S̃_0 … S̃_{n−1} (1..=n);
-        // the absorbing index n+1 is excluded.
+        // Coarse transient states: S_r (0) and S̃_0 … S̃_{n−1} (1..=n).
+        let coarse = SymmetricChain::build(n, mu_bar, op.lambda_bar)
+            .ctmc
+            .transient_block(SymmetricChain::START);
         let nc = n + 1;
-        let mut rates = Matrix::zeros(nc, nc);
-        let mut absorb = vec![0.0; nc];
-        for r in 0..nc {
-            for (c, v) in lumped.ctmc.generator().row(r) {
-                if c == nc {
-                    absorb[r] = v;
-                } else if c != r {
-                    rates[(r, c)] = v;
-                }
-            }
-        }
-        let coarse = GthFactors::new(rates, absorb).expect("every lumped state reaches S_{r+1}");
-
         let mut sizes = vec![0.0f64; nc];
         sizes[0] = 1.0;
         for u in 0..n {
@@ -1609,6 +1598,7 @@ impl Precond for TwoLevel<'_> {
 mod tests {
     use super::*;
     use crate::ctmc::Column;
+    use crate::linalg::Matrix;
     use crate::paper::FlagChain;
 
     /// Deterministic mildly-skewed parameters for n processes.

@@ -276,6 +276,11 @@ impl AsyncParams {
     /// tail** of [`crate::matfree`]), so its cost does not grow with
     /// E\[X\]: a 64-point batch up to 6·E\[X\] takes milliseconds at
     /// E\[X\] = 4·10⁵. Non-finite times panic.
+    ///
+    /// F's error is absolute: once 1 − F ≤ 1e-12, F holds its last value
+    /// for every later t, however far the true 1 − F decays. Tail checks
+    /// should call [`AsyncParams::interval_survival_batch`], which keeps
+    /// its relative precision.
     pub fn interval_cdf_batch(&self, ts: &[f64]) -> Vec<f64> {
         self.distribution(Column::Absorbed, ts)
     }
