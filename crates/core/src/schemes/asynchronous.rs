@@ -11,7 +11,7 @@
 //!   affected-set size, domino rate.
 
 use rbmarkov::paper::AsyncParams;
-use rbsim::stats::{Histogram, Welford};
+use rbsim::stats::Welford;
 use rbsim::{SimRng, StreamId};
 
 use crate::fault::{FaultConfig, FaultState};
@@ -53,8 +53,6 @@ pub struct IntervalStats {
     pub interval: Welford,
     /// Lᵢ: states saved per process per interval.
     pub rp_counts: Vec<Welford>,
-    /// Optional histogram of X (density estimation for Figure 6).
-    pub histogram: Option<Histogram>,
     /// Optional raw interval samples, in measurement order — the input
     /// the distribution-level conformance gates (KS vs the analytic
     /// CDF) need. Collection never touches the RNG, so runs with and
@@ -94,7 +92,7 @@ impl AsyncScheme {
     }
 
     /// Measures `n_lines` recovery-line intervals (fault-free), with no
-    /// histogram.
+    /// raw samples.
     ///
     /// ```
     /// use rbcore::schemes::asynchronous::{AsyncConfig, AsyncScheme};
@@ -107,39 +105,22 @@ impl AsyncScheme {
     /// assert!((stats.interval.mean() - analytic).abs() < 0.1);
     /// ```
     pub fn run_intervals(&mut self, n_lines: usize) -> IntervalStats {
-        self.run_intervals_hist(n_lines, None)
-    }
-
-    /// Measures `n_lines` intervals, optionally filling a histogram of
-    /// X for density comparison against the Markov solve.
-    pub fn run_intervals_hist(
-        &mut self,
-        n_lines: usize,
-        histogram: Option<Histogram>,
-    ) -> IntervalStats {
-        self.run_intervals_full(n_lines, histogram, false)
+        self.measure_intervals(n_lines, false)
     }
 
     /// Measures `n_lines` intervals, additionally collecting the raw
     /// interval samples ([`IntervalStats::samples`]) for
-    /// distribution-level conformance checks.
+    /// distribution-level conformance checks and histograms.
     pub fn run_intervals_samples(&mut self, n_lines: usize) -> IntervalStats {
-        self.run_intervals_full(n_lines, None, true)
+        self.measure_intervals(n_lines, true)
     }
 
-    /// The common interval-measurement loop behind
-    /// [`Self::run_intervals`], [`Self::run_intervals_hist`] and
+    /// The interval-measurement loop behind [`Self::run_intervals`] and
     /// [`Self::run_intervals_samples`].
-    pub fn run_intervals_full(
-        &mut self,
-        n_lines: usize,
-        histogram: Option<Histogram>,
-        collect_samples: bool,
-    ) -> IntervalStats {
+    fn measure_intervals(&mut self, n_lines: usize, collect_samples: bool) -> IntervalStats {
         let n = self.cfg.params.n();
         let mut interval = Welford::new();
         let mut rp_counts = vec![Welford::new(); n];
-        let mut histogram = histogram;
         let mut samples = collect_samples.then(|| Vec::with_capacity(n_lines));
         // Per-category actions, so an event is one table lookup and no
         // branch on its kind: an RP `(i, i, true)` puts Pᵢ on the line,
@@ -179,9 +160,6 @@ impl AsyncScheme {
             if off_line == 0 {
                 let x = t - last_line;
                 interval.push(x);
-                if let Some(h) = &mut histogram {
-                    h.push(x);
-                }
                 if let Some(s) = &mut samples {
                     s.push(x);
                 }
@@ -196,7 +174,6 @@ impl AsyncScheme {
         IntervalStats {
             interval,
             rp_counts,
-            histogram,
             samples,
             events,
         }
@@ -310,6 +287,7 @@ impl AsyncScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbsim::stats::Histogram;
 
     #[test]
     fn simulated_mean_interval_matches_markov_case1() {
@@ -357,10 +335,9 @@ mod tests {
     #[test]
     fn histogram_tracks_density_shape() {
         let p = AsyncParams::three((1.0, 1.0, 1.0), (1.0, 1.0, 1.0));
-        let hist = Histogram::new(0.0, 8.0, 40);
-        let stats = AsyncScheme::new(AsyncConfig::new(p.clone()), 17)
-            .run_intervals_hist(50_000, Some(hist));
-        let h = stats.histogram.unwrap();
+        let mut h = Histogram::new(0.0, 8.0, 40);
+        let stats = AsyncScheme::new(AsyncConfig::new(p.clone()), 17).run_intervals_samples(50_000);
+        stats.samples.unwrap().iter().for_each(|&x| h.push(x));
         let density = h.density();
         let centers: Vec<f64> = (0..40).map(|k| h.bin_center(k)).collect();
         let analytic = p.interval_density(&centers);

@@ -15,15 +15,17 @@
 //!   distributions);
 //! * [`dtmc`] — embedded/uniformized discrete chains, fundamental-matrix
 //!   expected-visit counts;
-//! * [`solver`] — the transient block of every materialised chain and
-//!   its one solve rule (dense GTH ≤ 2⁸ transient states, Krylov above),
+//! * [`solver`] — the solve machinery: the transient block of every
+//!   materialised chain and its one solve rule (dense GTH ≤ 2⁸ transient
+//!   states, Krylov above), the crate's one BiCGSTAB, refined on the
+//!   operator's own residual and reporting a [`solver::KrylovOutcome`],
 //!   and the [`solver::SolverStrategy`] that tests and benches force to
 //!   compare backends;
 //! * [`matfree`] — the flag chain as a never-materialised bit-mask
-//!   operator plus two-level-preconditioned BiCGSTAB refined on a
-//!   cancellation-free residual: the backend of every flag-chain query
-//!   at every n, from the n = 2 toy chain to n ≥ 20 (2²⁰+1 states) in
-//!   O(2ⁿ) memory;
+//!   operator with a cancellation-free residual and its two-level
+//!   preconditioner, whose coarse level is built once per operator: the
+//!   backend of every flag-chain query at every n, from the n = 2 toy
+//!   chain to n ≥ 20 (2²⁰+1 states) in O(2ⁿ) memory;
 //! * [`paper`] — the paper's concrete models: the full chain (rules
 //!   R1–R4, Figure 2), the lumped symmetric chain (rules R1′–R4′,
 //!   Figure 3), and the split chain `Y_d` used for E\[Lᵢ\] (Figure 4).

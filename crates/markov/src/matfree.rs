@@ -9,9 +9,10 @@
 //! O(n²·2ⁿ) work per apply, the same as one CSR sweep but with no
 //! stored matrix at all.
 //!
-//! [`FlagChainOp`] is that operator. On top of it this module provides
-//! a preconditioned BiCGSTAB Krylov solve ([`bicgstab`]) for the three
-//! absorption quantities the experiments need — mean absorption time
+//! [`FlagChainOp`] is that operator, with the two-level preconditioner
+//! of its solves; [`FlagChainOp::solve`] runs the crate's BiCGSTAB
+//! ([`crate::solver`]) on it. Together they answer the three absorption
+//! quantities the experiments need — mean absorption time
 //! E\[X\], per-state expected visits (occupancy times), and the
 //! absorption-time distribution (CDF, survival function and density)
 //! from one uniformized jump-chain propagation — scaling the Markov layer
@@ -70,9 +71,13 @@
 //! preconditioner is *two-level*: a coarse-grid correction over the
 //! paper's own popcount aggregates — exactly the lumped chain of
 //! Figure 3 built from averaged rates — between two Gauss–Seidel
-//! sweeps. For homogeneous parameters the aggregation is exact (the
-//! lumpability theorem behind Figure 3), so the preconditioner is a
-//! near-inverse and BiCGSTAB converges in one iteration. For skewed
+//! sweeps. The coarse level is built once per operator, on its first
+//! solve, and every later solve shares it and its one set of GTH
+//! factors: the mean, both solves of the second moment and the
+//! transposed expected visits. For homogeneous parameters the
+//! aggregation is exact (the lumpability theorem behind Figure 3), so
+//! the preconditioner is a near-inverse and BiCGSTAB converges in one
+//! iteration. For skewed
 //! rates the sweeps, which follow the chain's own direction (R1 up the
 //! mask order, R2/R3 down), absorb what the averaged coarse level
 //! misses: about ten iterations at n = 14 on the skewed families the
@@ -81,11 +86,11 @@
 //! **Refinement.** In the domino regime E\[X\] approaches 1/ε, and the
 //! standard form of a product, (−Q_TT·x)ᵢ = exitᵢ·xᵢ − Σⱼ qᵢⱼ·xⱼ,
 //! subtracts two numbers of size exitᵢ·E\[X\]: its rounding, ε·Λ·E\[X\],
-//! can exceed the whole residual. [`FlagChainOp::residual_neg_qtt`]
-//! forms it in the *difference form* sᵢ·xᵢ + Σⱼ qᵢⱼ·(xᵢ − xⱼ) instead,
+//! can exceed the whole residual. `FlagChainOp::apply_neg_qtt` forms
+//! it in the *difference form* sᵢ·xᵢ + Σⱼ qᵢⱼ·(xᵢ − xⱼ) instead,
 //! where sᵢ is the rate straight into S_{r+1} (Σμ at S_r, μᵢ at the mask
 //! one flag i short of it, 0 elsewhere): the same kernels, one subtraction
-//! per edge, no cancellation. [`bicgstab`] measures its true residual
+//! per edge, no cancellation. BiCGSTAB measures its true residual
 //! that way, and every outer round after the first is one step of
 //! iterative refinement (Higham, *Accuracy and Stability of Numerical
 //! Algorithms*, ch. 12) whose recurrence forms its products that way too.
@@ -133,329 +138,13 @@
 //! assert!((op.mean_absorption_time() - dense).abs() < 1e-12);
 //! ```
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::ctmc::AbsorptionSeq;
 use crate::paper::{AsyncParams, SymmetricChain};
-use crate::solver::TransientBlock;
-
-/// A linear operator touched only through matrix–vector products.
-///
-/// Implementations are "matrix-free" in the solver-interface sense: the
-/// Krylov loop never sees entries, only the action `y = A·x`. The flag
-/// chain implements it straight from the R1–R4 rules; CSR-backed chains
-/// implement it by row sweeps.
-pub trait LinOp {
-    /// Operand/result dimension.
-    fn dim(&self) -> usize;
-    /// Computes `y = A·x` (overwriting `y`).
-    fn apply(&self, x: &[f64], y: &mut [f64]);
-    /// Computes the residual `r = b − A·x` (overwriting `r`). The default
-    /// subtracts [`LinOp::apply`]; an operator that can form `A·x`
-    /// without cancellation overrides it. [`bicgstab`] forms its true
-    /// residual, which also restarts each round, and every product of a
-    /// refinement round through it.
-    fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
-        self.apply(x, r);
-        for (r, &b) in r.iter_mut().zip(b) {
-            *r = b - *r;
-        }
-    }
-}
-
-/// A preconditioner: computes `z ≈ A⁻¹·r`.
-pub trait Precond {
-    /// Applies the preconditioner (overwriting `z`).
-    fn apply(&self, r: &[f64], z: &mut [f64]);
-}
-
-/// Jacobi (diagonal) preconditioning: `z = D⁻¹·r`.
-pub struct Jacobi {
-    inv_diag: Vec<f64>,
-}
-
-impl Jacobi {
-    /// Builds from the operator's diagonal.
-    ///
-    /// # Panics
-    /// Panics if any diagonal entry is zero or non-finite.
-    pub fn new(diag: &[f64]) -> Jacobi {
-        Jacobi {
-            inv_diag: diag
-                .iter()
-                .map(|&d| {
-                    assert!(d != 0.0 && d.is_finite(), "singular diagonal entry {d}");
-                    1.0 / d
-                })
-                .collect(),
-        }
-    }
-}
-
-impl Precond for Jacobi {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        for ((z, &inv), &r) in z.iter_mut().zip(&self.inv_diag).zip(r) {
-            *z = inv * r;
-        }
-    }
-}
-
-/// Convergence report of a [`bicgstab`] solve.
-#[derive(Clone, Copy, Debug)]
-pub struct KrylovOutcome {
-    /// Whether the requested tolerance was reached
-    /// (`relative_residual <= tol`, no slack).
-    pub converged: bool,
-    /// BiCGSTAB iterations performed (each costs two operator applies
-    /// and two preconditioner applies).
-    pub iterations: usize,
-    /// Final true residual ‖b − A·x‖₂ / ‖b‖₂, formed by
-    /// [`LinOp::residual`] (the difference form on the flag chain).
-    pub relative_residual: f64,
-    /// Outer rounds after the first: iterative-refinement steps.
-    pub refinements: usize,
-    /// The last round's correction ‖Δx‖∞ / ‖x‖∞ (1 for a solve from
-    /// x = 0 that stopped in its first round).
-    pub correction: f64,
-    /// The last correction, when it is a verified estimate of the
-    /// relative error: at least one refinement round ran, the corrections
-    /// contracted (the last fell under ½ the round before, or, where the
-    /// refinement stalled at its rounding floor, the one before it did),
-    /// and the last round's recurrence reached its target rather than its
-    /// iteration budget.
-    pub error_estimate: Option<f64>,
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// A refinement round whose correction ‖Δx‖∞/‖x‖∞ falls to this has
-/// reached working precision: a further round would only move rounding
-/// noise.
-const REFINE_FLOOR: f64 = 1e-14;
-
-/// Preconditioned BiCGSTAB (van der Vorst 1992): solves `A·x = b` to a
-/// relative residual of `tol`, touching `A` only through
-/// [`LinOp::apply`] and [`LinOp::residual`].
-///
-/// `x` carries the initial guess in and the solution out. Breakdowns
-/// (ρ ≈ 0, ω ≈ 0) trigger a restart with the current residual as the
-/// new shadow vector rather than aborting the solve. Each outer round
-/// runs the recurrence from the current iterate on the *true* residual
-/// [`LinOp::residual`], so every round after the first is one step of
-/// iterative refinement (Higham, *Accuracy and Stability of Numerical
-/// Algorithms*, ch. 12). The rounds stop on the first of: the true
-/// residual reaches `tol`; a round's correction ‖Δx‖∞/‖x‖∞ falls to
-/// 1e-14; from the third round on, the correction stops contracting (at
-/// least ½ the previous one); the iteration budget runs out. The returned
-/// [`KrylovOutcome`] reports the final true residual and the corrections.
-pub fn bicgstab(
-    a: &dyn LinOp,
-    m: &dyn Precond,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iter: usize,
-) -> KrylovOutcome {
-    let n = a.dim();
-    assert_eq!(b.len(), n, "rhs dimension mismatch");
-    assert_eq!(x.len(), n, "solution dimension mismatch");
-    let norm_b = norm2(b);
-    if norm_b == 0.0 {
-        x.fill(0.0);
-        return KrylovOutcome {
-            converged: true,
-            iterations: 0,
-            relative_residual: 0.0,
-            refinements: 0,
-            correction: 0.0,
-            error_estimate: None,
-        };
-    }
-
-    let (mut iterations, mut rounds) = (0, 0);
-    let (mut correction, mut was_contracting) = (f64::INFINITY, false);
-    let mut start = x.to_vec();
-    let mut residual = b.to_vec();
-    if x.iter().any(|v| v.to_bits() != 0) {
-        // Every solve here starts from all +0.0, which each operator maps
-        // to +0.0, so b − (+0.0) = b bit for bit and the apply is skipped.
-        a.residual(b, x, &mut residual);
-    }
-    let refining = ThroughResidual {
-        a,
-        zero: vec![0.0; n],
-    };
-    loop {
-        start.copy_from_slice(x);
-        // Each round restarts the recurrence on the true residual.
-        let op = if rounds == 0 { a } else { &refining };
-        let (used, reached) =
-            bicgstab_recurrence(op, m, &residual, x, tol * norm_b, max_iter - iterations);
-        iterations += used;
-        rounds += 1;
-        let previous = correction;
-        correction = relative_change(&start, x);
-        a.residual(b, x, &mut residual);
-        let rel = norm2(&residual) / norm_b;
-        let contracted = correction < 0.5 * previous;
-        // A refinement that stalls at its rounding floor has contracted up
-        // to the round before.
-        let converging = contracted || (rounds >= 3 && was_contracting);
-        if rel <= tol
-            || correction <= REFINE_FLOOR
-            || (rounds >= 3 && !contracted)
-            || iterations >= max_iter
-        {
-            return KrylovOutcome {
-                converged: rel <= tol,
-                iterations,
-                relative_residual: rel,
-                refinements: rounds - 1,
-                correction,
-                error_estimate: (rounds >= 2 && converging && reached).then_some(correction),
-            };
-        }
-        was_contracting = contracted;
-    }
-}
-
-/// `A` with every product formed through [`LinOp::residual`], as
-/// A·x = −(0 − A·x) (both steps exact): the operator a refinement round
-/// runs its recurrence on. On the flag chain that is the difference form,
-/// which resolves the slowly decaying mode a standard-form product rounds
-/// away once ε·Λ·E\[X\] nears 1; on an operator with the default
-/// residual it is [`LinOp::apply`] (up to the sign of zero entries).
-struct ThroughResidual<'a> {
-    a: &'a dyn LinOp,
-    zero: Vec<f64>,
-}
-
-impl LinOp for ThroughResidual<'_> {
-    fn dim(&self) -> usize {
-        self.a.dim()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.a.residual(&self.zero, x, y);
-        for y in y.iter_mut() {
-            *y = -*y;
-        }
-    }
-}
-
-/// ‖x − start‖∞ / ‖x‖∞: how far one round moved the iterate.
-fn relative_change(start: &[f64], x: &[f64]) -> f64 {
-    let (mut moved, mut size) = (0.0f64, 0.0f64);
-    for (&s, &x) in start.iter().zip(x) {
-        moved = moved.max((x - s).abs());
-        size = size.max(x.abs());
-    }
-    if moved == 0.0 {
-        0.0
-    } else {
-        moved / size
-    }
-}
-
-/// One run of the BiCGSTAB recurrence from the current iterate, whose
-/// true residual is `residual`, until the *recursive* residual reaches
-/// `target` or `max_iter` iterations pass. Returns the iterations used and
-/// whether the target was reached (false on an exhausted budget).
-fn bicgstab_recurrence(
-    a: &dyn LinOp,
-    m: &dyn Precond,
-    residual: &[f64],
-    x: &mut [f64],
-    target: f64,
-    max_iter: usize,
-) -> (usize, bool) {
-    let n = a.dim();
-    let mut r = residual.to_vec();
-    let mut r0 = r.clone();
-    let mut p = r.clone();
-    let mut v = vec![0.0; n];
-    let mut phat = vec![0.0; n];
-    let mut shat = vec![0.0; n];
-    let mut s = vec![0.0; n];
-    let mut t = vec![0.0; n];
-    let mut rho = dot(&r0, &r);
-    let mut iterations = 0;
-
-    while iterations < max_iter {
-        iterations += 1;
-
-        // p̂ = M⁻¹p ; v = A·p̂
-        m.apply(&p, &mut phat);
-        a.apply(&phat, &mut v);
-        let r0v = dot(&r0, &v);
-        if r0v.abs() < f64::MIN_POSITIVE {
-            // Breakdown: restart with the current residual.
-            r0.copy_from_slice(&r);
-            p.copy_from_slice(&r);
-            rho = dot(&r0, &r);
-            if rho == 0.0 {
-                return (iterations, true); // exact solution reached
-            }
-            continue;
-        }
-        let alpha = rho / r0v;
-
-        // s = r − α·v
-        for ((s, &r), &v) in s.iter_mut().zip(&r).zip(&v) {
-            *s = r - alpha * v;
-        }
-        if norm2(&s) <= target {
-            for (x, &ph) in x.iter_mut().zip(&phat) {
-                *x += alpha * ph;
-            }
-            return (iterations, true);
-        }
-
-        // ŝ = M⁻¹s ; t = A·ŝ
-        m.apply(&s, &mut shat);
-        a.apply(&shat, &mut t);
-        let tt = dot(&t, &t);
-        let omega = if tt > 0.0 { dot(&t, &s) / tt } else { 0.0 };
-
-        for ((x, &ph), &sh) in x.iter_mut().zip(&phat).zip(&shat) {
-            *x += alpha * ph + omega * sh;
-        }
-        for ((r, &s), &t) in r.iter_mut().zip(&s).zip(&t) {
-            *r = s - omega * t;
-        }
-        if norm2(&r) <= target {
-            return (iterations, true);
-        }
-
-        let rho_new = dot(&r0, &r);
-        if omega == 0.0 || rho_new.abs() < f64::MIN_POSITIVE {
-            // ω- or ρ-breakdown: restart from the current residual.
-            r0.copy_from_slice(&r);
-            p.copy_from_slice(&r);
-            rho = dot(&r0, &r);
-            continue;
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        for ((p, &r), &v) in p.iter_mut().zip(&r).zip(&v) {
-            *p = r + beta * (*p - omega * v);
-        }
-    }
-    (iterations, false)
-}
-
-/// Relative-residual target for the flag-chain Krylov solves (scaled
-/// with the state count by [`FlagChainOp::default_tol`]). The two-level
-/// preconditioner normally pushes well below this in the first round;
-/// where the difference-form residual's own rounding floor lies above it
-/// (the domino regime), the refinement rounds take over (module doc,
-/// **Refinement**).
-const KRYLOV_TOL: f64 = 1e-13;
+use crate::solver::{
+    bicgstab, KrylovOutcome, LinOp, Precond, TransientBlock, KRYLOV_MAX_ITER, KRYLOV_TOL,
+};
 
 /// Hard acceptance bound: a solve is returned only if its true relative
 /// residual, or its verified error estimate
@@ -466,11 +155,6 @@ const KRYLOV_TOL: f64 = 1e-13;
 /// n = 8, ρ = 32, for an answer within 5.1e-16 of GTH), so the refined
 /// solve's estimate vouches for it instead.
 const KRYLOV_ACCEPT: f64 = 1e-8;
-
-/// Iteration cap. Each iteration costs two operator applies in the
-/// Krylov recurrence plus two preconditioner applies of about two
-/// operator applies each (residual and smoothing sweeps).
-const KRYLOV_MAX_ITER: usize = 2000;
 
 /// One strictly-positive pairwise interaction, with its bit masks
 /// precomputed.
@@ -941,21 +625,21 @@ fn pair_pull_hi<const D: bool>(y: &mut [f64], x: &[f64], own: &[f64], bi: usize,
 /// `0` is the entry state S_r, transient index `m + 1` is the
 /// intermediate flag vector `m` (for `m` in `0..2ⁿ−1`), and the
 /// absorbing state S_{r+1} (index 2ⁿ) is excluded from the transient
-/// block. Only O(2ⁿ) memory is held — the per-state exit rates — and
-/// every operator apply regenerates the transitions from the R1–R4
-/// rules on the fly.
+/// block. Only O(2ⁿ) memory is held — the per-state exit rates, and
+/// from the first solve on the O(n) coarse level — and every operator
+/// apply regenerates the transitions from the R1–R4 rules on the fly.
 #[derive(Clone, Debug)]
 pub struct FlagChainOp {
     n: usize,
     mu: Vec<f64>,
     total_mu: f64,
-    /// Mean pairwise rate (coarse-grid model parameter).
-    lambda_bar: f64,
     pairs: Vec<PairRate>,
     /// Exit rate of every transient state (the −diagonal of Q_TT).
     exit: Vec<f64>,
     /// Masks per thread range of the block-loop passes ([`range_span`]).
     span: usize,
+    /// The coarse level ([`FlagChainOp::coarse`]).
+    coarse: OnceLock<Arc<Coarse>>,
 }
 
 impl FlagChainOp {
@@ -1027,14 +711,10 @@ impl FlagChainOp {
             n,
             mu,
             total_mu,
-            lambda_bar: if n_pairs > 0 {
-                total_lambda / n_pairs as f64
-            } else {
-                0.0
-            },
             pairs,
             exit,
             span: range_span(n),
+            coarse: OnceLock::new(),
         }
     }
 
@@ -1095,27 +775,14 @@ impl FlagChainOp {
     }
 
     /// `y = (−Q_TT)·x` over the transient block, regenerated from the
-    /// R1–R4 rules — no stored matrix.
-    pub fn apply_neg_qtt(&self, x: &[f64], y: &mut [f64]) {
-        self.pull_neg_qtt::<false>(x, y);
-    }
-
-    /// `r = b − (−Q_TT)·x`, the product in difference form (module doc,
-    /// **Refinement**): free of the cancellation between exitᵢ·xᵢ and
-    /// Σⱼ qᵢⱼ·xⱼ, at the cost of one forward apply.
-    pub fn residual_neg_qtt(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
-        self.pull_neg_qtt::<true>(x, r);
-        for (r, &b) in r.iter_mut().zip(b) {
-            *r = b - *r;
-        }
-    }
-
-    /// [`FlagChainOp::apply_neg_qtt`] in standard form, exitᵢ·xᵢ −
+    /// R1–R4 rules — no stored matrix — in standard form, exitᵢ·xᵢ −
     /// Σⱼ qᵢⱼ·xⱼ, or with `D` in difference form, sᵢ·xᵢ + Σⱼ qᵢⱼ·(xᵢ −
     /// xⱼ), where sᵢ is the rate straight into S_{r+1}: Σμ at S_r, μᵢ at
-    /// the mask one flag i short of it, 0 elsewhere. Both run the same
-    /// kernels over the same windows and tiles.
-    fn pull_neg_qtt<const D: bool>(&self, x: &[f64], y: &mut [f64]) {
+    /// the mask one flag i short of it, 0 elsewhere (module doc,
+    /// **Refinement**). Both run the same kernels over the same windows
+    /// and tiles; the difference form is free of the cancellation between
+    /// exitᵢ·xᵢ and Σⱼ qᵢⱼ·xⱼ.
+    fn apply_neg_qtt<const D: bool>(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n_transient());
         debug_assert_eq!(y.len(), self.n_transient());
 
@@ -1158,7 +825,7 @@ impl FlagChainOp {
     }
 
     /// `y = (−Q_TT)ᵀ·x` over the transient block.
-    pub fn apply_neg_qtt_transpose(&self, x: &[f64], y: &mut [f64]) {
+    fn apply_neg_qtt_transpose(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n_transient());
         debug_assert_eq!(y.len(), self.n_transient());
 
@@ -1224,15 +891,36 @@ impl FlagChainOp {
     /// the convergence report — the building block behind the
     /// absorption accessors, exposed for benches and scaling gates.
     pub fn solve(&self, b: &[f64], transpose: bool) -> (Vec<f64>, KrylovOutcome) {
-        let (tol, max_iter) = (self.default_tol(), KRYLOV_MAX_ITER);
         let mut x = vec![0.0; self.n_transient()];
-        let pre = TwoLevel::new(self, transpose);
-        let outcome = if transpose {
-            bicgstab(&NegQttTransposed(self), &pre, b, &mut x, tol, max_iter)
-        } else {
-            bicgstab(&NegQtt(self), &pre, b, &mut x, tol, max_iter)
+        let a = NegQtt(self, transpose);
+        let pre = TwoLevel {
+            op: self,
+            transpose,
         };
+        let outcome = bicgstab(&a, &pre, b, &mut x, self.default_tol(), KRYLOV_MAX_ITER);
         (x, outcome)
+    }
+
+    /// The coarse level of [`TwoLevel`], built on the operator's first
+    /// solve and shared by every later one, at the averaged rates
+    /// μ̄ = Σμ/n and λ̄ = Σλ/C(n, 2). λ̄ sums the pairs in the order of
+    /// [`AsyncParams::total_lambda`]; the idle pairs it skips add +0.
+    fn coarse(&self) -> &Coarse {
+        self.coarse.get_or_init(|| {
+            let (n, pairs) = (self.n, (self.n * (self.n - 1) / 2) as f64);
+            let lambda = self.pairs.iter().fold(0.0, |s, pr| s + pr.rate) / pairs;
+            // Coarse transient states: S_r (0) and S̃_0 … S̃_{n−1} (1..=n).
+            let block = SymmetricChain::build(n, self.total_mu / n as f64, lambda)
+                .ctmc
+                .transient_block(SymmetricChain::START);
+            // Sizes 1 for S_r, then C(n, u) = C(n, u − 1)·(n − u + 1)/u,
+            // exact in f64 for n ≤ 24.
+            let mut sizes = vec![1.0, 1.0];
+            for u in 1..n {
+                sizes.push(sizes[u] * (n - u + 1) as f64 / u as f64);
+            }
+            Arc::new(Coarse { block, sizes })
+        })
     }
 
     /// Default relative-residual target, loosened with the state count:
@@ -1257,24 +945,15 @@ impl FlagChainOp {
             outcome.relative_residual <= KRYLOV_ACCEPT
                 || outcome.error_estimate.is_some_and(|e| e <= KRYLOV_ACCEPT),
             "matrix-free BiCGSTAB failed to converge on the n = {} flag chain \
-             (transpose = {transpose}): relative residual {}, correction {} \
-             ({}verified) after {} iterations",
-            self.n,
-            outcome.relative_residual,
-            outcome.correction,
-            if outcome.error_estimate.is_some() {
-                ""
-            } else {
-                "not "
-            },
-            outcome.iterations
+             (transpose = {transpose}): {outcome:?}",
+            self.n
         );
         x
     }
 
     /// Expected absorption time from every transient state: the
     /// solution of `(−Q_TT)·τ = 1`.
-    pub fn absorption_times(&self) -> Vec<f64> {
+    fn absorption_times(&self) -> Vec<f64> {
         self.solve_transient(&vec![1.0; self.n_transient()], false)
     }
 
@@ -1364,30 +1043,32 @@ fn interleaved_sum(xs: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + rest
 }
 
-/// `(−Q_TT)` of a [`FlagChainOp`] as a [`LinOp`].
-struct NegQtt<'a>(&'a FlagChainOp);
+/// `(−Q_TT)`, or `(−Q_TT)ᵀ` when the flag is set, of a [`FlagChainOp`]
+/// as a [`LinOp`]. Products are in standard form; the forward residual
+/// `b − (−Q_TT)·x` takes the difference form (module doc,
+/// **Refinement**).
+struct NegQtt<'a>(&'a FlagChainOp, bool);
 
 impl LinOp for NegQtt<'_> {
     fn dim(&self) -> usize {
         self.0.n_transient()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.0.apply_neg_qtt(x, y);
+        if self.1 {
+            self.0.apply_neg_qtt_transpose(x, y);
+        } else {
+            self.0.apply_neg_qtt::<false>(x, y);
+        }
     }
     fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
-        self.0.residual_neg_qtt(b, x, r);
-    }
-}
-
-/// `(−Q_TT)ᵀ` of a [`FlagChainOp`] as a [`LinOp`].
-struct NegQttTransposed<'a>(&'a FlagChainOp);
-
-impl LinOp for NegQttTransposed<'_> {
-    fn dim(&self) -> usize {
-        self.0.n_transient()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.0.apply_neg_qtt_transpose(x, y);
+        if self.1 {
+            self.apply(x, r);
+        } else {
+            self.0.apply_neg_qtt::<true>(x, r);
+        }
+        for (r, &b) in r.iter_mut().zip(b) {
+            *r = b - *r;
+        }
     }
 }
 
@@ -1399,11 +1080,12 @@ impl LinOp for NegQttTransposed<'_> {
 ///
 /// The coarse operator is the lumped chain's `−Q̃_TT` built from the
 /// *averaged* rates μ̄, λ̄: an (n+1)×(n+1) [`TransientBlock`], which the
-/// generic rule factorises once by GTH, so the correction keeps its
-/// digits in the domino regime, where LU declares the lumped block
-/// singular. The
-/// Galerkin-consistent coarse solve uses aggregate means against the
-/// forward operator and size-weighted sums against the transpose.
+/// generic rule factorises by GTH, so the correction keeps its digits in
+/// the domino regime, where LU declares the lumped block singular. It is
+/// built once per operator ([`FlagChainOp::coarse`]) and shared by every
+/// solve in either orientation. The Galerkin-consistent coarse solve uses
+/// aggregate means against the forward operator and size-weighted sums
+/// against the transpose.
 ///
 /// The smoother is what carries heterogeneous rates: R1 moves to a
 /// higher mask and R2/R3 to a lower one, so a sweep in reverse mask
@@ -1415,35 +1097,26 @@ impl LinOp for NegQttTransposed<'_> {
 struct TwoLevel<'a> {
     op: &'a FlagChainOp,
     transpose: bool,
+}
+
+/// The coarse level of a [`FlagChainOp`]'s [`TwoLevel`] preconditioner.
+struct Coarse {
     /// The coarse `−Q̃_TT`; the transposed fine system solves with its
     /// transpose.
-    coarse: TransientBlock,
+    block: TransientBlock,
     /// Aggregate sizes: 1 for S_r, C(n, u) for popcount class u.
     sizes: Vec<f64>,
 }
 
-impl<'a> TwoLevel<'a> {
-    fn new(op: &'a FlagChainOp, transpose: bool) -> TwoLevel<'a> {
-        let n = op.n;
-        let mu_bar = op.total_mu / n as f64;
-        // Coarse transient states: S_r (0) and S̃_0 … S̃_{n−1} (1..=n).
-        let coarse = SymmetricChain::build(n, mu_bar, op.lambda_bar)
-            .ctmc
-            .transient_block(SymmetricChain::START);
-        let nc = n + 1;
-        let mut sizes = vec![0.0f64; nc];
-        sizes[0] = 1.0;
-        for u in 0..n {
-            sizes[u + 1] = binomial(n, u);
-        }
-        TwoLevel {
-            op,
-            transpose,
-            coarse,
-            sizes,
-        }
+impl std::fmt::Debug for Coarse {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Coarse")
+            .field("sizes", &self.sizes)
+            .finish_non_exhaustive()
     }
+}
 
+impl TwoLevel<'_> {
     /// One Gauss–Seidel sweep on the (possibly transposed) fine system
     /// `A·z = r`, in place. A `cold` sweep starts from z = 0: it skips
     /// the pass over old values and never reads `z` before writing it.
@@ -1540,31 +1213,19 @@ impl<'a> TwoLevel<'a> {
     }
 }
 
-/// C(n, k) in f64 (n ≤ 24, exact in f64).
-fn binomial(n: usize, k: usize) -> f64 {
-    let mut v = 1.0;
-    for i in 0..k {
-        v = v * (n - i) as f64 / (i + 1) as f64;
-    }
-    v
-}
-
 impl Precond for TwoLevel<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         // Level 1: pre-smoothing from z = 0.
         self.sweep(r, z, true);
         // Residual after smoothing: rr = r − A·z.
         let mut rr = vec![0.0; r.len()];
-        if self.transpose {
-            self.op.apply_neg_qtt_transpose(z, &mut rr);
-        } else {
-            self.op.apply_neg_qtt(z, &mut rr);
-        }
+        NegQtt(self.op, self.transpose).apply(z, &mut rr);
         for (rr, &r) in rr.iter_mut().zip(r) {
             *rr = r - *rr;
         }
         // Level 2: coarse correction over popcount aggregates.
-        let nc = self.sizes.len();
+        let coarse = self.op.coarse();
+        let nc = coarse.sizes.len();
         let mut rc = vec![0.0; nc];
         for (t, &v) in rr.iter().enumerate() {
             rc[Self::agg(t)] += v;
@@ -1572,18 +1233,18 @@ impl Precond for TwoLevel<'_> {
         let ec = if self.transpose {
             // (R AᵀP)·e_c = R·rr with R AᵀP = (Q̃ᵀ scaled): solve
             // A_cᵀ·w = Σ_agg rr, then e_c = w ./ sizes.
-            let mut w = self.coarse.solve_transpose(&rc);
-            for (w, &s) in w.iter_mut().zip(&self.sizes) {
+            let mut w = coarse.block.solve_transpose(&rc);
+            for (w, &s) in w.iter_mut().zip(&coarse.sizes) {
                 *w /= s;
             }
             w
         } else {
             // (R A P)·e_c = R·rr with R A P = S·A_c: solve
             // A_c·e_c = mean_agg rr.
-            for (rc, &s) in rc.iter_mut().zip(&self.sizes) {
+            for (rc, &s) in rc.iter_mut().zip(&coarse.sizes) {
                 *rc /= s;
             }
-            self.coarse.solve(&rc)
+            coarse.block.solve(&rc)
         };
         for (t, z) in z.iter_mut().enumerate() {
             *z += ec[Self::agg(t)];
@@ -1600,6 +1261,7 @@ mod tests {
     use crate::ctmc::Column;
     use crate::linalg::Matrix;
     use crate::paper::FlagChain;
+    use crate::solver::Jacobi;
 
     /// Deterministic mildly-skewed parameters for n processes.
     fn skewed_params(n: usize) -> AsyncParams {
@@ -1672,13 +1334,13 @@ mod tests {
             let x: Vec<f64> = (0..nt).map(|k| ((k * 37 + 11) % 17) as f64 - 8.0).collect();
 
             let mut got = vec![0.0; nt];
-            op.apply_neg_qtt(&x, &mut got);
+            NegQtt(&op, false).apply(&x, &mut got);
             assert_close(&got, &a.mul_vec(&x), &format!("n={n} apply"));
             let b: Vec<f64> = (0..nt).map(|k| (k % 3) as f64).collect();
-            op.residual_neg_qtt(&b, &x, &mut got);
+            NegQtt(&op, false).residual(&b, &x, &mut got);
             let want: Vec<f64> = b.iter().zip(a.mul_vec(&x)).map(|(b, y)| b - y).collect();
             assert_close(&got, &want, &format!("n={n} difference-form residual"));
-            op.apply_neg_qtt_transpose(&x, &mut got);
+            NegQtt(&op, true).apply(&x, &mut got);
             assert_close(&got, &at.mul_vec(&x), &format!("n={n} transpose"));
 
             // π·P with P = I + Q/Λ over all 2ⁿ+1 states.
@@ -1699,16 +1361,16 @@ mod tests {
             // Warm sweeps (z ≠ 0) exercise both the pass on old values
             // and the R1 substitution.
             let r: Vec<f64> = (0..nt).map(|k| ((k * 7 + 3) % 5) as f64 - 1.0).collect();
-            let mut got = x.clone();
-            TwoLevel::new(&op, false).sweep(&r, &mut got, false);
-            let mut want = x.clone();
-            dense_sweep(&a, &r, &mut want, (1..nt).rev().chain([0]));
-            assert_close(&got, &want, &format!("n={n} sweep"));
-            let mut got = x.clone();
-            TwoLevel::new(&op, true).sweep(&r, &mut got, false);
-            let mut want = x.clone();
-            dense_sweep(&at, &r, &mut want, 0..nt);
-            assert_close(&got, &want, &format!("n={n} transposed sweep"));
+            let orders: [(bool, &Matrix, Vec<usize>); 2] = [
+                (false, &a, (1..nt).rev().chain([0]).collect()),
+                (true, &at, (0..nt).collect()),
+            ];
+            for (transpose, dense, order) in orders {
+                let (mut got, mut want) = (x.clone(), x.clone());
+                TwoLevel { op: &op, transpose }.sweep(&r, &mut got, false);
+                dense_sweep(dense, &r, &mut want, order.into_iter());
+                assert_close(&got, &want, &format!("n={n} sweep ({transpose})"));
+            }
         }
         for n in [5usize, 7] {
             assert_ranges_bit_identical(&FlagChainOp::new(&skewed_params_with_idle_pair(n)));
@@ -1729,11 +1391,15 @@ mod tests {
         };
         let (x, r) = (operand(0.1), operand(0.7));
         let mut apply = vec![0.0; nt];
-        op.apply_neg_qtt(&x, &mut apply);
+        NegQtt(op, false).apply(&x, &mut apply);
         let mut sweep = x.clone();
-        TwoLevel::new(op, false).sweep(&r, &mut sweep, false);
+        TwoLevel {
+            op,
+            transpose: false,
+        }
+        .sweep(&r, &mut sweep, false);
         let mut residual = vec![0.0; nt];
-        op.residual_neg_qtt(&r, &x, &mut residual);
+        NegQtt(op, false).residual(&r, &x, &mut residual);
         [("apply", apply), ("sweep", sweep), ("residual", residual)]
     }
 
@@ -1768,7 +1434,7 @@ mod tests {
             let c = 1.0e12 / 3.0;
             let x = vec![c; op.n_transient()];
             let mut r = vec![0.0; op.n_transient()];
-            op.residual_neg_qtt(&vec![0.0; op.n_transient()], &x, &mut r);
+            NegQtt(&op, false).residual(&vec![0.0; op.n_transient()], &x, &mut r);
             let mut want = vec![0.0; op.n_transient()];
             want[0] = -(op.total_mu * c);
             for (i, &mi) in op.mu.iter().enumerate() {
@@ -2226,11 +1892,12 @@ mod tests {
         let op = FlagChainOp::new(&params);
         let b = vec![1.0; op.n_transient()];
         let mut x = vec![0.0; op.n_transient()];
-        let pre = TwoLevel::new(&op, false);
+        let transpose = false;
+        let (a, pre) = (NegQtt(&op, transpose), TwoLevel { op: &op, transpose });
         // 1e-11 rather than machine-precision: `converged` is strict,
         // and the true residual floors at rounding noise well below
         // this while still proving the aggregation does the work.
-        let out = bicgstab(&NegQtt(&op), &pre, &b, &mut x, 1e-11, KRYLOV_MAX_ITER);
+        let out = bicgstab(&a, &pre, &b, &mut x, 1e-11, KRYLOV_MAX_ITER);
         assert!(out.converged, "residual {}", out.relative_residual);
         assert!(
             out.iterations <= 25,
@@ -2246,76 +1913,26 @@ mod tests {
     }
 
     #[test]
-    fn refinement_that_never_contracts_gives_no_estimate() {
-        // A residual offset by ±100, alternating on every call with a
-        // right-hand side (the products, formed with b = 0, stay exact):
-        // each refinement round swings x across the solution by more than
-        // its size, so the corrections never contract and no estimate may
-        // be claimed.
-        struct Drifting {
-            a: Matrix,
-            calls: std::cell::Cell<i32>,
-        }
-        impl LinOp for Drifting {
-            fn dim(&self) -> usize {
-                self.a.rows()
-            }
-            fn apply(&self, x: &[f64], y: &mut [f64]) {
-                y.copy_from_slice(&self.a.mul_vec(x));
-            }
-            fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
-                let drift = if b.iter().any(|&v| v != 0.0) {
-                    self.calls.set(self.calls.get() + 1);
-                    100.0 * (-1.0f64).powi(self.calls.get())
-                } else {
-                    0.0
-                };
-                for ((r, &ax), &b) in r.iter_mut().zip(&self.a.mul_vec(x)).zip(b) {
-                    *r = b - ax + drift;
-                }
-            }
-        }
-        let a = Matrix::from_rows(&[&[4.0, -1.0, 0.5], &[-2.0, 5.0, -1.0], &[0.0, -3.0, 6.0]]);
-        let op = Drifting {
-            a,
-            calls: std::cell::Cell::new(0),
-        };
-        let mut x = vec![0.0; 3];
-        let pre = Jacobi::new(&[4.0, 5.0, 6.0]);
-        let out = bicgstab(&op, &pre, &[1.0, -2.0, 3.5], &mut x, 1e-13, 200);
-        assert!(!out.converged && out.refinements >= 2, "{out:?}");
-        assert!(out.correction > 0.1, "{out:?}");
-        assert_eq!(out.error_estimate, None, "{out:?}");
-    }
+    fn one_coarse_level_serves_every_solve_of_an_operator() {
+        // The mean, both solves of the moments and the transposed visits
+        // on one skewed operator share the coarse level its first solve
+        // builds, and each answers bit for bit what a fresh operator does.
+        let params = skewed_params(6);
+        let op = FlagChainOp::new(&params);
+        assert!(op.coarse.get().is_none(), "built before any solve");
+        let mean = op.mean_absorption_time();
+        let built: *const Coarse = &**op.coarse.get().expect("built by the first solve");
+        let moments = op.absorption_time_moments();
+        assert!(std::ptr::eq(op.coarse(), built), "moments rebuilt it");
+        let visits = op.expected_visits();
+        assert!(std::ptr::eq(op.coarse(), built), "visits rebuilt it");
 
-    #[test]
-    fn bicgstab_solves_a_small_nonsymmetric_system() {
-        struct DenseOp(Matrix);
-        impl LinOp for DenseOp {
-            fn dim(&self) -> usize {
-                self.0.rows()
-            }
-            fn apply(&self, x: &[f64], y: &mut [f64]) {
-                y.copy_from_slice(&self.0.mul_vec(x));
-            }
-        }
-        let a = Matrix::from_rows(&[&[4.0, -1.0, 0.5], &[-2.0, 5.0, -1.0], &[0.0, -3.0, 6.0]]);
-        let diag = vec![4.0, 5.0, 6.0];
-        let b = vec![1.0, -2.0, 3.5];
-        let mut x = vec![0.0; 3];
-        let out = bicgstab(
-            &DenseOp(a.clone()),
-            &Jacobi::new(&diag),
-            &b,
-            &mut x,
-            1e-13,
-            200,
-        );
-        assert!(out.converged, "residual {}", out.relative_residual);
-        let r = a.mul_vec(&x);
-        for (ri, bi) in r.iter().zip(&b) {
-            assert!((ri - bi).abs() < 1e-10);
-        }
+        let fresh = || FlagChainOp::new(&params);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(mean.to_bits(), fresh().mean_absorption_time().to_bits());
+        let (m1, m2) = fresh().absorption_time_moments();
+        assert_eq!(bits(&[moments.0, moments.1]), bits(&[m1, m2]));
+        assert_eq!(bits(&visits), bits(&fresh().expected_visits()));
     }
 
     #[test]
@@ -2324,7 +1941,8 @@ mod tests {
         let op = FlagChainOp::new(&params);
         let b = vec![0.0; op.n_transient()];
         let mut x = vec![1.0; op.n_transient()];
-        let out = bicgstab(&NegQtt(&op), &Jacobi::new(&op.exit), &b, &mut x, 1e-13, 10);
+        let (a, pre) = (NegQtt(&op, false), Jacobi::new(&op.exit));
+        let out = bicgstab(&a, &pre, &b, &mut x, 1e-13, 10);
         assert!(out.converged);
         assert!(x.iter().all(|&v| v == 0.0));
     }

@@ -329,7 +329,9 @@ impl AsyncParams {
     /// — a candidate explanation for the paper's Table 1 E(X) row
     /// sitting a few percent above the exact renewal mean.
     pub fn length_biased_mean_interval(&self) -> f64 {
-        self.interval_second_moment() / self.mean_interval()
+        // Both moments from one operator: τ's solve is the mean's.
+        let (m1, m2) = self.matrix_free_op().absorption_time_moments();
+        m2 / m1
     }
 
     /// The p-quantile of X (0 < p < 1), the root of F(t) = p —
@@ -1077,8 +1079,11 @@ mod tests {
         // The near-zero R4 spike makes X over-dispersed relative to an
         // exponential of the same mean: CV² > 1.
         assert!(var / (m1 * m1) > 1.0, "CV² = {}", var / (m1 * m1));
-        // Length-biased mean exceeds the renewal mean.
-        assert!(p.length_biased_mean_interval() > m1);
+        // Length-biased mean exceeds the renewal mean, and is the separate
+        // queries' m₂/m₁ bit for bit.
+        let biased = p.length_biased_mean_interval();
+        assert!(biased > m1);
+        assert_eq!(biased.to_bits(), (m2 / m1).to_bits());
     }
 
     #[test]

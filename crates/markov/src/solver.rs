@@ -1,4 +1,5 @@
-//! The transient block of an absorbing chain and its one solve rule.
+//! The transient block of an absorbing chain, its one solve rule, and the
+//! Krylov method behind every iterative solve in the crate.
 //!
 //! Every absorption solve over a materialised chain is a solve with its
 //! transient block A: −Q_TT of a [`crate::Ctmc`] (the absorption-time
@@ -6,7 +7,7 @@
 //! and the lumped chain's −Q̃_TT at the coarse level of [`crate::matfree`].
 //! Each is a nonsingular M-matrix whose rows hold off-diagonal entries
 //! −qᵢⱼ ≤ 0 and a diagonal that exceeds their magnitudes by the row's rate
-//! sᵢ ≥ 0 straight into absorption. [`TransientBlock`] keeps those rows,
+//! sᵢ ≥ 0 straight into absorption. `TransientBlock` keeps those rows,
 //! the diagonal and the sᵢ, and solves `A·x = b` and `Aᵀ·x = b` by one
 //! rule on its size S:
 //!
@@ -22,20 +23,25 @@
 //! survives as the backend that benches and conformance tests force
 //! through [`crate::Ctmc::mean_absorption_time_with`], and no default
 //! path picks [`SolverStrategy::GaussSeidel`].
+//!
+//! The Krylov method is declared here once, for the blocks and for the
+//! flag chain of [`crate::matfree`]: preconditioned BiCGSTAB refined on
+//! the operator's own residual, reporting a [`KrylovOutcome`]. Each
+//! operator keeps its own acceptance bound.
 
 use std::sync::OnceLock;
 
 use crate::linalg::{GthFactors, Matrix};
-use crate::matfree::{bicgstab, Jacobi, LinOp};
 
 /// Largest transient-state count a block solves densely (2⁸): O(S³)
 /// elimination stays in the low milliseconds up to there.
 pub const DENSE_MAX_STATES: usize = 1 << 8;
 
-/// The Krylov arm's relative-residual target, iteration budget and
+/// Every Krylov solve's relative-residual target (scaled with the state
+/// count on the flag chain) and iteration budget, and the block's
 /// acceptance bound (module doc).
-const KRYLOV_TOL: f64 = 1e-13;
-const KRYLOV_MAX_ITER: usize = 2000;
+pub(crate) const KRYLOV_TOL: f64 = 1e-13;
+pub(crate) const KRYLOV_MAX_ITER: usize = 2000;
 const KRYLOV_ACCEPT: f64 = 1e-9;
 
 /// Which backend an absorption solve runs on.
@@ -47,8 +53,8 @@ pub enum SolverStrategy {
     /// chosen by a default path; callers force it as a reference.
     GaussSeidel,
     /// Preconditioned BiCGSTAB touching the matrix only through operator
-    /// applies ([`crate::matfree::LinOp`]): the flag chain's default at
-    /// every n, from the R1–R4 rules with no generator stored.
+    /// applies: the flag chain's default at every n, from the R1–R4 rules
+    /// with no generator stored.
     MatrixFree,
 }
 
@@ -194,10 +200,7 @@ impl TransientBlock {
         let outcome = bicgstab(&op, &pre, b, &mut x, KRYLOV_TOL, KRYLOV_MAX_ITER);
         assert!(
             outcome.relative_residual <= KRYLOV_ACCEPT,
-            "BiCGSTAB failed to converge on the transient block \
-             (relative residual {} after {} iterations)",
-            outcome.relative_residual,
-            outcome.iterations
+            "BiCGSTAB failed to converge on the transient block: {outcome:?}"
         );
         x
     }
@@ -252,6 +255,316 @@ impl LinOp for BlockOp<'_> {
             *y = acc;
         }
     }
+}
+
+/// A linear operator touched only through matrix–vector products.
+///
+/// Implementations are "matrix-free" in the solver-interface sense: the
+/// Krylov loop never sees entries, only the action `y = A·x`. The flag
+/// chain implements it straight from the R1–R4 rules
+/// ([`crate::matfree`]); a [`TransientBlock`] by sweeps over its rows.
+pub(crate) trait LinOp {
+    /// Operand/result dimension.
+    fn dim(&self) -> usize;
+    /// Computes `y = A·x` (overwriting `y`).
+    fn apply(&self, x: &[f64], y: &mut [f64]);
+    /// Computes the residual `r = b − A·x` (overwriting `r`). The default
+    /// subtracts [`LinOp::apply`]; an operator that can form `A·x`
+    /// without cancellation overrides it. [`bicgstab`] forms its true
+    /// residual, which also restarts each round, and every product of a
+    /// refinement round through it.
+    fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
+        self.apply(x, r);
+        for (r, &b) in r.iter_mut().zip(b) {
+            *r = b - *r;
+        }
+    }
+}
+
+/// A preconditioner: computes `z ≈ A⁻¹·r`.
+pub(crate) trait Precond {
+    /// Applies the preconditioner (overwriting `z`).
+    fn apply(&self, r: &[f64], z: &mut [f64]);
+}
+
+/// Jacobi (diagonal) preconditioning: `z = D⁻¹·r`.
+pub(crate) struct Jacobi {
+    inv_diag: Vec<f64>,
+}
+
+impl Jacobi {
+    /// Builds from the operator's diagonal.
+    ///
+    /// # Panics
+    /// Panics if any diagonal entry is zero or non-finite.
+    pub(crate) fn new(diag: &[f64]) -> Jacobi {
+        Jacobi {
+            inv_diag: diag
+                .iter()
+                .map(|&d| {
+                    assert!(d != 0.0 && d.is_finite(), "singular diagonal entry {d}");
+                    1.0 / d
+                })
+                .collect(),
+        }
+    }
+}
+
+impl Precond for Jacobi {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        for ((z, &inv), &r) in z.iter_mut().zip(&self.inv_diag).zip(r) {
+            *z = inv * r;
+        }
+    }
+}
+
+/// Convergence report of a BiCGSTAB solve.
+#[derive(Clone, Copy, Debug)]
+pub struct KrylovOutcome {
+    /// Whether the requested tolerance was reached
+    /// (`relative_residual <= tol`, no slack).
+    pub converged: bool,
+    /// BiCGSTAB iterations performed (each costs two operator applies
+    /// and two preconditioner applies).
+    pub iterations: usize,
+    /// Final true residual ‖b − A·x‖₂ / ‖b‖₂, formed by the operator's
+    /// residual (the difference form on the flag chain).
+    pub relative_residual: f64,
+    /// Outer rounds after the first: iterative-refinement steps.
+    pub refinements: usize,
+    /// The last round's correction ‖Δx‖∞ / ‖x‖∞ (1 for a solve from
+    /// x = 0 that stopped in its first round).
+    pub correction: f64,
+    /// The last correction, when it is a verified estimate of the
+    /// relative error: at least one refinement round ran, the corrections
+    /// contracted (the last fell under ½ the round before, or, where the
+    /// refinement stalled at its rounding floor, the one before it did),
+    /// and the last round's recurrence reached its target rather than its
+    /// iteration budget.
+    pub error_estimate: Option<f64>,
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+fn norm2(a: &[f64]) -> f64 {
+    dot(a, a).sqrt()
+}
+
+/// A refinement round whose correction ‖Δx‖∞/‖x‖∞ falls to this has
+/// reached working precision: a further round would only move rounding
+/// noise.
+const REFINE_FLOOR: f64 = 1e-14;
+
+/// Preconditioned BiCGSTAB (van der Vorst 1992): solves `A·x = b` to a
+/// relative residual of `tol`, touching `A` only through
+/// [`LinOp::apply`] and [`LinOp::residual`].
+///
+/// `x` carries the initial guess in and the solution out. Breakdowns
+/// (ρ ≈ 0, ω ≈ 0) trigger a restart with the current residual as the
+/// new shadow vector rather than aborting the solve. Each outer round
+/// runs the recurrence from the current iterate on the *true* residual
+/// [`LinOp::residual`], so every round after the first is one step of
+/// iterative refinement (Higham, *Accuracy and Stability of Numerical
+/// Algorithms*, ch. 12). The rounds stop on the first of: the true
+/// residual reaches `tol`; a round's correction ‖Δx‖∞/‖x‖∞ falls to
+/// 1e-14; from the third round on, the correction stops contracting (at
+/// least ½ the previous one); the iteration budget runs out. The returned
+/// [`KrylovOutcome`] reports the final true residual and the corrections.
+pub(crate) fn bicgstab(
+    a: &dyn LinOp,
+    m: &dyn Precond,
+    b: &[f64],
+    x: &mut [f64],
+    tol: f64,
+    max_iter: usize,
+) -> KrylovOutcome {
+    let n = a.dim();
+    assert_eq!(b.len(), n, "rhs dimension mismatch");
+    assert_eq!(x.len(), n, "solution dimension mismatch");
+    let norm_b = norm2(b);
+    if norm_b == 0.0 {
+        x.fill(0.0);
+        return KrylovOutcome {
+            converged: true,
+            iterations: 0,
+            relative_residual: 0.0,
+            refinements: 0,
+            correction: 0.0,
+            error_estimate: None,
+        };
+    }
+
+    let (mut iterations, mut rounds) = (0, 0);
+    let (mut correction, mut was_contracting) = (f64::INFINITY, false);
+    let mut start = x.to_vec();
+    let mut residual = b.to_vec();
+    if x.iter().any(|v| v.to_bits() != 0) {
+        // Every solve here starts from all +0.0, which each operator maps
+        // to +0.0, so b − (+0.0) = b bit for bit and the apply is skipped.
+        a.residual(b, x, &mut residual);
+    }
+    let refining = ThroughResidual {
+        a,
+        zero: vec![0.0; n],
+    };
+    loop {
+        start.copy_from_slice(x);
+        // Each round restarts the recurrence on the true residual.
+        let op = if rounds == 0 { a } else { &refining };
+        let (used, reached) =
+            bicgstab_recurrence(op, m, &residual, x, tol * norm_b, max_iter - iterations);
+        iterations += used;
+        rounds += 1;
+        let previous = correction;
+        correction = relative_change(&start, x);
+        a.residual(b, x, &mut residual);
+        let rel = norm2(&residual) / norm_b;
+        let contracted = correction < 0.5 * previous;
+        // A refinement that stalls at its rounding floor has contracted up
+        // to the round before.
+        let converging = contracted || (rounds >= 3 && was_contracting);
+        if rel <= tol
+            || correction <= REFINE_FLOOR
+            || (rounds >= 3 && !contracted)
+            || iterations >= max_iter
+        {
+            return KrylovOutcome {
+                converged: rel <= tol,
+                iterations,
+                relative_residual: rel,
+                refinements: rounds - 1,
+                correction,
+                error_estimate: (rounds >= 2 && converging && reached).then_some(correction),
+            };
+        }
+        was_contracting = contracted;
+    }
+}
+
+/// `A` with every product formed through [`LinOp::residual`], as
+/// A·x = −(0 − A·x) (both steps exact): the operator a refinement round
+/// runs its recurrence on. On the flag chain that is the difference form,
+/// which resolves the slowly decaying mode a standard-form product rounds
+/// away once ε·Λ·E\[X\] nears 1; on an operator with the default
+/// residual it is [`LinOp::apply`] (up to the sign of zero entries).
+struct ThroughResidual<'a> {
+    a: &'a dyn LinOp,
+    zero: Vec<f64>,
+}
+
+impl LinOp for ThroughResidual<'_> {
+    fn dim(&self) -> usize {
+        self.a.dim()
+    }
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.a.residual(&self.zero, x, y);
+        for y in y.iter_mut() {
+            *y = -*y;
+        }
+    }
+}
+
+/// ‖x − start‖∞ / ‖x‖∞: how far one round moved the iterate.
+fn relative_change(start: &[f64], x: &[f64]) -> f64 {
+    let (mut moved, mut size) = (0.0f64, 0.0f64);
+    for (&s, &x) in start.iter().zip(x) {
+        moved = moved.max((x - s).abs());
+        size = size.max(x.abs());
+    }
+    if moved == 0.0 {
+        0.0
+    } else {
+        moved / size
+    }
+}
+
+/// One run of the BiCGSTAB recurrence from the current iterate, whose
+/// true residual is `residual`, until the *recursive* residual reaches
+/// `target` or `max_iter` iterations pass. Returns the iterations used and
+/// whether the target was reached (false on an exhausted budget).
+fn bicgstab_recurrence(
+    a: &dyn LinOp,
+    m: &dyn Precond,
+    residual: &[f64],
+    x: &mut [f64],
+    target: f64,
+    max_iter: usize,
+) -> (usize, bool) {
+    let n = a.dim();
+    let mut r = residual.to_vec();
+    let mut r0 = r.clone();
+    let mut p = r.clone();
+    let mut v = vec![0.0; n];
+    let mut phat = vec![0.0; n];
+    let mut shat = vec![0.0; n];
+    let mut s = vec![0.0; n];
+    let mut t = vec![0.0; n];
+    let mut rho = dot(&r0, &r);
+    let mut iterations = 0;
+
+    while iterations < max_iter {
+        iterations += 1;
+
+        // p̂ = M⁻¹p ; v = A·p̂
+        m.apply(&p, &mut phat);
+        a.apply(&phat, &mut v);
+        let r0v = dot(&r0, &v);
+        if r0v.abs() < f64::MIN_POSITIVE {
+            // Breakdown: restart with the current residual.
+            r0.copy_from_slice(&r);
+            p.copy_from_slice(&r);
+            rho = dot(&r0, &r);
+            if rho == 0.0 {
+                return (iterations, true); // exact solution reached
+            }
+            continue;
+        }
+        let alpha = rho / r0v;
+
+        // s = r − α·v
+        for ((s, &r), &v) in s.iter_mut().zip(&r).zip(&v) {
+            *s = r - alpha * v;
+        }
+        if norm2(&s) <= target {
+            for (x, &ph) in x.iter_mut().zip(&phat) {
+                *x += alpha * ph;
+            }
+            return (iterations, true);
+        }
+
+        // ŝ = M⁻¹s ; t = A·ŝ
+        m.apply(&s, &mut shat);
+        a.apply(&shat, &mut t);
+        let tt = dot(&t, &t);
+        let omega = if tt > 0.0 { dot(&t, &s) / tt } else { 0.0 };
+
+        for ((x, &ph), &sh) in x.iter_mut().zip(&phat).zip(&shat) {
+            *x += alpha * ph + omega * sh;
+        }
+        for ((r, &s), &t) in r.iter_mut().zip(&s).zip(&t) {
+            *r = s - omega * t;
+        }
+        if norm2(&r) <= target {
+            return (iterations, true);
+        }
+
+        let rho_new = dot(&r0, &r);
+        if omega == 0.0 || rho_new.abs() < f64::MIN_POSITIVE {
+            // ω- or ρ-breakdown: restart from the current residual.
+            r0.copy_from_slice(&r);
+            p.copy_from_slice(&r);
+            rho = dot(&r0, &r);
+            continue;
+        }
+        let beta = (rho_new / rho) * (alpha / omega);
+        rho = rho_new;
+        for ((p, &r), &v) in p.iter_mut().zip(&r).zip(&v) {
+            *p = r + beta * (*p - omega * v);
+        }
+    }
+    (iterations, false)
 }
 
 #[cfg(test)]
@@ -332,6 +645,79 @@ mod tests {
         let mut e = vec![0.0; nt];
         e[17] = 1.0;
         assert_close(&visits[..nt], &block.gth().solve_transpose(&e), "visits");
+    }
+
+    #[test]
+    fn refinement_that_never_contracts_gives_no_estimate() {
+        // A residual offset by ±100, alternating on every call with a
+        // right-hand side (the products, formed with b = 0, stay exact):
+        // each refinement round swings x across the solution by more than
+        // its size, so the corrections never contract and no estimate may
+        // be claimed.
+        struct Drifting {
+            a: Matrix,
+            calls: std::cell::Cell<i32>,
+        }
+        impl LinOp for Drifting {
+            fn dim(&self) -> usize {
+                self.a.rows()
+            }
+            fn apply(&self, x: &[f64], y: &mut [f64]) {
+                y.copy_from_slice(&self.a.mul_vec(x));
+            }
+            fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
+                let drift = if b.iter().any(|&v| v != 0.0) {
+                    self.calls.set(self.calls.get() + 1);
+                    100.0 * (-1.0f64).powi(self.calls.get())
+                } else {
+                    0.0
+                };
+                for ((r, &ax), &b) in r.iter_mut().zip(&self.a.mul_vec(x)).zip(b) {
+                    *r = b - ax + drift;
+                }
+            }
+        }
+        let a = Matrix::from_rows(&[&[4.0, -1.0, 0.5], &[-2.0, 5.0, -1.0], &[0.0, -3.0, 6.0]]);
+        let op = Drifting {
+            a,
+            calls: std::cell::Cell::new(0),
+        };
+        let mut x = vec![0.0; 3];
+        let pre = Jacobi::new(&[4.0, 5.0, 6.0]);
+        let out = bicgstab(&op, &pre, &[1.0, -2.0, 3.5], &mut x, 1e-13, 200);
+        assert!(!out.converged && out.refinements >= 2, "{out:?}");
+        assert!(out.correction > 0.1, "{out:?}");
+        assert_eq!(out.error_estimate, None, "{out:?}");
+    }
+
+    #[test]
+    fn bicgstab_solves_a_small_nonsymmetric_system() {
+        struct DenseOp(Matrix);
+        impl LinOp for DenseOp {
+            fn dim(&self) -> usize {
+                self.0.rows()
+            }
+            fn apply(&self, x: &[f64], y: &mut [f64]) {
+                y.copy_from_slice(&self.0.mul_vec(x));
+            }
+        }
+        let a = Matrix::from_rows(&[&[4.0, -1.0, 0.5], &[-2.0, 5.0, -1.0], &[0.0, -3.0, 6.0]]);
+        let diag = vec![4.0, 5.0, 6.0];
+        let b = vec![1.0, -2.0, 3.5];
+        let mut x = vec![0.0; 3];
+        let out = bicgstab(
+            &DenseOp(a.clone()),
+            &Jacobi::new(&diag),
+            &b,
+            &mut x,
+            1e-13,
+            200,
+        );
+        assert!(out.converged, "residual {}", out.relative_residual);
+        let r = a.mul_vec(&x);
+        for (ri, bi) in r.iter().zip(&b) {
+            assert!((ri - bi).abs() < 1e-10);
+        }
     }
 
     #[test]

@@ -73,10 +73,9 @@ fn rp_counts_match_poisson_thinning_identity() {
 #[test]
 fn density_histogram_tracks_uniformization() {
     let params = AsyncParams::symmetric(3, 1.0, 1.0);
-    let hist = Histogram::new(0.0, 6.0, 30);
-    let stats = AsyncScheme::new(AsyncConfig::new(params.clone()), 9)
-        .run_intervals_hist(40_000, Some(hist));
-    let h = stats.histogram.unwrap();
+    let mut h = Histogram::new(0.0, 6.0, 30);
+    let stats = AsyncScheme::new(AsyncConfig::new(params.clone()), 9).run_intervals_samples(40_000);
+    stats.samples.unwrap().iter().for_each(|&x| h.push(x));
     let density = h.density();
     for (k, &d) in density.iter().enumerate().take(30).skip(2) {
         let t = h.bin_center(k);
@@ -91,12 +90,11 @@ fn density_histogram_tracks_uniformization() {
 #[test]
 fn cdf_brackets_simulated_quantiles() {
     let params = AsyncParams::symmetric(3, 1.0, 1.0);
-    let stats = AsyncScheme::new(AsyncConfig::new(params.clone()), 77).run_intervals(5_000);
     // Median check: F(median_sim) ≈ 0.5.
-    let hist = Histogram::new(0.0, 20.0, 400);
-    let stats2 = AsyncScheme::new(AsyncConfig::new(params.clone()), 78)
-        .run_intervals_hist(20_000, Some(hist));
-    let h = stats2.histogram.unwrap();
+    let mut h = Histogram::new(0.0, 20.0, 400);
+    let stats =
+        AsyncScheme::new(AsyncConfig::new(params.clone()), 78).run_intervals_samples(20_000);
+    stats.samples.unwrap().iter().for_each(|&x| h.push(x));
     let cdf = h.cdf();
     let median_bin = cdf.iter().position(|&c| c >= 0.5).unwrap();
     let median = h.bin_center(median_bin);
@@ -105,7 +103,6 @@ fn cdf_brackets_simulated_quantiles() {
         (f_at_median - 0.5).abs() < 0.03,
         "F(median_sim={median:.3}) = {f_at_median:.3}"
     );
-    let _ = stats;
 }
 
 #[test]
