@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbcore::history::{History, ProcessId};
 use rbcore::recovery_line::find_recovery_lines;
-use rbcore::rollback::propagate_rollback;
+use rbcore::rollback::{propagate_rollback, RollbackRule::Symmetric};
 use rbcore::schemes::asynchronous::{AsyncConfig, AsyncScheme};
 use rbmarkov::paper::AsyncParams;
 use std::hint::black_box;
@@ -31,7 +31,7 @@ fn bench_propagate(c: &mut Criterion) {
         let h = make_history(n, 500.0);
         let t = h.horizon();
         g.bench_with_input(BenchmarkId::from_parameter(n), &h, |b, h| {
-            b.iter(|| black_box(propagate_rollback(h, ProcessId(0), t, |_, r| r.is_real())))
+            b.iter(|| black_box(propagate_rollback(h, ProcessId(0), t, Symmetric)))
         });
     }
     g.finish();

@@ -3,8 +3,7 @@
 //! and the PRP implantation broadcast.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rbruntime::prp::PrpGroup;
-use rbruntime::{logged_pair, CheckpointStore, RecoveryBlock};
+use rbruntime::{logged_pair, CheckpointStore, RecoveryBlock, RecoveryGroup};
 use std::hint::black_box;
 
 fn bench_checkpoint(c: &mut Criterion) {
@@ -79,7 +78,7 @@ fn bench_prp_implantation(c: &mut Criterion) {
     for n in [2usize, 4, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter_with_setup(
-                || PrpGroup::spawn(vec![0u64; n]),
+                || RecoveryGroup::spawn_prp(vec![0u64; n]),
                 |mut group| {
                     for _ in 0..10 {
                         black_box(group.establish_rp(0));

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbcore::fault::FaultConfig;
+use rbcore::rollback::RollbackRule;
 use rbcore::schemes::asynchronous::{AsyncConfig, AsyncScheme};
 use rbcore::schemes::prp::{PrpConfig, PrpScheme};
 use rbcore::schemes::synchronized::simulate_commit_losses;
@@ -18,7 +19,11 @@ fn bench_failure_episodes(c: &mut Criterion) {
     g.bench_function("asynchronous", |b| {
         b.iter(|| {
             let cfg = AsyncConfig::new(params.clone()).with_fault(fault.clone());
-            black_box(AsyncScheme::new(cfg, 1).run_failure_episodes(50).episodes)
+            black_box(
+                AsyncScheme::new(cfg, 1)
+                    .run_failure_episodes(50, RollbackRule::Symmetric)
+                    .episodes,
+            )
         })
     });
     g.bench_function("prp", |b| {

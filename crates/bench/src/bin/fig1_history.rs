@@ -16,7 +16,7 @@ use rbbench::workloads::HistoryAudit;
 use rbcore::history::{History, ProcessId};
 use rbcore::recovery_line::find_recovery_lines;
 use rbcore::render::{render_history, RenderOptions};
-use rbcore::rollback::propagate_rollback;
+use rbcore::rollback::{propagate_rollback, RollbackRule};
 use rbcore::schemes::asynchronous::{AsyncConfig, AsyncScheme};
 use rbmarkov::paper::AsyncParams;
 use rbsim::derive_seed;
@@ -53,7 +53,7 @@ fn main() {
     h.record_rp(p(2), 3.0);
     h.record_interaction(p(0), p(2), 3.3);
     h.record_rp(p(0), 3.6); // P1's AT4 — fails
-    let plan = propagate_rollback(&h, p(0), 3.6, |_, r| r.is_real());
+    let plan = propagate_rollback(&h, p(0), 3.6, RollbackRule::Symmetric);
     println!(
         "{}",
         render_history(
@@ -89,7 +89,7 @@ fn main() {
     let mut scheme = AsyncScheme::new(AsyncConfig::new(params), derive_seed(master, 0));
     let hr = scheme.generate_history(horizon);
     let detected_at = hr.horizon();
-    let plan_r = propagate_rollback(&hr, p(0), detected_at, |_, r| r.is_real());
+    let plan_r = propagate_rollback(&hr, p(0), detected_at, RollbackRule::Symmetric);
     let lines = find_recovery_lines(&hr);
     println!(
         "{}",

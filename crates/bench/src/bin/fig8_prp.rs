@@ -5,7 +5,7 @@
 //! others); P₃ fails at AT₃¹ and the system restarts from the line
 //! (RP₃¹, PRP₁³, PRP₂³). This binary reconstructs the figure on the
 //! history model, renders it, runs the same scenario end-to-end on the
-//! threaded `PrpGroup` runtime, and reports the §4 overheads measured
+//! threaded `RecoveryGroup` runtime, and reports the §4 overheads measured
 //! by the storage model against the analytic values.
 
 use rbanalysis::prp_overhead::prp_overhead;
@@ -14,9 +14,9 @@ use rbbench::sweep::{SweepCell, SweepSpec};
 use rbbench::workloads::PrpStorage;
 use rbcore::history::{History, ProcessId};
 use rbcore::render::{render_history, RenderOptions};
-use rbcore::schemes::prp::prp_rollback;
+use rbcore::rollback::{propagate_rollback, RollbackRule};
 use rbmarkov::paper::AsyncParams;
-use rbruntime::prp::PrpGroup;
+use rbruntime::RecoveryGroup;
 use serde::Serialize;
 
 fn p(i: usize) -> ProcessId {
@@ -50,7 +50,8 @@ fn main() {
                                    // propagation explicit).
     h.record_interaction(p(2), p(0), 2.5);
     h.record_interaction(p(2), p(1), 3.0);
-    let plan = prp_rollback(&h, p(2), 3.5, true); // P3 fails at AT3^1
+    let rule = RollbackRule::Prp { local: true };
+    let plan = propagate_rollback(&h, p(2), 3.5, rule); // P3 fails at AT3^1
     println!(
         "{}",
         render_history(
@@ -65,17 +66,17 @@ fn main() {
     assert_eq!(plan.restart, vec![2.01, 2.01, 2.0]);
 
     // ── The same story on the threaded runtime ────────────────────────
-    let mut group = PrpGroup::spawn(vec![0u64, 0, 0]);
+    let mut group = RecoveryGroup::spawn_prp(vec![0u64, 0, 0]);
     group.mutate(0, |s| *s = 11);
     group.establish_rp(0);
     group.mutate(2, |s| *s = 33);
     group.establish_rp(2);
-    group.interact(2, 0, |s| *s += 1, |s| *s += 1);
-    group.interact(2, 1, |s| *s += 1, |s| *s += 1);
-    let tplan = group.recover(2, true);
+    group.send(2, 0, |s| *s += 1, |s| *s += 1);
+    group.send(2, 1, |s| *s += 1, |s| *s += 1);
+    let tplan = group.recover(2, rule);
     let threaded_states: Vec<u64> = (0..3).map(|i| group.read_state(i)).collect();
     println!(
-        "threaded PrpGroup: restart states after P3's failure = {threaded_states:?} \
+        "threaded RecoveryGroup (PRP): restart states after P3's failure = {threaded_states:?} \
          (P1 keeps its pre-PRP value, P3 back to its RP)"
     );
     assert_eq!(threaded_states, vec![11, 0, 33]);

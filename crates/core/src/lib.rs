@@ -63,5 +63,5 @@ pub use metrics::{Metric, RollbackOutcome, SchemeMetrics};
 pub use recovery_line::{
     find_recovery_lines, is_consistent_cut, is_orphan_free_cut, latest_recovery_line,
 };
-pub use rollback::{propagate_rollback, propagate_rollback_directed, RollbackPlan};
+pub use rollback::{propagate_rollback, RollbackPlan, RollbackRule};
 pub use workload::Workload;

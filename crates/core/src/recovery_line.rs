@@ -53,7 +53,7 @@ pub fn is_consistent_cut(h: &History, restart: &[f64]) -> bool {
 /// sent while its receiver's restart still includes the receipt. The
 /// weaker sibling of [`is_consistent_cut`], appropriate when senders
 /// log outgoing messages for replay (Russell's refinement; see
-/// `rollback::propagate_rollback_directed`).
+/// `rollback::RollbackRule::Directed`).
 pub fn is_orphan_free_cut(h: &History, restart: &[f64]) -> bool {
     assert_eq!(restart.len(), h.n(), "one restart time per process");
     for ir in h.interactions() {

@@ -147,7 +147,7 @@ pub fn render_history(h: &History, opts: &RenderOptions) -> String {
 mod tests {
     use super::*;
     use crate::history::History;
-    use crate::rollback::propagate_rollback;
+    use crate::rollback::{propagate_rollback, RollbackRule};
 
     #[test]
     fn renders_rps_and_interactions() {
@@ -169,7 +169,7 @@ mod tests {
         let mut h = History::new(2);
         h.record_rp(ProcessId(0), 1.0);
         h.record_interaction(ProcessId(0), ProcessId(1), 2.0);
-        let plan = propagate_rollback(&h, ProcessId(0), 3.0, |_, r| r.is_real());
+        let plan = propagate_rollback(&h, ProcessId(0), 3.0, RollbackRule::Symmetric);
         let s = render_history(
             &h,
             &RenderOptions {

@@ -65,133 +65,119 @@ impl RollbackPlan {
     }
 }
 
+/// Which saved states a rollback may restart from, and which recorded
+/// interactions force a peer back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RollbackRule {
+    /// The paper's §2 model: restarts at real RPs only, and any
+    /// interaction undone on one side forces the other side back past it.
+    Symmetric,
+    /// Russell's directed-message refinement: every sender keeps a log
+    /// of sent messages (see `rbruntime::channel::LoggedSender`), so a
+    /// message whose *receiver* rolls back is replayed and forces no one
+    /// ("lost" messages are harmless). Only **orphans** propagate:
+    /// receiver `j` rolls back past any message from `i` sent at `u` with
+    /// `restart[i] < u ≤ restart[j]`. The constraints are a subset of the
+    /// symmetric ones, so the restart line is at least as late
+    /// componentwise — quantified by the `russell_directed` binary.
+    Directed,
+    /// The §4 pseudo-recovery-point algorithm over the symmetric model:
+    ///
+    /// 1. the failing process restarts from its previous *real* RP;
+    /// 2. processes dragged along may restart from their PRPs (the
+    ///    pseudo recovery line), since PRPs sit just after their origin
+    ///    RP in time;
+    /// 3. when the error is **not** `local` to the failing process, a
+    ///    dragged process that restarts from a PRP without having rolled
+    ///    past its own most recent real RP may hold a propagated error, so
+    ///    it is capped to that RP and the plan is recomputed ("rollback
+    ///    propagation may continue until every process involved has
+    ///    rolled back … past at least one of its recovery points").
+    ///
+    /// For a local error the pseudo recovery line itself "is able to
+    /// recover these processes even if the error has already
+    /// propagated", so step 3 is skipped.
+    Prp {
+        /// Whether the detected error arose in the failing process.
+        local: bool,
+    },
+}
+
 /// Propagates the rollback of `failed`, whose error is detected at
-/// `detected_at`, to a consistent restart line.
-///
-/// `admit` selects which saved states a process may restart from (for
-/// the asynchronous scheme: real RPs only; the PRP scheme has its own
-/// algorithm in [`crate::schemes::prp`]). The process beginnings
-/// (time-0 states) are always admissible as a last resort because
-/// [`History::new`] seeds them as real RPs.
+/// `detected_at`, to a restart line under `rule`.
 ///
 /// The failing process restarts from its latest admissible state
 /// *strictly before* `detected_at` (the state being saved at the failed
-/// acceptance test is discarded). Other processes roll back only when
-/// an undone interaction forces them.
+/// acceptance test is discarded); the process beginnings (time-0 states,
+/// seeded as real RPs by [`History::new`]) are the last resort. Other
+/// processes roll back only when an undone interaction forces them.
 pub fn propagate_rollback(
     h: &History,
     failed: ProcessId,
     detected_at: f64,
-    admit: impl Fn(ProcessId, &RpRecord) -> bool + Copy,
+    rule: RollbackRule,
 ) -> RollbackPlan {
-    let n = h.n();
-    assert!(failed.0 < n, "failed process out of range");
-    let mut restart = vec![detected_at; n];
-    let mut rolled_back = vec![false; n];
-    let mut restart_kinds: Vec<Option<RpKind>> = vec![None; n];
-
-    // Seed: the failing process rolls to its previous admissible RP.
-    let first = h.latest_rp_before(failed, detected_at, |r| admit(failed, r));
-    restart[failed.0] = first.map(|r| r.time).unwrap_or(0.0);
-    restart_kinds[failed.0] = Some(first.map(|r| r.kind).unwrap_or(RpKind::Real));
-    rolled_back[failed.0] = true;
-
-    // Fixpoint: while some interaction is sandwiched between restart
-    // points, pull the later side back past it. Restart times only
-    // decrease and each decrease crosses at least one event, so this
-    // terminates.
-    let mut iterations = 0;
+    assert!(failed.0 < h.n(), "failed process out of range");
+    let depends = match rule {
+        RollbackRule::Directed => History::first_message_from_to,
+        _ => History::first_interaction_between,
+    };
+    let pseudo_ok = matches!(rule, RollbackRule::Prp { .. });
+    // Step 3 of the PRP rule: the latest state each process may restart
+    // from, lowered until no dragged process trusts a suspect PRP.
+    let mut caps = vec![f64::INFINITY; h.n()];
     loop {
-        iterations += 1;
+        let plan = fixpoint(h, failed, detected_at, depends, |q, r| {
+            r.time <= caps[q.0] && (r.is_real() || (pseudo_ok && q != failed))
+        });
+        if rule != (RollbackRule::Prp { local: false }) {
+            return plan;
+        }
         let mut changed = false;
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                // Interaction strictly after i's restart, at or before
-                // j's restart ⇒ j holds effects of computation i has
-                // discarded and must roll back past the *earliest* such
-                // interaction.
-                if restart[i] < restart[j] {
-                    // Earliest interaction strictly after i's restart…
-                    if let Some(u) = h.first_interaction_between(
-                        ProcessId(i),
-                        ProcessId(j),
-                        restart[i],
-                        f64::INFINITY,
-                    ) {
-                        // …that j's current state still contains.
-                        if u <= restart[j] {
-                            let rec =
-                                h.latest_rp_before(ProcessId(j), u, |r| admit(ProcessId(j), r));
-                            let new = rec.map(|r| r.time).unwrap_or(0.0);
-                            debug_assert!(new < restart[j]);
-                            restart[j] = new;
-                            restart_kinds[j] = Some(rec.map(|r| r.kind).unwrap_or(RpKind::Real));
-                            rolled_back[j] = true;
-                            changed = true;
-                        }
-                    }
-                }
+        for (j, cap) in caps.iter_mut().enumerate() {
+            if j == failed.0 || !matches!(plan.restart_kinds[j], Some(RpKind::Pseudo { .. })) {
+                continue;
+            }
+            // "if the rollback has not passed its most recent recovery
+            // point" — the latest real RP before detection.
+            let m_j = h
+                .latest_rp_at_or_before(ProcessId(j), detected_at, |r| r.is_real())
+                .map_or(0.0, |r| r.time);
+            if plan.restart[j] > m_j && *cap > m_j {
+                *cap = m_j;
+                changed = true;
             }
         }
         if !changed {
-            break;
+            return plan;
         }
-    }
-
-    let rps_crossed = (0..n)
-        .map(|i| {
-            h.rps(ProcessId(i))
-                .iter()
-                .filter(|r| r.is_real() && r.time > restart[i] && r.time <= detected_at)
-                .count()
-        })
-        .collect();
-
-    RollbackPlan {
-        failed,
-        detected_at,
-        restart,
-        rolled_back,
-        rps_crossed,
-        restart_kinds,
-        iterations,
     }
 }
 
-/// Propagates a rollback under *directed-message* semantics — the
-/// refinement the paper cites from Russell: because every sender keeps
-/// a log of sent messages (see `rbruntime::channel::LoggedSender`), a
-/// message whose *receiver* rolls back can simply be replayed, so it
-/// does not force the sender back ("lost" messages are harmless). Only
-/// **orphan** messages — sent from computation the sender has
-/// discarded, yet still held by the receiver — propagate rollback.
-///
-/// Formally: receiver `j` must roll back past any message from `i` with
-/// send time `u` satisfying `restart[i] < u ≤ restart[j]`.
-///
-/// Compared with [`propagate_rollback`] (the paper's symmetric model),
-/// the constraint set is a subset, so the directed restart line is
-/// always at least as late componentwise — quantified in the
-/// `russell_directed` experiment binary.
-pub fn propagate_rollback_directed(
+/// The rollback fixpoint: seeds `failed` at its latest `admit`ted state
+/// before `detected_at`, then, while some process `i` has restarted
+/// before an interaction `depends` reports that `j`'s state still
+/// contains, pulls `j` back past the earliest such interaction. Restart
+/// times only decrease and each decrease crosses at least one event, so
+/// this terminates.
+fn fixpoint(
     h: &History,
     failed: ProcessId,
     detected_at: f64,
-    admit: impl Fn(ProcessId, &RpRecord) -> bool + Copy,
+    depends: fn(&History, ProcessId, ProcessId, f64, f64) -> Option<f64>,
+    admit: impl Fn(ProcessId, &RpRecord) -> bool,
 ) -> RollbackPlan {
     let n = h.n();
-    assert!(failed.0 < n, "failed process out of range");
     let mut restart = vec![detected_at; n];
     let mut rolled_back = vec![false; n];
     let mut restart_kinds: Vec<Option<RpKind>> = vec![None; n];
-
-    let first = h.latest_rp_before(failed, detected_at, |r| admit(failed, r));
-    restart[failed.0] = first.map(|r| r.time).unwrap_or(0.0);
-    restart_kinds[failed.0] = Some(first.map(|r| r.kind).unwrap_or(RpKind::Real));
-    rolled_back[failed.0] = true;
+    let mut roll_back = |j: usize, before: f64, restart: &mut [f64]| {
+        let rec = h.latest_rp_before(ProcessId(j), before, |r| admit(ProcessId(j), r));
+        restart[j] = rec.map_or(0.0, |r| r.time);
+        restart_kinds[j] = Some(rec.map_or(RpKind::Real, |r| r.kind));
+        rolled_back[j] = true;
+    };
+    roll_back(failed.0, detected_at, &mut restart);
 
     let mut iterations = 0;
     loop {
@@ -202,18 +188,9 @@ pub fn propagate_rollback_directed(
                 if i == j || restart[i] >= restart[j] {
                     continue;
                 }
-                // Orphan check: earliest message i → j after i's restart
-                // that j still holds.
-                if let Some(u) =
-                    h.first_message_from_to(ProcessId(i), ProcessId(j), restart[i], f64::INFINITY)
-                {
+                if let Some(u) = depends(h, ProcessId(i), ProcessId(j), restart[i], f64::INFINITY) {
                     if u <= restart[j] {
-                        let rec = h.latest_rp_before(ProcessId(j), u, |r| admit(ProcessId(j), r));
-                        let new = rec.map(|r| r.time).unwrap_or(0.0);
-                        debug_assert!(new < restart[j]);
-                        restart[j] = new;
-                        restart_kinds[j] = Some(rec.map(|r| r.kind).unwrap_or(RpKind::Real));
-                        rolled_back[j] = true;
+                        roll_back(j, u, &mut restart);
                         changed = true;
                     }
                 }
@@ -247,15 +224,11 @@ pub fn propagate_rollback_directed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{History, RpRecord};
     use crate::recovery_line::{is_consistent_cut, is_orphan_free_cut};
+    use RollbackRule::{Directed, Symmetric};
 
     fn p(i: usize) -> ProcessId {
         ProcessId(i)
-    }
-
-    fn real(_p: ProcessId, r: &RpRecord) -> bool {
-        r.is_real()
     }
 
     /// Figure 1 of the paper: P1 fails at AT₁⁴; the rollback cascades
@@ -288,7 +261,7 @@ mod tests {
         h.record_rp(p(0), 1.0);
         h.record_rp(p(0), 2.0);
         // No interactions: P2 unaffected.
-        let plan = propagate_rollback(&h, p(0), 2.5, real);
+        let plan = propagate_rollback(&h, p(0), 2.5, Symmetric);
         assert_eq!(plan.restart, vec![2.0, 2.5]);
         assert_eq!(plan.rolled_back, vec![true, false]);
         assert_eq!(plan.n_affected(), 1);
@@ -303,14 +276,14 @@ mod tests {
         h.record_rp(p(0), 2.0);
         // Error detected exactly at the t = 2.0 acceptance test: the
         // state being saved there is not usable.
-        let plan = propagate_rollback(&h, p(0), 2.0, real);
+        let plan = propagate_rollback(&h, p(0), 2.0, Symmetric);
         assert_eq!(plan.restart[0], 1.0);
     }
 
     #[test]
     fn figure1_cascade_reaches_rl2() {
         let h = figure1_history();
-        let plan = propagate_rollback(&h, p(0), 4.0, real);
+        let plan = propagate_rollback(&h, p(0), 4.0, Symmetric);
         // P1 rolls to 3.2; interaction at 3.5 with P3 forces P3 past it
         // (to 3.0); interaction at 2.8 is before 3.0 — but P1↔P2 at 2.5
         // is before 3.2, so does P2 survive? P2's position 4.0 holds the
@@ -334,13 +307,13 @@ mod tests {
         // nothing else after 2.6 involving P2 except 2.8 (future,
         // beyond detection — but history holds it). Use a fresh history
         // truncated at detection instead.
-        let plan = propagate_rollback(&h, p(1), 2.7, real);
+        let plan = propagate_rollback(&h, p(1), 2.7, Symmetric);
         assert_eq!(plan.restart[1], 2.6);
         assert_eq!(plan.n_affected(), 1);
         // Now a failure of P2 detected at 2.55 (before the 2.6 RP):
         // restart at 2.1; interaction at 2.5 (P1–P2) undone → P1 must
         // roll past 2.5 → to 2.0. RL2 reached.
-        let plan = propagate_rollback(&h, p(1), 2.55, real);
+        let plan = propagate_rollback(&h, p(1), 2.55, Symmetric);
         assert_eq!(plan.restart[0], 2.0);
         assert_eq!(plan.restart[1], 2.1);
         assert!(!plan.rolled_back[2]);
@@ -356,7 +329,7 @@ mod tests {
         for k in 1..=5 {
             h.record_interaction(p(0), p(1), k as f64);
         }
-        let plan = propagate_rollback(&h, p(0), 5.5, real);
+        let plan = propagate_rollback(&h, p(0), 5.5, Symmetric);
         assert_eq!(plan.restart, vec![0.0, 0.0]);
         assert!(plan.hit_beginning());
         assert_eq!(plan.n_affected(), 2);
@@ -372,7 +345,7 @@ mod tests {
         h.record_rp(p(2), 1.2);
         h.record_interaction(p(0), p(1), 2.0);
         h.record_interaction(p(1), p(2), 3.0);
-        let plan = propagate_rollback(&h, p(0), 4.0, real);
+        let plan = propagate_rollback(&h, p(0), 4.0, Symmetric);
         // P1 → 1.0; undoes 2.0 ⇒ P2 → 1.1; undoes 3.0 ⇒ P3 → 1.2.
         assert_eq!(plan.restart, vec![1.0, 1.1, 1.2]);
         assert_eq!(plan.n_affected(), 3);
@@ -398,7 +371,7 @@ mod tests {
                 }
             }
             let failed = p((s as usize) % n);
-            let plan = propagate_rollback(&h, failed, t + 1.0, real);
+            let plan = propagate_rollback(&h, failed, t + 1.0, Symmetric);
             assert!(
                 is_consistent_cut(&h, &plan.restart),
                 "inconsistent plan on trial {trial}: {plan:?}"
@@ -418,7 +391,7 @@ mod tests {
         h.record_rp(p(0), 1.0);
         h.record_rp(p(1), 1.5);
         h.record_interaction(p(1), p(0), 2.0); // P2 → P1
-        let plan = propagate_rollback_directed(&h, p(0), 3.0, real);
+        let plan = propagate_rollback(&h, p(0), 3.0, Directed);
         // P1 rolls to 1.0; message at 2.0 went P2 → P1 with P2 not
         // rolled back: P1's receive is discarded with its state, P2's
         // send log can replay — nobody else moves.
@@ -427,7 +400,7 @@ mod tests {
         assert!(is_orphan_free_cut(&h, &plan.restart));
 
         // The symmetric (paper) model would have dragged P2 back:
-        let sym = propagate_rollback(&h, p(0), 3.0, real);
+        let sym = propagate_rollback(&h, p(0), 3.0, Symmetric);
         assert!(sym.rolled_back[1]);
     }
 
@@ -437,7 +410,7 @@ mod tests {
         h.record_rp(p(0), 1.0);
         h.record_rp(p(1), 1.5);
         h.record_interaction(p(0), p(1), 2.0); // P1 → P2: orphan on P1 rollback
-        let plan = propagate_rollback_directed(&h, p(0), 3.0, real);
+        let plan = propagate_rollback(&h, p(0), 3.0, Directed);
         assert_eq!(plan.restart, vec![1.0, 1.5]);
         assert!(plan.rolled_back[1]);
         assert!(is_orphan_free_cut(&h, &plan.restart));
@@ -462,8 +435,8 @@ mod tests {
                 }
             }
             let failed = p((s as usize) % n);
-            let sym = propagate_rollback(&h, failed, t + 1.0, real);
-            let dir = propagate_rollback_directed(&h, failed, t + 1.0, real);
+            let sym = propagate_rollback(&h, failed, t + 1.0, Symmetric);
+            let dir = propagate_rollback(&h, failed, t + 1.0, Directed);
             for i in 0..n {
                 assert!(
                     dir.restart[i] >= sym.restart[i] - 1e-12,
@@ -486,18 +459,18 @@ mod tests {
         // P1 fails at 4.0 → restart 3.0; the 3.5 interaction drags P2
         // to its only earlier state (t = 0); the cut (3.0, 0.0) is
         // consistent since 3.5 lies after both restarts.
-        let plan = propagate_rollback(&h, p(0), 4.0, real);
+        let plan = propagate_rollback(&h, p(0), 4.0, Symmetric);
         assert_eq!(plan.restart, vec![3.0, 0.0]);
         assert_eq!(plan.rps_crossed[0], 0);
         assert!(is_consistent_cut(&h, &plan.restart));
         // Now fail at 2.5: restart 2.0; the 3.0 RP is in the future of
         // the detection and not counted.
-        let plan = propagate_rollback(&h, p(0), 2.5, real);
+        let plan = propagate_rollback(&h, p(0), 2.5, Symmetric);
         assert_eq!(plan.restart[0], 2.0);
         assert_eq!(plan.rps_crossed[0], 0);
         // Fail at 3.0 exactly (at the AT): the 3.0 RP is discarded and
         // counted as crossed.
-        let plan = propagate_rollback(&h, p(0), 3.0, real);
+        let plan = propagate_rollback(&h, p(0), 3.0, Symmetric);
         assert_eq!(plan.restart[0], 2.0);
         assert_eq!(plan.rps_crossed[0], 1);
     }

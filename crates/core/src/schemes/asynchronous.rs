@@ -12,12 +12,11 @@
 
 use rbmarkov::paper::AsyncParams;
 use rbsim::stats::Welford;
-use rbsim::{SimRng, StreamId};
 
-use crate::fault::{FaultConfig, FaultState};
-use crate::history::{History, HistoryArena, ProcessId};
-use crate::metrics::{RollbackOutcome, SchemeMetrics};
-use crate::rollback::{propagate_rollback, propagate_rollback_directed, RollbackPlan};
+use crate::fault::FaultConfig;
+use crate::history::History;
+use crate::metrics::SchemeMetrics;
+use crate::rollback::RollbackRule;
 use crate::schemes::events::{EventKind, EventStream};
 
 /// Configuration of an asynchronous-scheme run.
@@ -73,7 +72,6 @@ impl IntervalStats {
 pub struct AsyncScheme {
     cfg: AsyncConfig,
     events: EventStream,
-    fault_rng: SimRng,
 }
 
 impl AsyncScheme {
@@ -81,7 +79,6 @@ impl AsyncScheme {
     pub fn new(cfg: AsyncConfig, seed: u64) -> Self {
         AsyncScheme {
             events: EventStream::new(&cfg.params, cfg.fault.as_ref(), seed),
-            fault_rng: SimRng::new(seed, StreamId::FAULTS),
             cfg,
         }
     }
@@ -182,105 +179,23 @@ impl AsyncScheme {
     /// Generates an event history up to `horizon` (no fault injection;
     /// RPs and interactions only).
     pub fn generate_history(&mut self, horizon: f64) -> History {
-        let n = self.cfg.params.n();
-        let mut h = History::new(n);
-        let mut t = 0.0;
-        loop {
-            let ev = self.events.next(&mut t);
-            if t > horizon {
-                return h;
-            }
-            match ev {
-                EventKind::Rp(i) => {
-                    h.record_rp(ProcessId(i), t);
-                }
-                EventKind::Interaction(i, j) => {
-                    h.record_interaction(ProcessId(i), ProcessId(j), t);
-                }
-                EventKind::Error(_) => {}
-            }
-        }
+        self.events.history(horizon, None)
     }
 
     /// Runs `episodes` independent fault-injection episodes: each
     /// replays a fresh history until the first error is *detected* at
     /// an acceptance test, then propagates the rollback over real RPs
-    /// (the paper's symmetric interaction model) and records the
-    /// outcome. Requires a fault model.
-    pub fn run_failure_episodes(&mut self, episodes: usize) -> SchemeMetrics {
-        self.run_failure_episodes_with(episodes, |h, pid, t| {
-            propagate_rollback(h, pid, t, |_, r| r.is_real())
-        })
-    }
-
-    /// As [`Self::run_failure_episodes`], but with Russell-style
-    /// directed-message semantics: only orphan messages propagate
-    /// rollback (lost messages are replayed from sender logs).
-    pub fn run_failure_episodes_directed(&mut self, episodes: usize) -> SchemeMetrics {
-        self.run_failure_episodes_with(episodes, |h, pid, t| {
-            propagate_rollback_directed(h, pid, t, |_, r| r.is_real())
-        })
-    }
-
-    fn run_failure_episodes_with(
-        &mut self,
-        episodes: usize,
-        plan_for: impl Fn(&History, ProcessId, f64) -> RollbackPlan,
-    ) -> SchemeMetrics {
-        let fault_cfg = self
+    /// under `rule` — [`RollbackRule::Symmetric`] for the paper's
+    /// interaction model, [`RollbackRule::Directed`] for Russell's — and
+    /// records the outcome. Requires a fault model.
+    pub fn run_failure_episodes(&mut self, episodes: usize, rule: RollbackRule) -> SchemeMetrics {
+        let fault = self
             .cfg
             .fault
-            .clone()
-            .expect("run_failure_episodes requires a fault model");
-        let n = self.cfg.params.n();
-        let mut metrics = SchemeMetrics::default();
-        // Hard per-episode event bound to catch mis-configured models
-        // (e.g. zero error rates) instead of spinning forever.
-        let max_events_per_episode = 10_000_000u64;
-        // Arena-backed episode state: one History and one FaultState are
-        // cleared and refilled instead of reallocated per episode.
-        let mut arena = HistoryArena::new(n);
-        let mut fs = FaultState::clean(n);
-
-        for _ in 0..episodes {
-            let h = arena.begin_episode();
-            fs.reset();
-            let mut t = 0.0;
-            let mut budget = max_events_per_episode;
-            loop {
-                budget -= 1;
-                assert!(
-                    budget > 0,
-                    "episode exceeded event budget; check error rates"
-                );
-                let ev = self.events.next(&mut t);
-                match ev {
-                    EventKind::Rp(i) => {
-                        let pid = ProcessId(i);
-                        // The acceptance test precedes the state save.
-                        if let Some(_c) =
-                            fs.on_acceptance_test(&fault_cfg, &mut self.fault_rng, pid)
-                        {
-                            let plan = plan_for(h, pid, t);
-                            fs.apply_rollback(&plan.restart);
-                            let excised = fs.n_contaminated() == 0;
-                            metrics.record(&RollbackOutcome { plan, excised });
-                            break;
-                        }
-                        h.record_rp(pid, t);
-                    }
-                    EventKind::Interaction(i, j) => {
-                        let (a, b) = (ProcessId(i), ProcessId(j));
-                        h.record_interaction(a, b, t);
-                        fs.on_interaction(&fault_cfg, &mut self.fault_rng, a, b, t);
-                    }
-                    EventKind::Error(i) => {
-                        fs.inject_local(ProcessId(i), t);
-                    }
-                }
-            }
-        }
-        metrics
+            .as_ref()
+            .expect("episodes need a fault model");
+        self.events
+            .failure_episodes(fault, episodes, None, |_| rule)
     }
 }
 
@@ -288,6 +203,7 @@ impl AsyncScheme {
 mod tests {
     use super::*;
     use rbsim::stats::Histogram;
+    use RollbackRule::{Directed, Symmetric};
 
     #[test]
     fn simulated_mean_interval_matches_markov_case1() {
@@ -389,7 +305,7 @@ mod tests {
         let p = AsyncParams::symmetric(3, 1.0, 1.0);
         let fault = FaultConfig::uniform(3, 0.05, 0.5, 0.25);
         let cfg = AsyncConfig::new(p).with_fault(fault);
-        let m = AsyncScheme::new(cfg, 23).run_failure_episodes(300);
+        let m = AsyncScheme::new(cfg, 23).run_failure_episodes(300, Symmetric);
         assert_eq!(m.episodes, 300);
         assert!(m.sup_distance.mean() > 0.0);
         assert!(m.n_affected.mean() >= 1.0);
@@ -401,9 +317,9 @@ mod tests {
         let p = AsyncParams::symmetric(3, 0.5, 1.5);
         let fault = FaultConfig::uniform(3, 0.05, 0.5, 0.5);
         let sym = AsyncScheme::new(AsyncConfig::new(p.clone()).with_fault(fault.clone()), 61)
-            .run_failure_episodes(300);
+            .run_failure_episodes(300, Symmetric);
         let dir = AsyncScheme::new(AsyncConfig::new(p).with_fault(fault), 61)
-            .run_failure_episodes_directed(300);
+            .run_failure_episodes(300, Directed);
         // Same seed ⇒ identical histories; the directed refinement can
         // only shrink distances and the affected set.
         assert!(dir.sup_distance.mean() <= sym.sup_distance.mean() + 1e-12);
@@ -418,12 +334,12 @@ mod tests {
             AsyncConfig::new(p.clone()).with_fault(FaultConfig::uniform(2, 1.0, 1.0, 1.0)),
             31,
         )
-        .run_failure_episodes(200);
+        .run_failure_episodes(200, Symmetric);
         let cold = AsyncScheme::new(
             AsyncConfig::new(p).with_fault(FaultConfig::uniform(2, 0.01, 1.0, 1.0)),
             31,
         )
-        .run_failure_episodes(200);
+        .run_failure_episodes(200, Symmetric);
         // With frequent errors, detection happens soon after a line →
         // short rollbacks; with rare errors the distance is bounded by
         // the line interval anyway. Both must at least be positive and

@@ -13,16 +13,16 @@
 //! acceptance-tested — rollback must sometimes continue until every
 //! affected process has rolled past at least one of its *own* real RPs
 //! (the paper's step (3); otherwise a propagated error could be
-//! restored along with the state).
+//! restored along with the state). Rollback runs under
+//! [`RollbackRule::Prp`].
 
 use rbmarkov::paper::AsyncParams;
 use rbsim::stats::Welford;
-use rbsim::{SimRng, StreamId};
 
-use crate::fault::{FaultConfig, FaultState};
-use crate::history::{History, HistoryArena, ProcessId, RpKind, RpRecord};
-use crate::metrics::{RollbackOutcome, SchemeMetrics};
-use crate::rollback::{propagate_rollback, RollbackPlan};
+use crate::fault::FaultConfig;
+use crate::history::History;
+use crate::metrics::SchemeMetrics;
+use crate::rollback::RollbackRule;
 use crate::schemes::events::{EventKind, EventStream};
 
 /// Configuration of the PRP scheme.
@@ -66,69 +66,6 @@ impl PrpConfig {
     }
 }
 
-/// Rolls back from a failure of `failed` detected at `detected_at`,
-/// using pseudo recovery points (paper §4 algorithm):
-///
-/// 1. the failing process restarts from its previous *real* RP;
-/// 2. processes dragged along restart from their PRPs for that RP (the
-///    pseudo recovery line) — handled by the consistency fixpoint,
-///    since PRPs sit just after their origin RP in time;
-/// 3. when the error is **not** local to the failing process
-///    (`error_is_local == false`), any dragged process that has not
-///    rolled past one of its own real RPs must continue rolling — its
-///    PRP contents may be contaminated by an error that predates them —
-///    so the fixpoint re-runs with that process capped to its most
-///    recent real RP ("rollback propagation may continue until every
-///    process involved has rolled back … past at least one of its
-///    recovery points").
-///
-/// For a local error the pseudo recovery line itself "is able to
-/// recover these processes even if the error has already propagated",
-/// so step 3 is skipped.
-pub fn prp_rollback(
-    h: &History,
-    failed: ProcessId,
-    detected_at: f64,
-    error_is_local: bool,
-) -> RollbackPlan {
-    let n = h.n();
-    let mut caps = vec![f64::INFINITY; n];
-    loop {
-        let plan = propagate_rollback(h, failed, detected_at, |q, r| {
-            let cap_ok = r.time <= caps[q.0];
-            if q == failed {
-                r.is_real() && cap_ok
-            } else {
-                cap_ok
-            }
-        });
-        if error_is_local {
-            return plan;
-        }
-        let mut changed = false;
-        for (j, cap) in caps.iter_mut().enumerate() {
-            if !plan.rolled_back[j] || j == failed.0 {
-                continue;
-            }
-            if matches!(plan.restart_kinds[j], Some(RpKind::Pseudo { .. })) {
-                // "if the rollback has not passed its most recent
-                // recovery point" — the latest real RP before detection.
-                let m_j = h
-                    .latest_rp_at_or_before(ProcessId(j), detected_at, |r| r.is_real())
-                    .map(|r| r.time)
-                    .unwrap_or(0.0);
-                if plan.restart[j] > m_j && *cap > m_j {
-                    *cap = m_j;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return plan;
-        }
-    }
-}
-
 /// Statistics from the PRP storage/overhead model.
 #[derive(Clone, Debug)]
 pub struct PrpStorageStats {
@@ -152,7 +89,6 @@ pub struct PrpStorageStats {
 pub struct PrpScheme {
     cfg: PrpConfig,
     events: EventStream,
-    fault_rng: SimRng,
 }
 
 impl PrpScheme {
@@ -160,7 +96,6 @@ impl PrpScheme {
     pub fn new(cfg: PrpConfig, seed: u64) -> Self {
         PrpScheme {
             events: EventStream::new(&cfg.params, cfg.fault.as_ref(), seed),
-            fault_rng: SimRng::new(seed, StreamId::FAULTS),
             cfg,
         }
     }
@@ -168,30 +103,7 @@ impl PrpScheme {
     /// Generates a history with PRP implantation up to `horizon`
     /// (fault events, if configured, are ignored here).
     pub fn generate_history(&mut self, horizon: f64) -> History {
-        let n = self.cfg.params.n();
-        let delay = self.cfg.implant_delay;
-        let mut h = History::new(n);
-        let mut t = 0.0;
-        loop {
-            let k = self.events.next(&mut t);
-            if t > horizon {
-                return h;
-            }
-            match k {
-                EventKind::Rp(i) => {
-                    let rp = h.record_rp(ProcessId(i), t);
-                    for j in 0..n {
-                        if j != i {
-                            h.record_prp(ProcessId(j), t + delay, rp);
-                        }
-                    }
-                }
-                EventKind::Interaction(i, j) => {
-                    h.record_interaction(ProcessId(i), ProcessId(j), t);
-                }
-                EventKind::Error(_) => {}
-            }
-        }
+        self.events.history(horizon, Some(self.cfg.implant_delay))
     }
 
     /// Runs the storage/overhead model: live-state accounting under the
@@ -214,14 +126,10 @@ impl PrpScheme {
         let n = self.cfg.params.n();
         let mut rps = vec![0u64; n];
         let mut prps = vec![0u64; n];
-        // Live set per process: (origin process, is_own_rp). Under the
+        // Live states per process, counted per origin process. Under the
         // purge rule each process keeps its own latest RP plus one PRP
-        // per *other* process's latest RP — at most n live states —
-        // plus transiently the states being superseded.
-        let mut live: Vec<Vec<&'static str>> = vec![Vec::new(); n];
-        // Represent live states per process as counts per origin.
+        // per *other* process's latest RP — at most n live states.
         let mut live_counts: Vec<Vec<usize>> = vec![vec![0; n]; n];
-        let _ = &mut live;
         let mut peak = vec![0usize; n];
         let mut live_samples = Welford::new();
         let mut prp_time_overhead = 0.0;
@@ -269,74 +177,35 @@ impl PrpScheme {
         }
     }
 
-    /// Fault-injection episodes with PRP rollback; also returns the
-    /// paper-comparable distance statistic.
+    /// Fault-injection episodes with PRP rollback: RPs implant PRPs,
+    /// and a detected error rolls back under [`RollbackRule::Prp`] with
+    /// its own locality. Requires a fault model.
     pub fn run_failure_episodes(&mut self, episodes: usize) -> SchemeMetrics {
-        let fault_cfg = self
+        let fault = self
             .cfg
             .fault
-            .clone()
-            .expect("run_failure_episodes requires a fault model");
-        let n = self.cfg.params.n();
-        let delay = self.cfg.implant_delay;
-        let mut metrics = SchemeMetrics::default();
-        let max_events = 10_000_000u64;
-        // Arena-backed episode state (see `HistoryArena`): cleared and
-        // refilled, never reallocated.
-        let mut arena = HistoryArena::new(n);
-        let mut fs = FaultState::clean(n);
-
-        for _ in 0..episodes {
-            let h = arena.begin_episode();
-            fs.reset();
-            let mut t = 0.0;
-            let mut budget = max_events;
-            loop {
-                budget -= 1;
-                assert!(budget > 0, "episode exceeded event budget");
-                match self.events.next(&mut t) {
-                    EventKind::Rp(i) => {
-                        let pid = ProcessId(i);
-                        if let Some(c) = fs.on_acceptance_test(&fault_cfg, &mut self.fault_rng, pid)
-                        {
-                            let plan = prp_rollback(h, pid, t, c.local);
-                            fs.apply_rollback(&plan.restart);
-                            let excised = fs.n_contaminated() == 0;
-                            metrics.record(&RollbackOutcome { plan, excised });
-                            break;
-                        }
-                        let rp = h.record_rp(pid, t);
-                        for j in 0..n {
-                            if j != i {
-                                h.record_prp(ProcessId(j), t + delay, rp);
-                            }
-                        }
-                        // Keep the clock past the implants so the next
-                        // event cannot be recorded out of order.
-                        t += delay;
-                    }
-                    EventKind::Interaction(i, j) => {
-                        let (a, b) = (ProcessId(i), ProcessId(j));
-                        h.record_interaction(a, b, t);
-                        fs.on_interaction(&fault_cfg, &mut self.fault_rng, a, b, t);
-                    }
-                    EventKind::Error(i) => fs.inject_local(ProcessId(i), t),
-                }
-            }
-        }
-        metrics
+            .as_ref()
+            .expect("episodes need a fault model");
+        let implant = Some(self.cfg.implant_delay);
+        self.events
+            .failure_episodes(fault, episodes, implant, |c| RollbackRule::Prp {
+                local: c.local,
+            })
     }
-}
-
-/// `true` for records representing real RPs — convenience predicate.
-pub fn real_only(_p: ProcessId, r: &RpRecord) -> bool {
-    r.is_real()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
+    use crate::history::{ProcessId, RpKind};
     use crate::recovery_line::is_consistent_cut;
+    use crate::rollback::{propagate_rollback, RollbackPlan};
+    use RollbackRule::{Prp, Symmetric};
+
+    fn prp_plan(h: &History, failed: ProcessId, at: f64, local: bool) -> RollbackPlan {
+        propagate_rollback(h, failed, at, Prp { local })
+    }
 
     fn p(i: usize) -> ProcessId {
         ProcessId(i)
@@ -370,7 +239,7 @@ mod tests {
         // That pseudo recovery line is accepted — the paper: "The
         // recovery line formed by RPᵢ and all PRPᵢ's is able to recover
         // these processes even if the error has already propagated."
-        let plan = prp_rollback(&h, p(2), 4.0, true);
+        let plan = prp_plan(&h, p(2), 4.0, true);
         assert_eq!(plan.restart[2], 2.0);
         assert_eq!(plan.restart[0], 2.001);
         assert_eq!(plan.restart[1], 2.001);
@@ -385,7 +254,7 @@ mod tests {
         // Same failure, but the error reached P3 from elsewhere: the
         // PRP contents of the affected processes may be contaminated,
         // so each must roll past one of its own real RPs (step 3).
-        let plan = prp_rollback(&h, p(2), 4.0, false);
+        let plan = prp_plan(&h, p(2), 4.0, false);
         assert!(is_consistent_cut(&h, &plan.restart));
         // P1's most recent real RP is at 1.0 → it ends at ≤ 1.0.
         assert!(plan.restart[0] <= 1.0 + 1e-9, "P1 at {}", plan.restart[0]);
@@ -394,7 +263,7 @@ mod tests {
         assert!(plan.restart[1] <= 1e-9, "P2 at {}", plan.restart[1]);
         // The local-error plan never rolls further than the propagated
         // one.
-        let local = prp_rollback(&h, p(2), 4.0, true);
+        let local = prp_plan(&h, p(2), 4.0, true);
         for i in 0..3 {
             assert!(local.restart[i] >= plan.restart[i] - 1e-12);
         }
@@ -434,16 +303,16 @@ mod tests {
                 t += 0.1;
             }
         }
-        let async_plan = propagate_rollback(&h_async, p(0), 4.0, real_only);
-        let prp_plan = prp_rollback(&h_prp, p(0), 4.0, true);
-        assert!(is_consistent_cut(&h_prp, &prp_plan.restart));
+        let async_plan = propagate_rollback(&h_async, p(0), 4.0, Symmetric);
+        let prp = prp_plan(&h_prp, p(0), 4.0, true);
+        assert!(is_consistent_cut(&h_prp, &prp.restart));
         // Async: P1 rolls to 1.0; interactions drag P2 to 1.5, then
         // P3 — the interleaving welds everything to early RPs.
         // PRP: everyone lands on RP₁'s line or their own RPs ≥ 1.0.
         assert!(
-            prp_plan.sup_distance() <= async_plan.sup_distance() + 1e-9,
+            prp.sup_distance() <= async_plan.sup_distance() + 1e-9,
             "PRP {} vs async {}",
-            prp_plan.sup_distance(),
+            prp.sup_distance(),
             async_plan.sup_distance()
         );
     }
@@ -475,6 +344,16 @@ mod tests {
     }
 
     #[test]
+    fn generated_history_keeps_events_after_their_implants() {
+        // An RP's PRPs land `implant_delay` after it; the generator must
+        // move its clock past them, or an event drawn within the delay is
+        // recorded out of order. Seed 6 draws one at horizon 200.
+        let cfg = PrpConfig::new(AsyncParams::symmetric(3, 1.0, 1.0));
+        let h = PrpScheme::new(cfg, 6).generate_history(200.0);
+        assert!(h.horizon() > 190.0);
+    }
+
+    #[test]
     fn storage_is_bounded_by_n_states_per_process() {
         let cfg = PrpConfig::new(AsyncParams::symmetric(4, 1.0, 1.0));
         let mut scheme = PrpScheme::new(cfg, 43);
@@ -501,7 +380,7 @@ mod tests {
             AsyncConfig::new(params.clone()).with_fault(fault.clone()),
             51,
         )
-        .run_failure_episodes(150);
+        .run_failure_episodes(150, Symmetric);
         let prp_m =
             PrpScheme::new(PrpConfig::new(params).with_fault(fault), 51).run_failure_episodes(150);
         assert!(

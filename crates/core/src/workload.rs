@@ -46,7 +46,9 @@ use rbsim::gof;
 use rbsim::stats::Histogram;
 
 use crate::fault::FaultConfig;
+use crate::history::ProcessId;
 use crate::metrics::{DistSummary, Metric};
+use crate::rollback::{propagate_rollback, RollbackRule};
 use crate::schemes::asynchronous::{AsyncConfig, AsyncScheme};
 use crate::schemes::conversation::{
     conversation_round_loss, run_conversations, ConversationConfig,
@@ -476,11 +478,10 @@ impl Workload for PrpStorage {
 /// three rollback semantics —
 ///
 /// * `async/…` — the paper's symmetric asynchronous rollback
-///   ([`AsyncScheme::run_failure_episodes`]),
+///   ([`RollbackRule::Symmetric`]),
 /// * `directed/…` — Russell's directed-message refinement
-///   ([`AsyncScheme::run_failure_episodes_directed`]),
-/// * `prp/…` — pseudo-recovery-point rollback
-///   ([`PrpScheme::run_failure_episodes`]).
+///   ([`RollbackRule::Directed`]),
+/// * `prp/…` — pseudo-recovery-point rollback ([`RollbackRule::Prp`]).
 ///
 /// Sharing the seed makes the three columns directly comparable: the
 /// underlying event histories coincide, so per-cell inequalities
@@ -585,19 +586,16 @@ impl Workload for FailureEpisodes {
 
     fn run(&self, seed: u64) -> Vec<Metric> {
         let mut metrics = Vec::with_capacity(18);
-        let sym = AsyncScheme::new(
-            AsyncConfig::new(self.params.clone()).with_fault(self.fault.clone()),
-            seed,
-        )
-        .run_failure_episodes(self.episodes);
-        Self::push_scheme("async", &sym, &mut metrics);
-        if self.directed {
-            let dir = AsyncScheme::new(
-                AsyncConfig::new(self.params.clone()).with_fault(self.fault.clone()),
-                seed,
-            )
-            .run_failure_episodes_directed(self.episodes);
-            Self::push_scheme("directed", &dir, &mut metrics);
+        let cfg = AsyncConfig::new(self.params.clone()).with_fault(self.fault.clone());
+        for (prefix, rule, on) in [
+            ("async", RollbackRule::Symmetric, true),
+            ("directed", RollbackRule::Directed, self.directed),
+        ] {
+            if on {
+                let m =
+                    AsyncScheme::new(cfg.clone(), seed).run_failure_episodes(self.episodes, rule);
+                Self::push_scheme(prefix, &m, &mut metrics);
+            }
         }
         if self.prp {
             let prp = PrpScheme::new(
@@ -708,12 +706,7 @@ impl Workload for HistoryAudit {
         let mut scheme = AsyncScheme::new(AsyncConfig::new(self.params.clone()), seed);
         let h = scheme.generate_history(self.horizon);
         let detected_at = h.horizon();
-        let plan = crate::rollback::propagate_rollback(
-            &h,
-            crate::history::ProcessId(0),
-            detected_at,
-            |_, r| r.is_real(),
-        );
+        let plan = propagate_rollback(&h, ProcessId(0), detected_at, RollbackRule::Symmetric);
         let lines = crate::recovery_line::find_recovery_lines(&h);
         vec![
             Metric::exact("lines_formed", (lines.len() - 1) as f64),

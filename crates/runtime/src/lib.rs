@@ -30,28 +30,27 @@
 //! * [`coordinator`] — the §3 synchronized recovery-line protocol
 //!   (`Pᵢⱼ-ready` flags, commitment broadcast, simultaneous state
 //!   save), with waiting-loss measurement;
-//! * [`prp`] — the §4 PRP implantation protocol (implantation request →
-//!   untested state save → commitment) and a recovery manager that
-//!   executes distributed rollback plans;
-//! * [`async_group`] — the §2 uncoordinated baseline on threads, where
-//!   the domino effect is real and observable.
+//! * [`group`] — recovery points and distributed rollback on threads:
+//!   the §2 uncoordinated baseline, where the domino effect is real and
+//!   observable, and the §4 PRP implantation protocol (implantation
+//!   request → untested state save → commitment), one group type whose
+//!   recovery runs `rbcore`'s rollback rules.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod async_group;
 pub mod channel;
 pub mod checkpoint;
 pub mod conversation;
 pub mod coordinator;
 pub mod faultio;
-pub mod prp;
+pub mod group;
 pub mod recovery_block;
 pub mod wal;
 
-pub use async_group::{AsyncGroup, PropagationMode};
 pub use channel::{logged_pair, LoggedReceiver, LoggedSender, SeqError};
 pub use checkpoint::{CheckpointId, CheckpointKind, CheckpointStore};
 pub use conversation::{Conversation, ConversationError};
 pub use coordinator::{run_synchronization, SyncParticipant, SyncReport};
+pub use group::RecoveryGroup;
 pub use recovery_block::{RbError, RecoveryBlock};

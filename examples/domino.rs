@@ -17,9 +17,9 @@
 use recovery_blocks::core::fault::FaultConfig;
 use recovery_blocks::core::history::{History, ProcessId};
 use recovery_blocks::core::render::{render_history, RenderOptions};
-use recovery_blocks::core::rollback::propagate_rollback;
+use recovery_blocks::core::rollback::{propagate_rollback, RollbackRule};
 use recovery_blocks::core::schemes::asynchronous::{AsyncConfig, AsyncScheme};
-use recovery_blocks::core::schemes::prp::{prp_rollback, PrpConfig, PrpScheme};
+use recovery_blocks::core::schemes::prp::{PrpConfig, PrpScheme};
 use recovery_blocks::core::schemes::synchronized::simulate_commit_losses;
 use recovery_blocks::markov::paper::AsyncParams;
 
@@ -62,7 +62,7 @@ fn main() {
 
     // ── Asynchronous: the avalanche ───────────────────────────────────
     let h = adversarial(false);
-    let async_plan = propagate_rollback(&h, p(0), detected_at, |_, r| r.is_real());
+    let async_plan = propagate_rollback(&h, p(0), detected_at, RollbackRule::Symmetric);
     println!(
         "{}",
         render_history(
@@ -76,7 +76,7 @@ fn main() {
 
     // ── PRP: the avalanche stops at a pseudo recovery line ───────────
     let h_prp = adversarial(true);
-    let prp_plan = prp_rollback(&h_prp, p(0), detected_at, true);
+    let prp_plan = propagate_rollback(&h_prp, p(0), detected_at, RollbackRule::Prp { local: true });
     println!(
         "failure of P1 at t={detected_at}: async D = {:.2} (dominoed: {}), \
          PRP D = {:.2} (dominoed: {})",
@@ -101,7 +101,7 @@ fn main() {
         AsyncConfig::new(params.clone()).with_fault(fault.clone()),
         99,
     )
-    .run_failure_episodes(episodes);
+    .run_failure_episodes(episodes, RollbackRule::Symmetric);
     let prp_m = PrpScheme::new(PrpConfig::new(params.clone()).with_fault(fault), 99)
         .run_failure_episodes(episodes);
 

@@ -11,7 +11,8 @@
 //!
 //! Run with: `cargo run --example pipeline_transactions`
 
-use recovery_blocks::runtime::prp::PrpGroup;
+use recovery_blocks::core::rollback::RollbackRule;
+use recovery_blocks::runtime::RecoveryGroup;
 
 /// Each worker's state: its ledger of applied transaction ids plus a
 /// running value.
@@ -35,12 +36,12 @@ const TRANSFORMER: usize = 1;
 const CONSUMER: usize = 2;
 
 fn main() {
-    let mut group = PrpGroup::spawn(vec![WorkerState::new(); 3]);
+    let mut group = RecoveryGroup::spawn_prp(vec![WorkerState::new(); 3]);
 
     // ── Phase 1: a healthy batch, checkpointed at its end ─────────────
     for txid in 1..=3u64 {
         // Producer creates the transaction, hands it to the transformer.
-        group.interact(
+        group.send(
             PRODUCER,
             TRANSFORMER,
             move |s| {
@@ -53,7 +54,7 @@ fn main() {
             },
         );
         // Transformer hands the enriched transaction to the consumer.
-        group.interact(
+        group.send(
             TRANSFORMER,
             CONSUMER,
             move |s| s.value += 1,
@@ -77,7 +78,7 @@ fn main() {
 
     // ── Phase 2: a poisoned batch ─────────────────────────────────────
     for txid in 4..=5u64 {
-        group.interact(
+        group.send(
             PRODUCER,
             TRANSFORMER,
             move |s| {
@@ -89,7 +90,7 @@ fn main() {
                 s.value += 2 * txid as i64;
             },
         );
-        group.interact(
+        group.send(
             TRANSFORMER,
             CONSUMER,
             move |s| s.value += 1,
@@ -108,7 +109,7 @@ fn main() {
     // ("the recovery line formed by RPᵢ and all PRPᵢ's is able to
     // recover these processes even if the error has already
     // propagated").
-    let plan = group.recover(CONSUMER, true);
+    let plan = group.recover(CONSUMER, RollbackRule::Prp { local: true });
     println!(
         "\nfailure at consumer, local error: {} of 3 workers rolled back, \
          sup distance = {:.0} logical ticks",
@@ -149,20 +150,20 @@ fn main() {
     // consumer with them. That asymmetry is exactly the cost the paper
     // assigns to un-tested PRP contents.
     for txid in 6..=7u64 {
-        group.interact(
+        group.send(
             PRODUCER,
             TRANSFORMER,
             move |s| s.applied.push(txid),
             move |s| s.applied.push(txid),
         );
-        group.interact(
+        group.send(
             TRANSFORMER,
             CONSUMER,
             move |s| s.value += 1,
             move |s| s.applied.push(txid),
         );
     }
-    let conservative = group.recover(CONSUMER, false);
+    let conservative = group.recover(CONSUMER, RollbackRule::Prp { local: false });
     println!(
         "propagated-error variant: sup distance = {:.0} ticks (vs {:.0} for the local error)",
         conservative.sup_distance(),

@@ -11,6 +11,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use recovery_blocks::core::fault::FaultConfig;
+use recovery_blocks::core::rollback::RollbackRule;
 use recovery_blocks::core::schemes::asynchronous::{AsyncConfig, AsyncScheme};
 use recovery_blocks::markov::paper::AsyncParams;
 use recovery_blocks::runtime::RecoveryBlock;
@@ -52,7 +53,7 @@ fn main() {
     // ── 3. A simulated failure under the asynchronous scheme ─────────
     let fault = FaultConfig::uniform(3, 0.05, 0.5, 0.5);
     let metrics = AsyncScheme::new(AsyncConfig::new(params).with_fault(fault), 2026)
-        .run_failure_episodes(500);
+        .run_failure_episodes(500, RollbackRule::Symmetric);
     println!(
         "3. 500 injected failures: mean rollback distance D = {:.3}, \
          mean processes dragged in = {:.2}, domino rate = {:.1}%",

@@ -1,6 +1,8 @@
 //! Property-based tests over the core invariants.
 //!
-//! * every rollback plan is a consistent cut, regardless of history;
+//! * every symmetric rollback plan is a consistent cut, and every
+//!   directed plan an orphan-free cut no earlier than the symmetric
+//!   one, regardless of history;
 //! * PRP plans never roll further than needed nor less than async
 //!   soundness requires;
 //! * recovery lines found by the flag scan always satisfy the paper's
@@ -10,9 +12,10 @@
 
 use proptest::prelude::*;
 use recovery_blocks::core::history::{History, ProcessId};
-use recovery_blocks::core::recovery_line::{find_recovery_lines, is_consistent_cut};
-use recovery_blocks::core::rollback::propagate_rollback;
-use recovery_blocks::core::schemes::prp::prp_rollback;
+use recovery_blocks::core::recovery_line::{
+    find_recovery_lines, is_consistent_cut, is_orphan_free_cut,
+};
+use recovery_blocks::core::rollback::{propagate_rollback, RollbackRule};
 use recovery_blocks::sim::stats::{Histogram, Welford};
 
 /// A random history script: each op is (process_a, process_b, kind, dt)
@@ -56,10 +59,24 @@ proptest! {
     fn async_rollback_plans_are_consistent_cuts(
         h in history_strategy(4),
         failed in 0usize..4,
+        directed in any::<bool>(),
     ) {
         let t = h.horizon() + 1.0;
-        let plan = propagate_rollback(&h, ProcessId(failed), t, |_, r| r.is_real());
-        prop_assert!(is_consistent_cut(&h, &plan.restart));
+        let sym = propagate_rollback(&h, ProcessId(failed), t, RollbackRule::Symmetric);
+        prop_assert!(is_consistent_cut(&h, &sym.restart));
+        let plan = if directed {
+            // Russell's refinement drops the lost-message constraints:
+            // the cut need only be orphan-free, and no process restarts
+            // earlier than under the symmetric rule.
+            let dir = propagate_rollback(&h, ProcessId(failed), t, RollbackRule::Directed);
+            prop_assert!(is_orphan_free_cut(&h, &dir.restart));
+            for (i, (&d, &s)) in dir.restart.iter().zip(&sym.restart).enumerate() {
+                prop_assert!(d >= s, "P{i}: directed {d} < symmetric {s}");
+            }
+            dir
+        } else {
+            sym
+        };
         prop_assert!(plan.rolled_back[failed]);
         // Restart times never exceed detection time.
         for &r in &plan.restart {
@@ -70,16 +87,16 @@ proptest! {
     }
 
     #[test]
-    fn prp_rollback_plans_are_consistent_and_bounded_by_async(
+    fn prp_rule_plans_are_consistent_and_bounded_by_async(
         h in history_strategy(3),
         failed in 0usize..3,
         local in any::<bool>(),
     ) {
         let t = h.horizon() + 1.0;
-        let prp_plan = prp_rollback(&h, ProcessId(failed), t, local);
+        let prp_plan = propagate_rollback(&h, ProcessId(failed), t, RollbackRule::Prp { local });
         prop_assert!(is_consistent_cut(&h, &prp_plan.restart));
 
-        let async_plan = propagate_rollback(&h, ProcessId(failed), t, |_, r| r.is_real());
+        let async_plan = propagate_rollback(&h, ProcessId(failed), t, RollbackRule::Symmetric);
         if local {
             // With PRPs admissible, no process needs to roll further
             // than the real-RPs-only plan.
@@ -109,6 +126,7 @@ proptest! {
     fn rollback_restarts_only_at_admissible_states(
         h in history_strategy(3),
         failed in 0usize..3,
+        directed in any::<bool>(),
     ) {
         // Every rolled-back process restarts exactly at one of its real
         // RP times (the admissible set) — the plan never invents a
@@ -118,7 +136,8 @@ proptest! {
         // back; proptest found the counterexample that killed that
         // earlier, wrong, property.)
         let t = h.horizon() + 1.0;
-        let plan = propagate_rollback(&h, ProcessId(failed), t, |_, r| r.is_real());
+        let rule = if directed { RollbackRule::Directed } else { RollbackRule::Symmetric };
+        let plan = propagate_rollback(&h, ProcessId(failed), t, rule);
         for (j, (&rb, &restart)) in plan.rolled_back.iter().zip(&plan.restart).enumerate() {
             if rb {
                 let admissible = h

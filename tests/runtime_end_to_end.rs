@@ -2,7 +2,8 @@
 //! rbanalysis.
 
 use recovery_blocks::analysis::sync_loss;
-use recovery_blocks::runtime::prp::PrpGroup;
+use recovery_blocks::core::rollback::RollbackRule;
+use recovery_blocks::runtime::RecoveryGroup;
 use recovery_blocks::runtime::{run_synchronization, Conversation, RecoveryBlock, SyncParticipant};
 use recovery_blocks::sim::{SimRng, StreamId};
 
@@ -77,13 +78,13 @@ fn conversation_of_recovery_blocks() {
 
 #[test]
 fn prp_group_survives_alternating_failures() {
-    let mut g = PrpGroup::spawn(vec![0i64, 0, 0]);
+    let mut g = RecoveryGroup::spawn_prp(vec![0i64, 0, 0]);
     for round in 1..=4 {
         g.establish_rp(round % 3);
-        g.interact(0, 1, |s| *s += 1, |s| *s += 1);
-        g.interact(1, 2, |s| *s += 1, |s| *s += 1);
+        g.send(0, 1, |s| *s += 1, |s| *s += 1);
+        g.send(1, 2, |s| *s += 1, |s| *s += 1);
         let failer = (round + 1) % 3;
-        let plan = g.recover(failer, true);
+        let plan = g.recover(failer, RollbackRule::Prp { local: true });
         assert!(plan.rolled_back[failer], "round {round}");
     }
     // All states must be non-negative and bounded by total work.
@@ -97,13 +98,13 @@ fn prp_group_survives_alternating_failures() {
 #[test]
 fn prp_group_histories_are_consistent_cuts() {
     use recovery_blocks::core::recovery_line::is_consistent_cut;
-    let mut g = PrpGroup::spawn(vec![0u32, 0, 0, 0]);
+    let mut g = RecoveryGroup::spawn_prp(vec![0u32, 0, 0, 0]);
     g.establish_rp(0);
-    g.interact(0, 1, |s| *s += 1, |s| *s += 1);
+    g.send(0, 1, |s| *s += 1, |s| *s += 1);
     g.establish_rp(2);
-    g.interact(2, 3, |s| *s += 1, |s| *s += 1);
-    g.interact(1, 2, |s| *s += 1, |s| *s += 1);
-    let plan = g.recover(2, true);
+    g.send(2, 3, |s| *s += 1, |s| *s += 1);
+    g.send(1, 2, |s| *s += 1, |s| *s += 1);
+    let plan = g.recover(2, RollbackRule::Prp { local: true });
     assert!(is_consistent_cut(g.history(), &plan.restart));
     g.shutdown();
 }
