@@ -1099,6 +1099,9 @@ struct TwoLevel<'a> {
     transpose: bool,
 }
 
+/// Bits of mask spanned by one [`TwoLevel::r1_block`].
+const R1_BLOCK_BITS: usize = 4;
+
 /// The coarse level of a [`FlagChainOp`]'s [`TwoLevel`] preconditioner.
 struct Coarse {
     /// The coarse `−Q̃_TT`; the transposed fine system solves with its
@@ -1172,11 +1175,16 @@ impl TwoLevel<'_> {
     /// couplings through bits ≥ k are already folded into `c`. Splitting
     /// on bit k−1, the half every R1 neighbour lies in is solved first
     /// and then folded into the other half as one slice update — a
-    /// Gauss–Seidel substitution in mask order, vectorised per bit. The
-    /// absent all-ones mask (past the slice end) is skipped.
+    /// Gauss–Seidel substitution in mask order, vectorised per bit. Full
+    /// blocks of 2⁴ masks go to [`Self::r1_block`]; the absent all-ones
+    /// mask (past the slice end) is skipped.
     fn r1_substitute(&self, c: &mut [f64], z: &mut [f64], lo: usize, k: usize, transposed: bool) {
         let len = z.len();
         if lo >= len {
+            return;
+        }
+        if k == R1_BLOCK_BITS && lo + (1 << k) <= len {
+            self.r1_block(c, z, lo, transposed);
             return;
         }
         if k == 0 {
@@ -1199,6 +1207,45 @@ impl TwoLevel<'_> {
             *c += mu * z;
         }
         self.r1_substitute(c, z, second, k - 1, transposed);
+    }
+
+    /// [`Self::r1_substitute`] on the aligned, complete block of 2⁴ masks
+    /// at `lo` without recursing: for each mask in substitution order
+    /// (descending, or ascending when `transposed`), `c[m]` plus the
+    /// couplings through its bits below 4, highest bit first, divided by
+    /// the exit rate — the recursion's operations in the recursion's
+    /// order, so every bit of `z` is the same.
+    fn r1_block(&self, c: &[f64], z: &mut [f64], lo: usize, transposed: bool) {
+        const B: usize = 1 << R1_BLOCK_BITS;
+        let c: &[f64; B] = c[lo..lo + B].try_into().expect("a complete block");
+        let z: &mut [f64; B] = (&mut z[lo..lo + B]).try_into().expect("a complete block");
+        let exit: &[f64; B] = self.op.exit[lo + 1..lo + 1 + B]
+            .try_into()
+            .expect("one exit rate per mask");
+        let mu: &[f64; R1_BLOCK_BITS] = self.op.mu[..R1_BLOCK_BITS]
+            .try_into()
+            .expect("a block's bits are rates of the chain");
+        if transposed {
+            for m in 0..B {
+                let mut acc = c[m];
+                for b in (0..R1_BLOCK_BITS).rev() {
+                    if m & (1 << b) != 0 {
+                        acc += mu[b] * z[m ^ (1 << b)];
+                    }
+                }
+                z[m] = acc / exit[m];
+            }
+        } else {
+            for m in (0..B).rev() {
+                let mut acc = c[m];
+                for b in (0..R1_BLOCK_BITS).rev() {
+                    if m & (1 << b) == 0 {
+                        acc += mu[b] * z[m | (1 << b)];
+                    }
+                }
+                z[m] = acc / exit[m];
+            }
+        }
     }
 
     /// Aggregate id of transient state `t`: 0 for S_r, 1 + popcount for

@@ -9,8 +9,9 @@
 //!   accept, so nothing polls;
 //! * one **handler thread** per connection reads request lines and
 //!   writes response lines; a `submit` streams its job's event channel
-//!   until the worker drops the sending half. Sockets carry read/write
-//!   timeouts ([`ServerConfig::io_timeout`]) and an idle reaper
+//!   until the worker drops the sending half, each write carrying every
+//!   event already queued (never waiting for more). Sockets carry
+//!   read/write timeouts ([`ServerConfig::io_timeout`]) and an idle reaper
 //!   ([`ServerConfig::idle_timeout`]) so a stalled client can't pin a
 //!   handler thread forever;
 //! * `workers` **worker threads** pull jobs off a shared channel and
@@ -563,10 +564,10 @@ fn accept_loop(
 
 /// Socket options for an accepted connection. Handlers block on reads
 /// and writes bounded by the io timeout, so the idle reaper gets a say
-/// and a stalled client can't pin the writer forever. Every event is
-/// one small write, so Nagle's algorithm is off: otherwise a write
-/// issued while the previous one awaits the peer's delayed ACK stalls
-/// for about 40 ms.
+/// and a stalled client can't pin the writer forever. Every response
+/// or event batch is one small write, so Nagle's algorithm is off:
+/// otherwise a write issued while the previous one awaits the peer's
+/// delayed ACK stalls for about 40 ms.
 pub(crate) fn configure_accepted(stream: &TcpStream, io_timeout: Duration) -> std::io::Result<()> {
     let io = Some(io_timeout);
     stream.set_read_timeout(io)?;
@@ -829,9 +830,18 @@ fn handle_submit(
         // event sends fail and it discards them.
         return false;
     }
-    // Stream until the worker drops the sender.
-    for event in events_rx.iter() {
-        if !send_line(out, &event) {
+    // Stream until the worker drops the sender, one write per batch:
+    // each event received takes along every event already queued behind
+    // it, and nothing waits for more, so the first cell leaves as soon
+    // as it exists.
+    let mut batch = Vec::new();
+    while let Ok(event) = events_rx.recv() {
+        batch.clear();
+        for event in std::iter::once(event).chain(events_rx.try_iter()) {
+            batch.extend_from_slice(event.as_bytes());
+            batch.push(b'\n');
+        }
+        if out.write_all(&batch).is_err() {
             return false;
         }
     }

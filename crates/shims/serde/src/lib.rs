@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 pub use serde_derive::Serialize;
@@ -48,6 +49,12 @@ impl Value {
 pub trait Serialize {
     /// Builds the [`Value`] representation of `self`.
     fn to_value(&self) -> Value;
+
+    /// The [`Value`] representation of `self`, borrowed when `self`
+    /// already is one, so a writer renders a tree without cloning it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Deserialization failure.
@@ -143,6 +150,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -213,6 +224,10 @@ impl<V: Serialize> Serialize for HashMap<String, V> {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 

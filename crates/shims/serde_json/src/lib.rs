@@ -8,6 +8,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::fmt::Write;
+
 use serde::{Deserialize, Serialize, Value};
 
 /// Serialization or parse failure.
@@ -25,14 +27,14 @@ impl std::error::Error for Error {}
 /// Renders `value` as compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    write_value(&mut out, &value.as_value(), None, 0);
     Ok(out)
 }
 
 /// Renders `value` as 2-space-indented JSON.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    write_value(&mut out, &value.as_value(), Some(2), 0);
     Ok(out)
 }
 
@@ -49,38 +51,47 @@ fn write_num(out: &mut String, x: f64) {
         // emitted document parseable either way.
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 1e15 {
-        out.push_str(&format!("{}", x as i64));
+        write!(out, "{}", x as i64).expect("writing to a String cannot fail");
     } else {
-        out.push_str(&format!("{x}"));
+        write!(out, "{x}").expect("writing to a String cannot fail");
     }
 }
 
+/// Writes `s` quoted, copying each run of bytes that needs no escape in
+/// one piece. Every escaped byte is ASCII, so the runs end on char
+/// boundaries.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Starts a new line indented `depth` levels in pretty mode; writes
+/// nothing in compact mode.
+fn break_line(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(w) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', w * depth));
+    }
 }
 
 fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    let (nl, pad, pad_close, colon) = match indent {
-        Some(w) => (
-            "\n",
-            " ".repeat(w * (depth + 1)),
-            " ".repeat(w * depth),
-            ": ",
-        ),
-        None => ("", String::new(), String::new(), ":"),
-    };
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -96,12 +107,10 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
                 if k > 0 {
                     out.push(',');
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                break_line(out, indent, depth + 1);
                 write_value(out, item, indent, depth + 1);
             }
-            out.push_str(nl);
-            out.push_str(&pad_close);
+            break_line(out, indent, depth);
             out.push(']');
         }
         Value::Map(entries) => {
@@ -114,14 +123,12 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
                 if k > 0 {
                     out.push(',');
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                break_line(out, indent, depth + 1);
                 write_escaped(out, key);
-                out.push_str(colon);
+                out.push_str(if indent.is_some() { ": " } else { ":" });
                 write_value(out, item, indent, depth + 1);
             }
-            out.push_str(nl);
-            out.push_str(&pad_close);
+            break_line(out, indent, depth);
             out.push('}');
         }
     }
@@ -378,6 +385,88 @@ mod tests {
         let s = unit.repeat(64 * 1024 / unit.len() + 1);
         assert!(s.len() >= 64 * 1024);
         assert_eq!(round_trip(&s), s);
+    }
+
+    /// The exact text the writer produces, compact and pretty, for the
+    /// numbers, strings and containers at the edges of its formatting.
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let tiny = format!("0.{}5", "0".repeat(323));
+        let nested = Value::Seq(vec![
+            Value::Seq(vec![]),
+            Value::Map(vec![]),
+            Value::Seq(vec![Value::Seq(vec![Value::Map(vec![])])]),
+            Value::Map(vec![(
+                "k".into(),
+                Value::Seq(vec![
+                    Value::Num(1.0),
+                    Value::Null,
+                    Value::Map(vec![("".into(), Value::Num(-0.5))]),
+                ]),
+            )]),
+        ]);
+        let nested_pretty = "[\n  [],\n  {},\n  [\n    [\n      {}\n    ]\n  ],\n  {\n    \"k\": [\n      1,\n      null,\n      {\n        \"\": -0.5\n      }\n    ]\n  }\n]";
+        let map_pretty = format!(
+            "{{\n  \"ok\": true,\n  \"e\\\"v\": \"\",\n  \"x\": {}\n}}",
+            nested_pretty.replace('\n', "\n  ")
+        );
+        let corpus: Vec<(Value, &str, &str)> = vec![
+            (Value::Num(-0.0), "0", "0"),
+            (
+                Value::Num(999_999_999_999_999.0),
+                "999999999999999",
+                "999999999999999",
+            ),
+            (Value::Num(1e15), "1000000000000000", "1000000000000000"),
+            (
+                Value::Num((1u64 << 53) as f64 + 1.0),
+                "9007199254740992",
+                "9007199254740992",
+            ),
+            (
+                Value::Num(1e21),
+                "1000000000000000000000",
+                "1000000000000000000000",
+            ),
+            (Value::Num(5e-324), &tiny, &tiny),
+            (Value::Num(f64::NAN), "null", "null"),
+            (Value::Num(f64::INFINITY), "null", "null"),
+            (Value::Num(f64::NEG_INFINITY), "null", "null"),
+            (Value::Num(-1.5e-7), "-0.00000015", "-0.00000015"),
+            (
+                Value::Str("a\"b\\c\n\r\t\u{1}\u{1f}\u{7f}é😀".into()),
+                "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\u{7f}é😀\"",
+                "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\u{7f}é😀\"",
+            ),
+            (Value::Seq(vec![]), "[]", "[]"),
+            (Value::Map(vec![]), "{}", "{}"),
+            (
+                nested.clone(),
+                r#"[[],{},[[{}]],{"k":[1,null,{"":-0.5}]}]"#,
+                nested_pretty,
+            ),
+            (
+                Value::Map(vec![
+                    ("ok".into(), Value::Bool(true)),
+                    ("e\"v".into(), Value::Str(String::new())),
+                    ("x".into(), nested),
+                ]),
+                r#"{"ok":true,"e\"v":"","x":[[],{},[[{}]],{"k":[1,null,{"":-0.5}]}]}"#,
+                &map_pretty,
+            ),
+        ];
+        for (v, compact, pretty) in &corpus {
+            assert_eq!(to_string(v).unwrap(), *compact, "compact {v:?}");
+            assert_eq!(to_string_pretty(v).unwrap(), *pretty, "pretty {v:?}");
+            // A reference renders the same text as the value itself.
+            assert_eq!(to_string(&v).unwrap(), *compact, "compact &{v:?}");
+        }
+        // Non-finite floats serialize to null before reaching the writer.
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert_eq!(
+            to_string_pretty(&vec![f64::INFINITY, 0.5]).unwrap(),
+            "[\n  null,\n  0.5\n]"
+        );
     }
 
     #[test]
