@@ -310,11 +310,15 @@ mod tests {
 
     #[test]
     fn cache_params_cover_every_config_field() {
+        // Every field changes the key, and moves some metric on a probe
+        // cell.
         let sync = SyncLoss {
             mu: vec![1.0, 2.0],
             rounds: 10,
         };
-        assert_distinct(&flips(&sync, &[|w| w.mu[1] = 2.5, |w| w.rounds = 11]));
+        let sync_edits: [fn(&mut SyncLoss); 2] = [|w| w.mu[1] = 2.5, |w| w.rounds = 11];
+        assert_distinct(&flips(&sync, &sync_edits));
+        assert_each_edit_moves_a_metric(&sync, &sync_edits);
         let trade = TradeoffCell {
             params: AsyncParams::symmetric(3, 1.0, 0.5),
             error_rate: 1e-3,
@@ -322,32 +326,52 @@ mod tests {
             sync_period: 2.0,
             deadline: 2.0,
         };
-        assert_distinct(&flips(
-            &trade,
-            &[
-                |w| w.params = AsyncParams::symmetric(3, 1.0, 0.75),
-                |w| w.error_rate = 2e-3,
-                |w| w.t_r = 0.02,
-                |w| w.sync_period = 3.0,
-                |w| w.deadline = 3.0,
-            ],
-        ));
+        let trade_edits: [fn(&mut TradeoffCell); 5] = [
+            |w| w.params = AsyncParams::symmetric(3, 1.0, 0.75),
+            |w| w.error_rate = 2e-3,
+            |w| w.t_r = 0.02,
+            |w| w.sync_period = 3.0,
+            // 3.0 changes no recommendation on this cell; 0.5 does.
+            |w| w.deadline = 0.5,
+        ];
+        assert_distinct(&flips(&trade, &trade_edits));
+        assert_each_edit_moves_a_metric(&trade, &trade_edits);
         let opt = OptimalPeriodCell {
             mu: vec![1.0; 3],
             error_rate: 0.01,
             search_upper: 100.0,
             sim_horizon: 50.0,
         };
-        assert_distinct(&flips(
-            &opt,
-            &[
-                |w| w.mu[2] = 2.0,
-                |w| w.error_rate = 0.02,
-                |w| w.search_upper = 200.0,
-                |w| w.sim_horizon = 60.0,
-            ],
-        ));
-        assert_distinct(&flips(&MatrixFreeLumpability { n: 8 }, &[|w| w.n = 9]));
+        let opt_edits: [fn(&mut OptimalPeriodCell); 4] = [
+            |w| w.mu[2] = 2.0,
+            |w| w.error_rate = 0.02,
+            |w| w.search_upper = 200.0,
+            |w| w.sim_horizon = 60.0,
+        ];
+        assert_distinct(&flips(&opt, &opt_edits));
+        assert_each_edit_moves_a_metric(&opt, &opt_edits);
+        let lumped = MatrixFreeLumpability { n: 8 };
+        let lumped_edits: [fn(&mut MatrixFreeLumpability); 1] = [|w| w.n = 9];
+        assert_distinct(&flips(&lumped, &lumped_edits));
+        assert_each_edit_moves_a_metric(&lumped, &lumped_edits);
+    }
+
+    /// On a probe cell (seed 7), every edit moves some metric of `base`:
+    /// a field of the cache key that moved none would split the cache
+    /// between cells with equal results.
+    fn assert_each_edit_moves_a_metric<W: Workload + Clone>(base: &W, edits: &[fn(&mut W)]) {
+        let metrics = |w: &W| format!("{:?}", w.run(7));
+        let want = metrics(base);
+        for (i, edit) in edits.iter().enumerate() {
+            let mut w = base.clone();
+            edit(&mut w);
+            assert_ne!(
+                metrics(&w),
+                want,
+                "edit {i} of {} moves no metric",
+                base.label()
+            );
+        }
     }
 
     /// `base`'s cache params followed by those of one copy per edit.

@@ -493,7 +493,10 @@ impl Workload for PrpStorage {
 /// The symmetric leg always runs; the directed and PRP legs can be
 /// switched off ([`Self::without_directed`] / [`Self::without_prp`])
 /// when a sweep only compares two semantics — episodes are the hot
-/// path, and an unread leg is pure waste.
+/// path, and an unread leg is pure waste. The PRP leg takes no
+/// state-recording time t_r: its rollbacks never read it (only
+/// [`PrpStorage`]'s timeline does), so it would split the cache key
+/// without moving a metric.
 #[derive(Clone, Debug)]
 pub struct FailureEpisodes {
     /// Checkpoint and interaction rates.
@@ -502,8 +505,6 @@ pub struct FailureEpisodes {
     pub fault: FaultConfig,
     /// Failure episodes per rollback semantics.
     pub episodes: usize,
-    /// State-recording time t_r for the PRP leg.
-    pub t_r: f64,
     /// Run the Russell directed-refinement leg (`directed/…` metrics).
     pub directed: bool,
     /// Run the PRP leg (`prp/…` metrics).
@@ -511,14 +512,12 @@ pub struct FailureEpisodes {
 }
 
 impl FailureEpisodes {
-    /// A workload running all three legs with the default
-    /// state-recording time (t_r = 1e-3).
+    /// A workload running all three legs.
     pub fn new(params: AsyncParams, fault: FaultConfig, episodes: usize) -> Self {
         FailureEpisodes {
             params,
             fault,
             episodes,
-            t_r: 1e-3,
             directed: true,
             prp: true,
         }
@@ -571,14 +570,13 @@ impl Workload for FailureEpisodes {
 
     fn cache_params(&self) -> Option<String> {
         Some(format!(
-            "{};error_rates=[{}];p_propagate={};p_detect_foreign={};episodes={};t_r={};\
+            "{};error_rates=[{}];p_propagate={};p_detect_foreign={};episodes={};\
              directed={};prp={}",
             canon_async_params(&self.params),
             canon_f64s(&self.fault.error_rates),
             canon_f64(self.fault.p_propagate),
             canon_f64(self.fault.p_detect_foreign),
             self.episodes,
-            canon_f64(self.t_r),
             self.directed,
             self.prp
         ))
@@ -599,9 +597,7 @@ impl Workload for FailureEpisodes {
         }
         if self.prp {
             let prp = PrpScheme::new(
-                PrpConfig::new(self.params.clone())
-                    .with_fault(self.fault.clone())
-                    .with_t_r(self.t_r),
+                PrpConfig::new(self.params.clone()).with_fault(self.fault.clone()),
                 seed,
             )
             .run_failure_episodes(self.episodes);
@@ -949,49 +945,48 @@ mod tests {
         assert_ne!(canon_f64(0.0), canon_f64(-0.0));
         assert_eq!(canon_f64(f64::NAN), canon_f64(f64::NAN));
 
-        // FailureEpisodes: every FaultConfig field, the episode count,
-        // t_r and each leg switch.
+        // FailureEpisodes: every FaultConfig field, the episode count
+        // and each leg switch.
         let fault = FaultConfig::uniform(3, 0.1, 0.5, 0.5);
-        assert_distinct(&flips(
-            &FailureEpisodes::new(params3(), fault, 9),
-            &[
-                |w| w.params = AsyncParams::symmetric(3, 1.0, 1.5),
-                |w| w.fault.error_rates[2] = 0.2,
-                |w| w.fault.p_propagate = 0.6,
-                |w| w.fault.p_detect_foreign = 0.6,
-                |w| w.episodes = 10,
-                |w| w.t_r = 2e-3,
-                |w| w.directed = false,
-                |w| w.prp = false,
-            ],
-        ));
+        let episodes = FailureEpisodes::new(params3(), fault, 40);
+        let episode_edits: [fn(&mut FailureEpisodes); 7] = [
+            |w| w.params = AsyncParams::symmetric(3, 1.0, 1.5),
+            |w| w.fault.error_rates[2] = 0.2,
+            |w| w.fault.p_propagate = 0.6,
+            |w| w.fault.p_detect_foreign = 0.6,
+            |w| w.episodes = 41,
+            |w| w.directed = false,
+            |w| w.prp = false,
+        ];
+        assert_distinct(&flips(&episodes, &episode_edits));
+        assert_each_edit_moves_a_metric(&episodes, &episode_edits);
         // Conversations: every ConversationConfig field plus the horizon.
         let conv = Conversations {
             cfg: ConversationConfig::new(AsyncParams::symmetric(4, 1.0, 1.0), 2),
             horizon: 300.0,
         };
-        assert_distinct(&flips(
-            &conv,
-            &[
-                |w| w.cfg.params = AsyncParams::symmetric(4, 1.0, 0.5),
-                |w| w.cfg.k = 3,
-                |w| w.cfg.conversation_rate = 0.3,
-                |w| w.cfg.p_fail = 0.1,
-                |w| w.cfg.max_rounds = 4,
-                |w| w.horizon = 301.0,
-            ],
-        ));
+        let conv_edits: [fn(&mut Conversations); 6] = [
+            |w| w.cfg.params = AsyncParams::symmetric(4, 1.0, 0.5),
+            |w| w.cfg.k = 3,
+            |w| w.cfg.conversation_rate = 0.3,
+            |w| w.cfg.p_fail = 0.1,
+            // Three rounds at p_fail = 0.05 never give up within the
+            // horizon; one round gives up on every failure.
+            |w| w.cfg.max_rounds = 1,
+            |w| w.horizon = 301.0,
+        ];
+        assert_distinct(&flips(&conv, &conv_edits));
+        assert_each_edit_moves_a_metric(&conv, &conv_edits);
         let audit = HistoryAudit {
             params: params3(),
             horizon: 10.0,
         };
-        assert_distinct(&flips(
-            &audit,
-            &[
-                |w| w.params = AsyncParams::symmetric(3, 2.0, 1.0),
-                |w| w.horizon = 11.0,
-            ],
-        ));
+        let audit_edits: [fn(&mut HistoryAudit); 2] = [
+            |w| w.params = AsyncParams::symmetric(3, 2.0, 1.0),
+            |w| w.horizon = 11.0,
+        ];
+        assert_distinct(&flips(&audit, &audit_edits));
+        assert_each_edit_moves_a_metric(&audit, &audit_edits);
         // SplittingTail (private fields, so one constructor argument at
         // a time): params, target level (→ threshold), levels, trials,
         // gate width, and the reference tail.
@@ -1021,6 +1016,24 @@ mod tests {
             w.cache_params()
         });
         std::iter::once(base.cache_params()).chain(edited).collect()
+    }
+
+    /// On a probe cell (seed 7), every edit moves some metric of `base`:
+    /// a field of the cache key that moved none would split the cache
+    /// between cells with equal results.
+    fn assert_each_edit_moves_a_metric<W: Workload + Clone>(base: &W, edits: &[fn(&mut W)]) {
+        let metrics = |w: &W| format!("{:?}", w.run(7));
+        let want = metrics(base);
+        for (i, edit) in edits.iter().enumerate() {
+            let mut w = base.clone();
+            edit(&mut w);
+            assert_ne!(
+                metrics(&w),
+                want,
+                "edit {i} of {} moves no metric",
+                base.label()
+            );
+        }
     }
 
     /// Every key is present and no two are equal.

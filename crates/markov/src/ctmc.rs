@@ -143,7 +143,12 @@ impl Ctmc {
     /// benches and conformance tests use this to compare solver
     /// strategies on identical chains.
     pub fn mean_absorption_time_with(&self, start: usize, strategy: SolverStrategy) -> f64 {
-        let block = self.transient_block(start);
+        assert!(
+            !self.is_absorbing(start),
+            "start state {start} is absorbing"
+        );
+        let block =
+            TransientBlock::with_rows(self.n, |s| !self.is_absorbing(s), |s| self.q.row(s), |q| -q);
         block.solve_with(strategy, &vec![1.0; block.dim()])[block.local(start)]
     }
 

@@ -18,7 +18,9 @@
 //!
 //! The Krylov arm targets a relative residual of 1e-13 within 2 000
 //! iterations and panics above 1e-9. GTH's input, the products and the
-//! sweeps read each row in the chain's own column order. The flag chain
+//! sweeps read each row in the chain's own column order. Up to the cap the
+//! rows go straight into GTH's matrix and the block keeps none of them; a
+//! solve forced onto another arm builds the block with its rows. The flag chain
 //! answers through [`crate::matfree`] at every n; [`SolverStrategy`]
 //! survives as the backend that benches and conformance tests force
 //! through [`crate::Ctmc::mean_absorption_time_with`], and no default
@@ -75,14 +77,15 @@ pub(crate) struct TransientBlock {
     local: Vec<usize>,
     /// Row k of A is `entries[offsets[k]..offsets[k + 1]]`, its `(j, aₖⱼ)`
     /// in column order: −qₖⱼ towards the other transient states, and the
-    /// diagonal.
+    /// diagonal. Empty on a block built for GTH alone.
     offsets: Vec<usize>,
     entries: Vec<(usize, f64)>,
     /// The diagonal of A.
     diag: Vec<f64>,
     /// Each row's rate straight into absorption.
     absorb: Vec<f64>,
-    /// GTH factors, built on the first dense solve.
+    /// GTH factors: built with the block up to the dense cap, from the
+    /// rows on the first dense solve above it.
     gth: OnceLock<GthFactors>,
 }
 
@@ -91,12 +94,40 @@ impl TransientBlock {
     /// `row(s)` yields state s's entries `(c, qₛc)` in column order: one
     /// into a transient state is a rate of the block, one into any other
     /// state a rate into absorption, and s's own entry qₛₛ (0 when absent)
-    /// gives the diagonal `diag(qₛₛ)`. Panics if every state is transient.
+    /// gives the diagonal `diag(qₛₛ)`. Up to [`DENSE_MAX_STATES`] the rates
+    /// go straight into the matrix GTH factorises, and the block keeps no
+    /// rows; above it the block keeps its rows for the Krylov arm. Panics
+    /// if every state is transient.
     pub(crate) fn new<I: Iterator<Item = (usize, f64)>>(
         n: usize,
         is_transient: impl Fn(usize) -> bool,
         row: impl Fn(usize) -> I,
         diag: impl Fn(f64) -> f64,
+    ) -> TransientBlock {
+        let dense = (0..n).filter(|&s| is_transient(s)).count() <= DENSE_MAX_STATES;
+        Self::build(n, is_transient, row, diag, !dense)
+    }
+
+    /// [`TransientBlock::new`] keeping its rows at every size, for a solve
+    /// forced onto the sweep or Krylov arm ([`TransientBlock::solve_with`]).
+    pub(crate) fn with_rows<I: Iterator<Item = (usize, f64)>>(
+        n: usize,
+        is_transient: impl Fn(usize) -> bool,
+        row: impl Fn(usize) -> I,
+        diag: impl Fn(f64) -> f64,
+    ) -> TransientBlock {
+        Self::build(n, is_transient, row, diag, true)
+    }
+
+    /// One pass over the rows: into `offsets`/`entries` when `keep_rows`,
+    /// else straight into GTH's rate matrix, assigned in the same order
+    /// ([`TransientBlock::gth`]), so both give GTH the same input.
+    fn build<I: Iterator<Item = (usize, f64)>>(
+        n: usize,
+        is_transient: impl Fn(usize) -> bool,
+        row: impl Fn(usize) -> I,
+        diag: impl Fn(f64) -> f64,
+        keep_rows: bool,
     ) -> TransientBlock {
         let (mut local, mut nt) = (vec![usize::MAX; n], 0);
         for s in (0..n).filter(|&s| is_transient(s)) {
@@ -104,24 +135,38 @@ impl TransientBlock {
             nt += 1;
         }
         assert!(nt < n, "chain has no absorbing state");
-        let (mut offsets, mut entries) = (Vec::with_capacity(nt + 1), Vec::new());
+        let (mut offsets, mut entries) = (Vec::new(), Vec::new());
+        let mut rates = (!keep_rows).then(|| Matrix::zeros(nt, nt));
         let (mut d, mut absorb) = (Vec::with_capacity(nt), vec![0.0; nt]);
-        offsets.push(0);
+        if keep_rows {
+            offsets.reserve(nt + 1);
+            offsets.push(0);
+        }
         for (s, &k) in local.iter().enumerate().filter(|&(_, &k)| k != usize::MAX) {
             let (mut own, row) = (0.0, row(s));
-            entries.reserve(row.size_hint().0 + 1);
+            if keep_rows {
+                entries.reserve(row.size_hint().0 + 1);
+            }
             for (c, v) in row {
-                match local[c] {
+                match (local[c], &mut rates) {
                     _ if c == s => own = v,
-                    usize::MAX => absorb[k] += v,
-                    lc => entries.push((lc, -v)),
+                    (usize::MAX, _) => absorb[k] += v,
+                    (lc, Some(rates)) => rates[(k, lc)] = v,
+                    (lc, None) => entries.push((lc, -v)),
                 }
             }
-            // The diagonal goes in at its column, after the columns below k.
             d.push(diag(own));
-            let at = offsets[k] + entries[offsets[k]..].partition_point(|&(j, _)| j < k);
-            entries.insert(at, (k, d[k]));
-            offsets.push(entries.len());
+            if keep_rows {
+                // The diagonal goes in at its column, after the columns
+                // below k.
+                let at = offsets[k] + entries[offsets[k]..].partition_point(|&(j, _)| j < k);
+                entries.insert(at, (k, d[k]));
+                offsets.push(entries.len());
+            }
+        }
+        let gth = OnceLock::new();
+        if let Some(rates) = rates {
+            let _ = gth.set(Self::factor(rates, absorb.clone()));
         }
         TransientBlock {
             local,
@@ -129,7 +174,7 @@ impl TransientBlock {
             entries,
             diag: d,
             absorb,
-            gth: OnceLock::new(),
+            gth,
         }
     }
 
@@ -147,6 +192,10 @@ impl TransientBlock {
 
     /// Row k's `(j, aₖⱼ)`.
     fn row(&self, k: usize) -> &[(usize, f64)] {
+        assert!(
+            !self.offsets.is_empty(),
+            "a block built for GTH keeps no rows (`TransientBlock::with_rows` does)"
+        );
         &self.entries[self.offsets[k]..self.offsets[k + 1]]
     }
 
@@ -187,9 +236,12 @@ impl TransientBlock {
                     rates[(k, j)] = -a;
                 }
             }
-            GthFactors::new(rates, self.absorb.clone())
-                .expect("every transient state reaches absorption")
+            Self::factor(rates, self.absorb.clone())
         })
+    }
+
+    fn factor(rates: Matrix, absorb: Vec<f64>) -> GthFactors {
+        GthFactors::new(rates, absorb).expect("every transient state reaches absorption")
     }
 
     /// Jacobi-preconditioned BiCGSTAB on `A` or `Aᵀ`; panics if the
@@ -612,6 +664,30 @@ mod tests {
             let block = Ctmc::from_transitions(nt + 2, &random_chain(nt, 7)).transient_block(0);
             let b = vec![1.0; nt];
             assert_eq!(block.solve(&b), block.solve_with(arm, &b), "{nt} states");
+        }
+    }
+
+    #[test]
+    fn gth_straight_from_the_rows_keeps_every_bit() {
+        // Up to the cap the block assigns its rates straight into GTH's
+        // matrix; a block that keeps its rows hands GTH the same matrix
+        // from them. Same input, same bits, in both orientations.
+        let (nt, tr) = (DENSE_MAX_STATES, random_chain(DENSE_MAX_STATES, 0xb10c));
+        let c = Ctmc::from_transitions(nt + 2, &tr);
+        let row = |s| c.generator().row(s);
+        let direct = TransientBlock::new(nt + 2, |s| s < nt, row, |q| -q);
+        let kept = TransientBlock::with_rows(nt + 2, |s| s < nt, row, |q| -q);
+        assert!(direct.offsets.is_empty() && direct.gth.get().is_some());
+        assert!(kept.gth.get().is_none());
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let mut e = vec![0.0; nt];
+        e[17] = 1.0;
+        for b in [vec![1.0; nt], e] {
+            assert_eq!(bits(direct.solve(&b)), bits(kept.gth().solve(&b)));
+            assert_eq!(
+                bits(direct.solve_transpose(&b)),
+                bits(kept.gth().solve_transpose(&b))
+            );
         }
     }
 
