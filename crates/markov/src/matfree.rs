@@ -751,18 +751,20 @@ impl FlagChainOp {
         //   exit[S_r]  = Σμ + Σλ            (R4 plus every pair via R2)
         //   exit[mask] = Σ_{i∉mask} μᵢ + (Σλ − Σ_{i<j∉mask} λᵢⱼ)
         // mu_set[m] = Σ_{i∈m} μᵢ and pairs_in[m] = Σ_{i<j∈m} λᵢⱼ both
-        // extend by one lowest bit at a time.
+        // extend by one lowest bit at a time, reading λ from an n × n
+        // row table built once.
+        let rows: Vec<f64> = (0..n * n).map(|k| params.lambda(k / n, k % n)).collect();
         let mut mu_set = vec![0.0f64; nt];
         let mut pairs_in = vec![0.0f64; nt];
         for m in 1..=full {
             let low = m.trailing_zeros() as usize;
             let rest = m & (m - 1);
             mu_set[m as usize] = mu_set[rest as usize] + mu[low];
+            let row = &rows[low * n..(low + 1) * n];
             let mut s = pairs_in[rest as usize];
             let mut r = rest;
             while r != 0 {
-                let j = r.trailing_zeros() as usize;
-                s += params.lambda(low, j);
+                s += row[r.trailing_zeros() as usize];
                 r &= r - 1;
             }
             pairs_in[m as usize] = s;

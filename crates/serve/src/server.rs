@@ -15,17 +15,21 @@
 //!   ([`ServerConfig::idle_timeout`]) so a stalled client can't pin a
 //!   handler thread forever;
 //! * `workers` **worker threads** pull jobs off a shared channel and
-//!   supervise cells sequentially, consulting the result cache before
-//!   each solve. They share the queue's one receiver behind a mutex,
-//!   held only inside `recv` (as do the solvers below);
-//! * `workers` **solver threads** actually execute cells, dispatched
-//!   one at a time by the supervising worker. Each solve is a
-//!   *recovery block*: primary attempt on a solver, acceptance test on
-//!   the result (id/seed binding + codec round-trip), and on a panic,
-//!   hang (deadline [`ServerConfig::cell_timeout`]), or acceptance
-//!   failure, a bounded retry ([`ServerConfig::max_cell_retries`]) on
-//!   a **fresh** solver thread — the recovery-blocks server practicing
-//!   recovery blocks on itself.
+//!   supervise them, sharing the queue's one receiver behind a mutex
+//!   held only inside `recv`. A worker looks its job's cells up in the
+//!   result cache in index order and dispatches the misses ahead of the
+//!   stream: up to two attempts per solver queued or running (one until
+//!   the job's first attempt passes its acceptance test), collected and
+//!   streamed in index order;
+//! * `workers` **solver threads** actually execute cells, taking them
+//!   from one queue and signalling pickup to the supervising worker.
+//!   Each solve is a *recovery block*: primary attempt on a solver,
+//!   acceptance test on the result (id/seed binding + codec
+//!   round-trip), and on a panic, hang (deadline
+//!   [`ServerConfig::cell_timeout`], counted from pickup), or acceptance
+//!   failure, a bounded retry ([`ServerConfig::max_cell_retries`]) on a
+//!   **fresh** solver thread, queued ahead of every first attempt — the
+//!   recovery-blocks server practicing recovery blocks on itself.
 //!
 //! Degradation ladder (every refusal is an explicit response, never a
 //! dropped connection):
@@ -47,14 +51,14 @@
 //! recovery path above is exercised by sweeps over fault schedules
 //! rather than trusted on inspection.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -86,8 +90,9 @@ pub struct ServerConfig {
     /// Result-cache directory; `None` disables caching (every cell
     /// solves).
     pub cache_dir: Option<PathBuf>,
-    /// Per-cell deadline: a solver that hasn't reported by then is
-    /// presumed hung, a replacement is spawned, and the cell retries.
+    /// Per-attempt deadline, counted from when a solver picks the
+    /// attempt up: a solver that hasn't reported by then is presumed
+    /// hung, a replacement is spawned, and the cell retries.
     pub cell_timeout: Duration,
     /// Retries after the primary attempt before the job aborts with a
     /// named refusal (so a cell runs at most `1 + max_cell_retries`
@@ -313,20 +318,93 @@ struct Job {
     events: Sender<String>,
 }
 
-/// One cell dispatched to a solver thread. The supervisor waits on
-/// `reply` with a deadline; a reply to a supervisor that already gave
-/// up (timed out, retried elsewhere) lands on a dropped receiver and
-/// is discarded.
+/// One attempt at a cell, queued for the solver pool. The solver
+/// reports pickup and outcome on `reply`, tagged with the cell and
+/// attempt, so a supervisor can tell a late reply from an attempt it
+/// already gave up on (timed out, retried elsewhere) and discard it.
 struct CellTask {
     spec: Arc<SweepSpec>,
     idx: usize,
     seed: u64,
+    attempt: u32,
     fault: Option<InjectedFault>,
     hang_ms: u64,
-    /// `Ok(report)` from a completed solve; `Err(message)` when the
-    /// attempt panicked (the solver thread dies after sending this).
-    reply: Sender<Result<CellReport, String>>,
+    reply: Sender<Note>,
 }
+
+/// A message to a job's supervising worker. Solver replies and claim
+/// wakeups share one channel, so the worker waits on all of them, and
+/// on its attempts' deadlines, at once.
+enum Note {
+    /// A solver picked up `attempt` of cell `idx` at `at`; the attempt's
+    /// deadline starts here, not when it was queued.
+    Picked {
+        idx: usize,
+        attempt: u32,
+        at: Instant,
+    },
+    /// `attempt` of cell `idx` ended: `Ok(report)` from a completed
+    /// solve, `Err(message)` when it panicked (that solver is gone).
+    Done {
+        idx: usize,
+        attempt: u32,
+        result: Result<CellReport, String>,
+    },
+    /// The claim that cell `idx` subscribed to was retired.
+    Resolved(usize),
+}
+
+/// The solver pool's dispatch queue. First attempts join the back and
+/// retries the front, so a retry never waits behind its job's own
+/// look-ahead. Solvers hold the lock only to take a task, never while
+/// running it, so a hung solver leaves the rest of the pool taking work.
+#[derive(Default)]
+struct SolverQueue {
+    tasks: Mutex<VecDeque<CellTask>>,
+    ready: Condvar,
+}
+
+impl SolverQueue {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<CellTask>> {
+        self.tasks
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn push(&self, task: CellTask) {
+        let mut tasks = self.lock();
+        if task.attempt > 0 {
+            tasks.push_front(task);
+        } else {
+            tasks.push_back(task);
+        }
+        drop(tasks);
+        self.ready.notify_one();
+    }
+
+    /// The next task, waiting for one if the queue is empty.
+    fn pop(&self) -> CellTask {
+        let mut tasks = self.lock();
+        loop {
+            if let Some(task) = tasks.pop_front() {
+                return task;
+            }
+            tasks = self
+                .ready
+                .wait(tasks)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    /// Drops every queued attempt of the job sweeping `spec`.
+    fn cancel(&self, spec: &Arc<SweepSpec>) {
+        self.lock().retain(|task| !Arc::ptr_eq(&task.spec, spec));
+    }
+}
+
+/// Subscribers to one in-flight solve claim: each job's note channel
+/// and the cell waiting on it.
+type Waiters = Vec<(Sender<Note>, usize)>;
 
 /// State shared by every thread of one server.
 struct Shared {
@@ -345,14 +423,11 @@ struct Shared {
     /// that misses the cache claims its key here before solving; jobs
     /// arriving at the same key subscribe instead of dispatching a
     /// duplicate solve, and are woken when the claim resolves.
-    pending: Mutex<HashMap<Vec<u8>, Vec<Sender<()>>>>,
+    pending: Mutex<HashMap<Vec<u8>, Waiters>>,
     finished: Mutex<HashMap<String, SweepReport>>,
-    /// Cell dispatch channel into the solver pool. Both halves live
-    /// here so the supervisor can spawn replacement solvers after a
-    /// panic or timeout. Every solver takes its cells through
-    /// [`recv_shared`] on the one receiver.
-    solver_tx: Sender<CellTask>,
-    solver_rx: Mutex<Receiver<CellTask>>,
+    /// Cell dispatch into the solver pool, including the replacement
+    /// solvers spawned after a panic or timeout.
+    solvers: SolverQueue,
 }
 
 impl Shared {
@@ -389,7 +464,7 @@ impl Shared {
             .map(|m| m.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
-    fn lock_pending(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<u8>, Vec<Sender<()>>>> {
+    fn lock_pending(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<u8>, Waiters>> {
         self.pending
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -420,8 +495,8 @@ impl Shared {
         }
         let waiters = pending.remove(key.material()).unwrap_or_default();
         drop(pending);
-        for waiter in waiters {
-            let _ = waiter.send(());
+        for (waiter, idx) in waiters {
+            let _ = waiter.send(Note::Resolved(idx));
         }
     }
 
@@ -496,7 +571,6 @@ pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
 
-    let (solver_tx, solver_rx) = channel::<CellTask>();
     let shared = Arc::new(Shared {
         addr,
         counters: Counters::default(),
@@ -506,8 +580,7 @@ pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
         pending: Mutex::new(HashMap::new()),
         finished: Mutex::new(HashMap::new()),
         cfg,
-        solver_tx,
-        solver_rx: Mutex::new(solver_rx),
+        solvers: SolverQueue::default(),
     });
 
     let (jobs_tx, jobs_rx) = channel::<Job>();
@@ -850,8 +923,8 @@ fn handle_submit(
 
 /// Takes the next message off a receiver a pool of threads shares. The
 /// guard is a temporary of this call, held only while waiting inside
-/// `recv` and never while running what was received, so one hung job
-/// or cell cannot stall the rest of its pool. `None` after disconnect.
+/// `recv` and never while running what was received, so one long job
+/// cannot stall the rest of its pool. `None` after disconnect.
 fn recv_shared<T>(rx: &Mutex<Receiver<T>>) -> Option<T> {
     rx.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -877,34 +950,47 @@ fn worker_loop(shared: &Arc<Shared>, jobs: &Mutex<Receiver<Job>>) {
     }
 }
 
-/// Spawns one solver thread onto the shared dispatch channel — called
-/// at startup for the initial pool and by [`solve_cell`] to replace a
-/// solver lost to a panic or presumed hung after a deadline.
+/// Spawns one solver thread onto the shared dispatch queue — called at
+/// startup for the initial pool, by a solver that is about to die of a
+/// panic, and by a supervisor replacing a solver presumed hung after a
+/// deadline.
 fn spawn_solver(shared: &Arc<Shared>) {
     let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        while let Some(task) = recv_shared(&shared.solver_rx) {
-            let c = &shared.counters;
-            c.in_flight_solves.fetch_add(1, Ordering::SeqCst);
-            let solved = catch_unwind(AssertUnwindSafe(|| run_cell_task(&task)));
-            c.in_flight_solves.fetch_sub(1, Ordering::SeqCst);
-            match solved {
-                Ok(report) => {
-                    let _ = task.reply.send(Ok(report));
-                }
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    let _ = task.reply.send(Err(msg));
-                    // Die: the recovery block retries on a *fresh*
-                    // solver, never a thread that just unwound through
-                    // a workload.
-                    return;
-                }
-            }
+    std::thread::spawn(move || loop {
+        let task = shared.solvers.pop();
+        let (idx, attempt) = (task.idx, task.attempt);
+        let at = Instant::now();
+        let _ = task.reply.send(Note::Picked { idx, attempt, at });
+        let c = &shared.counters;
+        if task.fault.is_some() {
+            c.faults_injected.fetch_add(1, Ordering::Relaxed);
+        }
+        c.in_flight_solves.fetch_add(1, Ordering::SeqCst);
+        let solved = catch_unwind(AssertUnwindSafe(|| run_cell_task(&task)));
+        c.in_flight_solves.fetch_sub(1, Ordering::SeqCst);
+        let died = solved.is_err();
+        let result = solved.map_err(|panic| {
+            panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into())
+        });
+        if died {
+            // Die: the recovery block retries on a *fresh* solver,
+            // never a thread that just unwound through a workload. The
+            // replacement starts before the reply, so the pool keeps its
+            // size even when no supervisor is waiting any more.
+            c.workers_restarted.fetch_add(1, Ordering::Relaxed);
+            spawn_solver(&shared);
+        }
+        let _ = task.reply.send(Note::Done {
+            idx,
+            attempt,
+            result,
+        });
+        if died {
+            return;
         }
     });
 }
@@ -948,114 +1034,99 @@ fn acceptance(cell: &SweepCell, seed: u64, report: &CellReport) -> Result<(), St
     rbbench::cache::validate_report_roundtrip(report)
 }
 
-/// Solves one cell as a recovery block: dispatch to a solver (primary
-/// attempt), acceptance-test the result, and on a panic, deadline
-/// overrun, or acceptance failure retry on a fresh solver — at most
-/// [`ServerConfig::max_cell_retries`] times before returning the
-/// documented refusal.
-fn solve_cell(
-    shared: &Arc<Shared>,
-    spec: &Arc<SweepSpec>,
-    idx: usize,
-    seed: u64,
-) -> Result<CellReport, String> {
-    let c = &shared.counters;
-    let cell = &spec.cells[idx];
-    let mut attempt: u32 = 0;
-    loop {
-        let fault = shared
-            .cfg
-            .chaos
-            .as_ref()
-            .and_then(|ch| ch.decide(seed, attempt));
-        if fault.is_some() {
-            c.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        let hang_ms = shared.cfg.chaos.as_ref().map_or(0, |ch| ch.hang_ms);
-        let (reply_tx, reply_rx) = channel();
-        if shared
-            .solver_tx
-            .send(CellTask {
-                spec: Arc::clone(spec),
-                idx,
-                seed,
-                fault,
-                hang_ms,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return Err(format!("cell `{}`: solver pool is gone", cell.id));
-        }
-        let failure = match reply_rx.recv_timeout(shared.cfg.cell_timeout) {
-            Ok(Ok(report)) => match acceptance(cell, seed, &report) {
-                Ok(()) => {
-                    c.cells_solved.fetch_add(1, Ordering::Relaxed);
-                    return Ok(report);
-                }
-                Err(why) => format!("acceptance test failed: {why}"),
-            },
-            Ok(Err(panic_msg)) => {
-                // The solver died sending this; replace it.
-                c.workers_restarted.fetch_add(1, Ordering::Relaxed);
-                spawn_solver(shared);
-                format!("solver panicked: {panic_msg}")
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Presumed hung: spawn a replacement so the pool keeps
-                // its capacity even if the old solver never returns
-                // (its late reply lands on this dropped receiver).
-                c.cells_timed_out.fetch_add(1, Ordering::Relaxed);
-                c.workers_restarted.fetch_add(1, Ordering::Relaxed);
-                spawn_solver(shared);
-                format!(
-                    "no result within the {:?} cell deadline",
-                    shared.cfg.cell_timeout
-                )
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                c.workers_restarted.fetch_add(1, Ordering::Relaxed);
-                spawn_solver(shared);
-                "solver dropped the reply channel".into()
-            }
-        };
-        if attempt >= shared.cfg.max_cell_retries {
-            return Err(format!(
-                "cell `{}` failed after {} retries: {failure}",
-                cell.id, shared.cfg.max_cell_retries
-            ));
-        }
-        attempt += 1;
-        c.cell_retries.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// How [`serve_cell`] produced a report: a cache hit (at either tier),
-/// or a solve run by this job (as the key's primary, if cacheable).
+/// How a ready cell was produced: a cache hit (at either tier), or a
+/// solve run by this job (as the key's primary, if cacheable).
 enum CellSource {
     Hit(HitTier),
     Solved { cacheable: bool },
 }
 
-/// Produces one cell's report: cache hit (hot or warm tier), dedup —
-/// subscribing to another job's in-flight solve of the same key — or a
-/// solve dispatched by this job. `Err` is the job-aborting refusal
-/// from the recovery block.
-fn serve_cell(
-    shared: &Arc<Shared>,
-    spec: &Arc<SweepSpec>,
-    idx: usize,
+/// Where one looked-up cell of a running job stands.
+enum Slot {
+    /// Its key was claimed by another solve when it was looked up. The
+    /// job subscribes to the claim only at the cell's turn, and looks
+    /// the cell up again once the claim is retired.
+    Claimed { subscribed: bool },
+    /// An attempt is queued or running; its deadline is set once a
+    /// solver picks it up.
+    Solving {
+        attempt: u32,
+        deadline: Option<Instant>,
+    },
+    /// A hit or an accepted solve, ready to stream.
+    Ready(CellReport, CellSource),
+    /// Retries exhausted: the job aborts with this refusal at the
+    /// cell's turn.
+    Failed(String),
+    /// Streamed: its report has moved on to the sweep's.
+    Streamed,
+}
+
+/// One looked-up cell of a running job.
+struct JobCell {
     seed: u64,
-    key: Option<&CacheKey>,
-) -> Result<(CellReport, CellSource), String> {
-    let c = &shared.counters;
-    // Without a key (or without a cache) there is no shared identity
-    // to hit, store, or dedup under — just solve.
-    let Some(key) = key.filter(|_| shared.cache.is_some()) else {
-        let cacheable = key.is_some();
-        return solve_cell(shared, spec, idx, seed).map(|r| (r, CellSource::Solved { cacheable }));
-    };
-    loop {
+    /// Whether the cell has a cache identity at all.
+    cacheable: bool,
+    /// The key its solve claims, looks up and stores under; `None`
+    /// without a key or without a cache.
+    key: Option<CacheKey>,
+    slot: Slot,
+}
+
+/// A job's view of its cells while a worker supervises it: the cell
+/// recovery blocks it keeps in flight, and the claims they hold.
+struct Supervisor<'a> {
+    shared: &'a Arc<Shared>,
+    spec: &'a Arc<SweepSpec>,
+    notes: Sender<Note>,
+    /// The cells looked up so far, in index order.
+    cells: Vec<JobCell>,
+    /// Cells with an attempt queued or running.
+    solving: Vec<usize>,
+    /// How many attempts the job keeps queued or running: one until an
+    /// attempt passes its acceptance test, then two per solver. A job
+    /// whose every attempt fails so never floods the pool with them.
+    window: usize,
+}
+
+impl<'a> Supervisor<'a> {
+    fn new(shared: &'a Arc<Shared>, spec: &'a Arc<SweepSpec>, notes: Sender<Note>) -> Self {
+        Supervisor {
+            shared,
+            spec,
+            notes,
+            cells: Vec::with_capacity(spec.cells.len()),
+            solving: Vec::new(),
+            window: 1,
+        }
+    }
+
+    /// Derives the next cell's seed and key and looks it up; `turn`
+    /// when the stream is waiting on it.
+    fn look_up_next(&mut self, turn: bool) {
+        let idx = self.cells.len();
+        let seed = derive_seed(self.spec.master_seed, self.spec.seed_index(idx));
+        let key = rbbench::cache::cell_key(&self.spec.cells[idx], seed);
+        self.cells.push(JobCell {
+            seed,
+            cacheable: key.is_some(),
+            key: key.filter(|_| self.shared.cache.is_some()),
+            slot: Slot::Streamed,
+        });
+        self.look_up(idx, turn);
+    }
+
+    /// Looks cell `idx` up: a hit is ready at once, and a miss nobody
+    /// is solving is claimed and dispatched. A key another solve has
+    /// claimed is subscribed to only at the cell's `turn`, so a job
+    /// never waits ahead of its stream — nor on a claim of its own.
+    fn look_up(&mut self, idx: usize, turn: bool) {
+        let shared = self.shared;
+        let Some(key) = &self.cells[idx].key else {
+            // Without a key (or without a cache) there is no shared
+            // identity to hit, store, or dedup under — just solve.
+            return self.dispatch(idx, 0);
+        };
         // Lock order: pending, then cache — never the reverse. Probing
         // the cache while holding the pending lock makes
         // check-and-subscribe atomic against a primary's
@@ -1063,102 +1134,295 @@ fn serve_cell(
         // miss its wakeup nor wake to find nothing in the cache.
         let mut pending = shared.lock_pending();
         if let Some(waiters) = pending.get_mut(key.material()) {
-            let (tx, rx) = channel::<()>();
-            waiters.push(tx);
-            drop(pending);
-            c.dedup_waits.fetch_add(1, Ordering::Relaxed);
-            // The primary always resolves its claim — on failure too,
-            // and a dropped sender also wakes us — so this cannot
-            // hang. Then re-probe: a successful solve is now a hit; a
-            // failed one makes this job the next primary.
-            let _ = rx.recv();
-            continue;
+            if turn {
+                // The primary always resolves its claim, on failure
+                // too, so this cannot hang. Then the cell is looked up
+                // again: a successful solve is now a hit; a failed one
+                // makes this job the next primary.
+                waiters.push((self.notes.clone(), idx));
+                shared.counters.dedup_waits.fetch_add(1, Ordering::Relaxed);
+            }
+            self.cells[idx].slot = Slot::Claimed { subscribed: turn };
+            return;
         }
         let hit = shared.lock_cache().and_then(|mut cache| {
             let hit = cache.lookup_tiered(key);
-            c.cache_evictions
+            shared
+                .counters
+                .cache_evictions
                 .store(cache.hot_evictions(), Ordering::Relaxed);
             hit
         });
         if let Some((report, tier)) = hit {
-            return Ok((report, CellSource::Hit(tier)));
+            self.cells[idx].slot = Slot::Ready(report, CellSource::Hit(tier));
+            return;
         }
-        // Miss with nobody solving it: claim the key, solve here, and
-        // retire the claim (insert + wake waiters) whatever happens.
+        // Miss with nobody solving it: claim the key and solve here;
+        // the claim is retired (insert + wake waiters) whatever happens.
         pending.insert(key.material().to_vec(), Vec::new());
         drop(pending);
-        let solved = solve_cell(shared, spec, idx, seed);
-        shared.resolve_claim(key, solved.as_ref().ok());
-        return solved.map(|r| (r, CellSource::Solved { cacheable: true }));
+        self.dispatch(idx, 0);
+    }
+
+    /// Queues `attempt` of cell `idx` for the solver pool.
+    fn dispatch(&mut self, idx: usize, attempt: u32) {
+        let cfg = &self.shared.cfg;
+        let seed = self.cells[idx].seed;
+        self.shared.solvers.push(CellTask {
+            spec: Arc::clone(self.spec),
+            idx,
+            seed,
+            attempt,
+            fault: cfg.chaos.as_ref().and_then(|ch| ch.decide(seed, attempt)),
+            hang_ms: cfg.chaos.as_ref().map_or(0, |ch| ch.hang_ms),
+            reply: self.notes.clone(),
+        });
+        if attempt == 0 {
+            self.solving.push(idx);
+        }
+        self.cells[idx].slot = Slot::Solving {
+            attempt,
+            deadline: None,
+        };
+    }
+
+    /// Applies one note. A reply from an attempt the job already gave
+    /// up on is discarded.
+    fn note(&mut self, note: Note) {
+        match note {
+            Note::Picked { idx, attempt, at } => {
+                if let Slot::Solving {
+                    attempt: current,
+                    deadline,
+                } = &mut self.cells[idx].slot
+                {
+                    if *current == attempt {
+                        *deadline = Some(at + self.shared.cfg.cell_timeout);
+                    }
+                }
+            }
+            Note::Done {
+                idx,
+                attempt,
+                result,
+            } => {
+                if !matches!(self.cells[idx].slot, Slot::Solving { attempt: a, .. } if a == attempt)
+                {
+                    return;
+                }
+                let failure = match result {
+                    Ok(report) => {
+                        match acceptance(&self.spec.cells[idx], self.cells[idx].seed, &report) {
+                            Ok(()) => return self.accept(idx, report),
+                            Err(why) => format!("acceptance test failed: {why}"),
+                        }
+                    }
+                    // The dying solver already spawned its replacement.
+                    Err(panic_msg) => format!("solver panicked: {panic_msg}"),
+                };
+                self.fail(idx, attempt, &failure);
+            }
+            Note::Resolved(idx) => {
+                if let Slot::Claimed { subscribed } = &mut self.cells[idx].slot {
+                    *subscribed = false;
+                }
+            }
+        }
+    }
+
+    /// Cell `idx` passed its acceptance test: store it, wake the jobs
+    /// waiting on its claim, and open the look-ahead window.
+    fn accept(&mut self, idx: usize, report: CellReport) {
+        self.shared
+            .counters
+            .cells_solved
+            .fetch_add(1, Ordering::Relaxed);
+        self.window = 2 * self.shared.cfg.workers;
+        self.solving.retain(|&i| i != idx);
+        let cell = &mut self.cells[idx];
+        if let Some(key) = &cell.key {
+            self.shared.resolve_claim(key, Some(&report));
+        }
+        let cacheable = cell.cacheable;
+        cell.slot = Slot::Ready(report, CellSource::Solved { cacheable });
+    }
+
+    /// The alternate of the recovery block: after a panic, deadline
+    /// overrun or acceptance failure, retry on a fresh solver — at most
+    /// [`ServerConfig::max_cell_retries`] times before the cell fails
+    /// with the documented refusal.
+    fn fail(&mut self, idx: usize, attempt: u32, failure: &str) {
+        let retries = self.shared.cfg.max_cell_retries;
+        if attempt < retries {
+            self.shared
+                .counters
+                .cell_retries
+                .fetch_add(1, Ordering::Relaxed);
+            return self.dispatch(idx, attempt + 1);
+        }
+        self.solving.retain(|&i| i != idx);
+        let cell = &mut self.cells[idx];
+        if let Some(key) = &cell.key {
+            self.shared.resolve_claim(key, None);
+        }
+        cell.slot = Slot::Failed(format!(
+            "cell `{}` failed after {retries} retries: {failure}",
+            self.spec.cells[idx].id
+        ));
+    }
+
+    /// The earliest deadline of the attempts solvers have picked up.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.solving
+            .iter()
+            .filter_map(|&idx| match self.cells[idx].slot {
+                Slot::Solving { deadline, .. } => deadline,
+                _ => None,
+            })
+            .min()
+    }
+
+    /// Fails every attempt whose deadline has passed. Each is presumed
+    /// hung: a replacement solver keeps the pool's capacity even if the
+    /// old one never returns, and its late reply is discarded.
+    fn expire(&mut self, now: Instant) {
+        let expired: Vec<(usize, u32)> = self
+            .solving
+            .iter()
+            .filter_map(|&idx| match self.cells[idx].slot {
+                Slot::Solving {
+                    attempt,
+                    deadline: Some(deadline),
+                } if deadline <= now => Some((idx, attempt)),
+                _ => None,
+            })
+            .collect();
+        for (idx, attempt) in expired {
+            let c = &self.shared.counters;
+            c.cells_timed_out.fetch_add(1, Ordering::Relaxed);
+            c.workers_restarted.fetch_add(1, Ordering::Relaxed);
+            spawn_solver(self.shared);
+            let failure = format!(
+                "no result within the {:?} cell deadline",
+                self.shared.cfg.cell_timeout
+            );
+            self.fail(idx, attempt, &failure);
+        }
+    }
+
+    /// Withdraws an aborting job: its queued attempts are dropped, and
+    /// the claims of its running ones are retired unsolved, so jobs
+    /// waiting on them take over.
+    fn abandon(&self) {
+        self.shared.solvers.cancel(self.spec);
+        for &idx in &self.solving {
+            if let Some(key) = &self.cells[idx].key {
+                self.shared.resolve_claim(key, None);
+            }
+        }
     }
 }
 
-/// Runs one sweep cell-by-cell, cache-first, streaming each cell as it
-/// completes. Timing is accumulated here and reported only in the done
-/// event — cell payloads stay execution-independent, which is what
-/// makes cached, solved, and dedup-waited responses byte-identical.
+/// Runs one sweep: looks its cells up in index order, dispatches the
+/// misses ahead of the stream (cache hits are ready at once), and
+/// streams each cell in index order as soon as it and every cell before
+/// it are ready. Its wall time, less the emitting of cell events as
+/// [`done_line`] describes, is `solve_ns`, reported only in the done
+/// event — cell payloads stay
+/// execution-independent, which is what makes cached, solved, and
+/// dedup-waited responses byte-identical.
 fn run_job(shared: &Arc<Shared>, job: &Job) {
+    let started = Instant::now();
+    let mut unclocked = Duration::ZERO;
     let c = &shared.counters;
     let spec = &job.spec;
+    let (notes, inbox) = channel();
+    let mut sup = Supervisor::new(shared, spec, notes);
     let (mut hits, mut misses, mut uncacheable) = (0u64, 0u64, 0u64);
-    let mut solve_ns = 0.0f64;
     let mut reports = Vec::with_capacity(spec.cells.len());
-    for (idx, cell) in spec.cells.iter().enumerate() {
-        let seed = derive_seed(spec.master_seed, spec.seed_index(idx));
-        let key = rbbench::cache::cell_key(cell, seed);
-        let started = Instant::now();
-        let (mut report, source) = match serve_cell(shared, spec, idx, seed, key.as_ref()) {
-            Ok(served) => served,
-            Err(refusal) => {
-                let _ = job.events.send(done_line(
-                    &spec.name,
-                    spec.cells.len(),
-                    hits,
-                    misses,
-                    uncacheable,
-                    solve_ns,
-                    Some(&refusal),
-                ));
-                return;
+    let refusal = loop {
+        let next = reports.len();
+        if next == spec.cells.len() {
+            break None;
+        }
+        if let Some(head) = sup.cells.get_mut(next) {
+            match std::mem::replace(&mut head.slot, Slot::Streamed) {
+                Slot::Ready(mut report, source) => {
+                    let was_hit = match source {
+                        CellSource::Hit(tier) => {
+                            hits += 1;
+                            c.cache_hits.fetch_add(1, Ordering::Relaxed);
+                            match tier {
+                                HitTier::Hot => c.cache_hot_hits.fetch_add(1, Ordering::Relaxed),
+                                HitTier::Warm => c.cache_warm_hits.fetch_add(1, Ordering::Relaxed),
+                            };
+                            report.id = spec.cells[next].id.clone();
+                            true
+                        }
+                        CellSource::Solved { cacheable: true } => {
+                            misses += 1;
+                            c.cache_misses.fetch_add(1, Ordering::Relaxed);
+                            false
+                        }
+                        CellSource::Solved { cacheable: false } => {
+                            uncacheable += 1;
+                            false
+                        }
+                    };
+                    // Cell events are sent off the clock, and rendered
+                    // off it too while none of the job's attempts is in
+                    // flight, so no solve is ever hidden behind them.
+                    let render = Instant::now();
+                    let line = cell_line(&spec.name, next, was_hit, &report);
+                    let send = Instant::now();
+                    let _ = job.events.send(line);
+                    unclocked += if sup.solving.is_empty() {
+                        render.elapsed()
+                    } else {
+                        send.elapsed()
+                    };
+                    reports.push(report);
+                    continue;
+                }
+                Slot::Failed(refusal) => break Some(refusal),
+                Slot::Claimed { subscribed: false } => {
+                    sup.look_up(next, true);
+                    continue;
+                }
+                waiting => head.slot = waiting,
             }
+        }
+        if sup.cells.len() < spec.cells.len() && sup.solving.len() < sup.window {
+            sup.look_up_next(sup.cells.len() == next);
+            continue;
+        }
+        let note = match sup.next_deadline() {
+            Some(deadline) => inbox
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .ok(),
+            None => inbox.recv().ok(),
         };
-        let was_hit = match source {
-            CellSource::Hit(tier) => {
-                hits += 1;
-                c.cache_hits.fetch_add(1, Ordering::Relaxed);
-                match tier {
-                    HitTier::Hot => c.cache_hot_hits.fetch_add(1, Ordering::Relaxed),
-                    HitTier::Warm => c.cache_warm_hits.fetch_add(1, Ordering::Relaxed),
-                };
-                report.id = cell.id.clone();
-                true
-            }
-            CellSource::Solved { cacheable: true } => {
-                misses += 1;
-                c.cache_misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            CellSource::Solved { cacheable: false } => {
-                uncacheable += 1;
-                false
-            }
-        };
-        solve_ns += started.elapsed().as_nanos() as f64;
-        let _ = job
-            .events
-            .send(cell_line(&spec.name, idx, was_hit, &report));
-        reports.push(report);
-    }
-    let report = SweepReport {
-        sweep: spec.name.clone(),
-        master_seed: spec.master_seed,
-        cells: reports,
+        if let Some(note) = note {
+            sup.note(note);
+        }
+        sup.expire(Instant::now());
     };
-    shared
-        .finished
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(spec.name.clone(), report);
+    if refusal.is_some() {
+        sup.abandon();
+    }
+    let solve_ns = (started.elapsed() - unclocked).as_nanos() as f64;
+    if refusal.is_none() {
+        let report = SweepReport {
+            sweep: spec.name.clone(),
+            master_seed: spec.master_seed,
+            cells: reports,
+        };
+        shared
+            .finished
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .insert(spec.name.clone(), report);
+    }
     let _ = job.events.send(done_line(
         &spec.name,
         spec.cells.len(),
@@ -1166,7 +1430,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
         misses,
         uncacheable,
         solve_ns,
-        None,
+        refusal.as_deref(),
     ));
 }
 

@@ -981,3 +981,80 @@ fn idle_server_answers_a_fresh_connection_within_2ms() {
         .recv_timeout(Duration::from_secs(10))
         .expect("join returns");
 }
+
+/// `TINY_GRID` widened to four cells.
+fn four_cell_grid() -> String {
+    TINY_GRID
+        .replace('\n', " ")
+        .replace(r#""lambda":[0.5,1]"#, r#""lambda":[0.25,0.5,1,2]"#)
+}
+
+/// A server whose every primary attempt sleeps 500 ms before solving.
+fn hanging_server(workers: usize, cell_timeout: Duration) -> ServerHandle {
+    spawn(ServerConfig {
+        workers,
+        cell_timeout,
+        ..chaos_config(ChaosConfig {
+            hang_per_mille: 1000,
+            hang_ms: 500,
+            ..ChaosConfig::default()
+        })
+    })
+    .expect("spawn")
+}
+
+#[test]
+fn a_cold_sweep_keeps_every_solver_busy() {
+    // Two solvers, four cells whose primaries each hang 500 ms well
+    // inside the deadline: a job that dispatched one cell at a time
+    // would never have more than one solve in flight.
+    let handle = hanging_server(2, Duration::from_secs(30));
+    let mut client = Client::connect(handle.addr());
+    client.send(&four_cell_grid());
+    let mut probe = Client::connect(handle.addr());
+    let mut most_in_flight = 0.0f64;
+    while metric_value(&mut probe, "jobs/done") < 1.0 {
+        most_in_flight = most_in_flight.max(metric_value(&mut probe, "solves/in_flight"));
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (cells, done) = collect_stream(&mut client);
+    assert!(is_ok(&done), "{done:?}");
+    assert_eq!(cells.len(), 4);
+    assert_eq!(most_in_flight, 2.0, "the cold sweep left a solver idle");
+
+    probe.send(r#"{"op":"shutdown"}"#);
+    drop((client, probe));
+    handle.join();
+}
+
+#[test]
+fn look_ahead_never_spends_a_deadline_in_the_queue() {
+    // One solver, so look-ahead queues a cell behind a 500 ms hang; a
+    // deadline counted from dispatch (500 ms queued + 500 ms hang) would
+    // overrun the 750 ms cell timeout, one counted from pickup never does.
+    let grid = four_cell_grid();
+    let clean = spawn(test_config(1)).expect("spawn clean");
+    let mut clean_client = Client::connect(clean.addr());
+    clean_client.send(&grid);
+    let (reference_cells, done) = collect_stream(&mut clean_client);
+    assert!(is_ok(&done), "{done:?}");
+    let reference = result_report(&mut clean_client);
+
+    let handle = hanging_server(1, Duration::from_millis(750));
+    let mut client = Client::connect(handle.addr());
+    client.send(&grid);
+    let (cells, done) = collect_stream(&mut client);
+    assert!(is_ok(&done), "{done:?}");
+    assert_eq!(metric_value(&mut client, "faults/injected"), 4.0);
+    assert_eq!(metric_value(&mut client, "cells/timed_out"), 0.0);
+    assert_eq!(metric_value(&mut client, "workers/restarted"), 0.0);
+    assert_eq!(metric_value(&mut client, "cells/retries"), 0.0);
+    assert_eq!(cells, reference_cells, "the hangs changed the cell bytes");
+    assert_eq!(result_report(&mut client), reference);
+
+    for (mut c, h) in [(client, handle), (clean_client, clean)] {
+        c.send(r#"{"op":"shutdown"}"#);
+        drop(c);
+        h.join();
+    }
+}
