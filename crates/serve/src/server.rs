@@ -28,8 +28,8 @@
 //!   round-trip), and on a panic, hang (deadline
 //!   [`ServerConfig::cell_timeout`], counted from pickup), or acceptance
 //!   failure, a bounded retry ([`ServerConfig::max_cell_retries`]) on a
-//!   **fresh** solver thread, queued ahead of every first attempt — the
-//!   recovery-blocks server practicing recovery blocks on itself.
+//!   **fresh** solver thread, queued ahead of every look-ahead attempt —
+//!   the recovery-blocks server practicing recovery blocks on itself.
 //!
 //! Degradation ladder (every refusal is an explicit response, never a
 //! dropped connection):
@@ -354,9 +354,10 @@ enum Note {
     Resolved(usize),
 }
 
-/// The solver pool's dispatch queue. First attempts join the back and
-/// retries the front, so a retry never waits behind its job's own
-/// look-ahead. Solvers hold the lock only to take a task, never while
+/// The solver pool's dispatch queue. Look-ahead attempts join the
+/// back; an attempt that a stream waits on (a retry, or the first
+/// attempt at the cell a job streams next) joins the front, so it never
+/// waits behind look-ahead, its own job's or another's. Solvers hold the lock only to take a task, never while
 /// running it, so a hung solver leaves the rest of the pool taking work.
 #[derive(Default)]
 struct SolverQueue {
@@ -371,9 +372,9 @@ impl SolverQueue {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn push(&self, task: CellTask) {
+    fn push(&self, task: CellTask, urgent: bool) {
         let mut tasks = self.lock();
-        if task.attempt > 0 {
+        if urgent {
             tasks.push_front(task);
         } else {
             tasks.push_back(task);
@@ -1125,7 +1126,7 @@ impl<'a> Supervisor<'a> {
         let Some(key) = &self.cells[idx].key else {
             // Without a key (or without a cache) there is no shared
             // identity to hit, store, or dedup under — just solve.
-            return self.dispatch(idx, 0);
+            return self.dispatch(idx, 0, turn);
         };
         // Lock order: pending, then cache — never the reverse. Probing
         // the cache while holding the pending lock makes
@@ -1161,22 +1162,26 @@ impl<'a> Supervisor<'a> {
         // the claim is retired (insert + wake waiters) whatever happens.
         pending.insert(key.material().to_vec(), Vec::new());
         drop(pending);
-        self.dispatch(idx, 0);
+        self.dispatch(idx, 0, turn);
     }
 
-    /// Queues `attempt` of cell `idx` for the solver pool.
-    fn dispatch(&mut self, idx: usize, attempt: u32) {
+    /// Queues `attempt` of cell `idx` for the solver pool, ahead of the
+    /// look-ahead when `urgent`.
+    fn dispatch(&mut self, idx: usize, attempt: u32, urgent: bool) {
         let cfg = &self.shared.cfg;
         let seed = self.cells[idx].seed;
-        self.shared.solvers.push(CellTask {
-            spec: Arc::clone(self.spec),
-            idx,
-            seed,
-            attempt,
-            fault: cfg.chaos.as_ref().and_then(|ch| ch.decide(seed, attempt)),
-            hang_ms: cfg.chaos.as_ref().map_or(0, |ch| ch.hang_ms),
-            reply: self.notes.clone(),
-        });
+        self.shared.solvers.push(
+            CellTask {
+                spec: Arc::clone(self.spec),
+                idx,
+                seed,
+                attempt,
+                fault: cfg.chaos.as_ref().and_then(|ch| ch.decide(seed, attempt)),
+                hang_ms: cfg.chaos.as_ref().map_or(0, |ch| ch.hang_ms),
+                reply: self.notes.clone(),
+            },
+            urgent,
+        );
         if attempt == 0 {
             self.solving.push(idx);
         }
@@ -1258,7 +1263,7 @@ impl<'a> Supervisor<'a> {
                 .counters
                 .cell_retries
                 .fetch_add(1, Ordering::Relaxed);
-            return self.dispatch(idx, attempt + 1);
+            return self.dispatch(idx, attempt + 1, true);
         }
         self.solving.retain(|&i| i != idx);
         let cell = &mut self.cells[idx];
