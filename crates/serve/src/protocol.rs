@@ -413,10 +413,10 @@ pub fn cell_line(sweep: &str, index: usize, cached: bool, report: &CellReport) -
 /// `{"ok": …, "event": "done", …}` — the sweep finished (or aborted:
 /// `ok: false` with an `error`). `solve_ns` is the job's wall time —
 /// lookups, solves (overlapping under look-ahead), waits on other jobs'
-/// solves, acceptance tests and inserts — less the time spent sending
-/// cell events, and rendering them while none of the job's attempts
-/// was in flight. It is reported here, never inside cell payloads,
-/// which must stay execution-independent.
+/// solves, acceptance tests and inserts — less the time spent emitting
+/// cell events while none of the job's attempts is in flight, which for
+/// a job solving one cell at a time is all of it. It is reported here,
+/// never inside cell payloads, which must stay execution-independent.
 #[allow(clippy::too_many_arguments)]
 pub fn done_line(
     sweep: &str,

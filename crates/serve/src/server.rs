@@ -18,9 +18,9 @@
 //!   supervise them, sharing the queue's one receiver behind a mutex
 //!   held only inside `recv`. A worker looks its job's cells up in the
 //!   result cache in index order and dispatches the misses ahead of the
-//!   stream: up to two attempts per solver queued or running (one until
-//!   the job's first attempt passes its acceptance test), collected and
-//!   streamed in index order;
+//!   stream: one attempt queued or running at first, twice as many
+//!   after each attempt that passes its acceptance test, up to two per
+//!   solver; collected and streamed in index order;
 //! * `workers` **solver threads** actually execute cells, taking them
 //!   from one queue and signalling pickup to the supervising worker.
 //!   Each solve is a *recovery block*: primary attempt on a solver,
@@ -44,7 +44,9 @@
 //!    work finishes;
 //! 5. a cell that exhausts its retries → the job aborts with an
 //!    `ok: false` done-event naming the cell and the last failure —
-//!    the documented refusal, never a silently wrong report.
+//!    the documented refusal, never a silently wrong report. Its worker
+//!    then sees its running attempts out, replacing any that overrun
+//!    their deadlines.
 //!
 //! [`ChaosConfig`] injects deterministic faults (panic, hang, garbled
 //! report) into solver attempts from a seeded schedule, so the whole
@@ -310,7 +312,7 @@ impl Counters {
 
 /// One queued sweep: the spec plus the channel its progress streams
 /// through. The handler keeps the receiving half; the worker drops the
-/// sender when the job ends, terminating the stream. The spec is
+/// sender once the done event is sent, terminating the stream. The spec is
 /// `Arc`-shared because solver threads borrow cells from it while the
 /// supervising worker holds the job.
 struct Job {
@@ -355,10 +357,12 @@ enum Note {
 }
 
 /// The solver pool's dispatch queue. Look-ahead attempts join the
-/// back; an attempt that a stream waits on (a retry, or the first
-/// attempt at the cell a job streams next) joins the front, so it never
-/// waits behind look-ahead, its own job's or another's. Solvers hold the lock only to take a task, never while
-/// running it, so a hung solver leaves the rest of the pool taking work.
+/// back; a retry, and a first attempt dispatched while its job's stream
+/// already waits on the cell, join the front, ahead of every job's
+/// look-ahead. A look-ahead attempt stays where it was queued when its
+/// cell later becomes the stream's head. Solvers hold the lock only to
+/// take a task, never while running it, so a hung solver leaves the
+/// rest of the pool taking work.
 #[derive(Default)]
 struct SolverQueue {
     tasks: Mutex<VecDeque<CellTask>>,
@@ -397,9 +401,18 @@ impl SolverQueue {
         }
     }
 
-    /// Drops every queued attempt of the job sweeping `spec`.
-    fn cancel(&self, spec: &Arc<SweepSpec>) {
-        self.lock().retain(|task| !Arc::ptr_eq(&task.spec, spec));
+    /// Drops every queued attempt of the job sweeping `spec`; returns
+    /// the cells they were for.
+    fn cancel(&self, spec: &Arc<SweepSpec>) -> Vec<usize> {
+        let mut dropped = Vec::new();
+        self.lock().retain(|task| {
+            let ours = Arc::ptr_eq(&task.spec, spec);
+            if ours {
+                dropped.push(task.idx);
+            }
+            !ours
+        });
+        dropped
     }
 }
 
@@ -942,7 +955,7 @@ fn worker_loop(shared: &Arc<Shared>, jobs: &Mutex<Receiver<Job>>) {
         // never see both gauges at zero while this job is live.
         c.jobs_running.fetch_add(1, Ordering::SeqCst);
         c.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        run_job(shared, &job);
+        run_job(shared, job);
         c.jobs_running.fetch_sub(1, Ordering::SeqCst);
         c.jobs_done.fetch_add(1, Ordering::Relaxed);
         if shared.draining.load(Ordering::SeqCst) {
@@ -1084,9 +1097,11 @@ struct Supervisor<'a> {
     cells: Vec<JobCell>,
     /// Cells with an attempt queued or running.
     solving: Vec<usize>,
-    /// How many attempts the job keeps queued or running: one until an
-    /// attempt passes its acceptance test, then two per solver. A job
-    /// whose every attempt fails so never floods the pool with them.
+    /// How many attempts the job keeps queued or running: one at first,
+    /// doubled by each attempt that passes its acceptance test, up to two
+    /// per solver. A job whose every attempt fails so never floods the
+    /// pool, and a cold sweep's first cell is not delivered while its
+    /// whole look-ahead starts.
     window: usize,
 }
 
@@ -1236,13 +1251,13 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Cell `idx` passed its acceptance test: store it, wake the jobs
-    /// waiting on its claim, and open the look-ahead window.
+    /// waiting on its claim, and widen the look-ahead window.
     fn accept(&mut self, idx: usize, report: CellReport) {
         self.shared
             .counters
             .cells_solved
             .fetch_add(1, Ordering::Relaxed);
-        self.window = 2 * self.shared.cfg.workers;
+        self.window = (2 * self.window).min(2 * self.shared.cfg.workers);
         self.solving.retain(|&i| i != idx);
         let cell = &mut self.cells[idx];
         if let Some(key) = &cell.key {
@@ -1276,21 +1291,33 @@ impl<'a> Supervisor<'a> {
         ));
     }
 
-    /// The earliest deadline of the attempts solvers have picked up.
-    fn next_deadline(&self) -> Option<Instant> {
-        self.solving
+    /// The next note, waiting no later than the nearest deadline of the
+    /// attempts solvers have picked up; `None` when that deadline passes
+    /// first.
+    fn wait(&self, inbox: &Receiver<Note>) -> Option<Note> {
+        let deadline = self
+            .solving
             .iter()
             .filter_map(|&idx| match self.cells[idx].slot {
                 Slot::Solving { deadline, .. } => deadline,
                 _ => None,
             })
-            .min()
+            .min();
+        match deadline {
+            Some(deadline) => inbox
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .ok(),
+            None => inbox.recv().ok(),
+        }
     }
 
-    /// Fails every attempt whose deadline has passed. Each is presumed
-    /// hung: a replacement solver keeps the pool's capacity even if the
-    /// old one never returns, and its late reply is discarded.
-    fn expire(&mut self, now: Instant) {
+    /// Counts every attempt whose deadline has passed as timed out and
+    /// returns them, cell and attempt, for the caller to retry or drop.
+    /// Each is presumed hung: a replacement solver keeps the pool's
+    /// capacity even if the old one never returns, and its late reply
+    /// is discarded.
+    fn expire(&mut self) -> Vec<(usize, u32)> {
+        let now = Instant::now();
         let expired: Vec<(usize, u32)> = self
             .solving
             .iter()
@@ -1302,11 +1329,18 @@ impl<'a> Supervisor<'a> {
                 _ => None,
             })
             .collect();
-        for (idx, attempt) in expired {
-            let c = &self.shared.counters;
+        let c = &self.shared.counters;
+        for _ in &expired {
             c.cells_timed_out.fetch_add(1, Ordering::Relaxed);
             c.workers_restarted.fetch_add(1, Ordering::Relaxed);
             spawn_solver(self.shared);
+        }
+        expired
+    }
+
+    /// Retries (or fails) every attempt whose deadline has passed.
+    fn retry_expired(&mut self) {
+        for (idx, attempt) in self.expire() {
             let failure = format!(
                 "no result within the {:?} cell deadline",
                 self.shared.cfg.cell_timeout
@@ -1318,11 +1352,34 @@ impl<'a> Supervisor<'a> {
     /// Withdraws an aborting job: its queued attempts are dropped, and
     /// the claims of its running ones are retired unsolved, so jobs
     /// waiting on them take over.
-    fn abandon(&self) {
-        self.shared.solvers.cancel(self.spec);
+    fn withdraw(&mut self) {
+        let dropped = self.shared.solvers.cancel(self.spec);
+        self.solving.retain(|idx| !dropped.contains(idx));
         for &idx in &self.solving {
             if let Some(key) = &self.cells[idx].key {
                 self.shared.resolve_claim(key, None);
+            }
+        }
+    }
+
+    /// Supervises a withdrawn job's running attempts until each replies
+    /// or overruns its deadline, so a hung one is replaced as at any
+    /// other time and an abort never leaves the pool short. Replies are
+    /// discarded: their claims are already retired.
+    fn drain(mut self, inbox: &Receiver<Note>) {
+        while !self.solving.is_empty() {
+            match self.wait(inbox) {
+                Some(note @ Note::Picked { .. }) => self.note(note),
+                Some(Note::Done { idx, attempt, .. }) => {
+                    if matches!(self.cells[idx].slot, Slot::Solving { attempt: a, .. } if a == attempt)
+                    {
+                        self.solving.retain(|&i| i != idx);
+                    }
+                }
+                _ => {}
+            }
+            for (idx, _) in self.expire() {
+                self.solving.retain(|&i| i != idx);
             }
         }
     }
@@ -1331,16 +1388,19 @@ impl<'a> Supervisor<'a> {
 /// Runs one sweep: looks its cells up in index order, dispatches the
 /// misses ahead of the stream (cache hits are ready at once), and
 /// streams each cell in index order as soon as it and every cell before
-/// it are ready. Its wall time, less the emitting of cell events as
-/// [`done_line`] describes, is `solve_ns`, reported only in the done
-/// event — cell payloads stay
+/// it are ready. Its wall time, less the cell events it emits while
+/// none of its attempts is in flight, is `solve_ns`, reported only in
+/// the done event — cell payloads stay
 /// execution-independent, which is what makes cached, solved, and
-/// dedup-waited responses byte-identical.
-fn run_job(shared: &Arc<Shared>, job: &Job) {
+/// dedup-waited responses byte-identical. An aborted job ends its
+/// stream with the refusal first and then supervises its running
+/// attempts to the end.
+fn run_job(shared: &Arc<Shared>, job: Job) {
     let started = Instant::now();
     let mut unclocked = Duration::ZERO;
     let c = &shared.counters;
-    let spec = &job.spec;
+    let Job { spec, events } = job;
+    let spec = &spec;
     let (notes, inbox) = channel();
     let mut sup = Supervisor::new(shared, spec, notes);
     let (mut hits, mut misses, mut uncacheable) = (0u64, 0u64, 0u64);
@@ -1374,18 +1434,13 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
                             false
                         }
                     };
-                    // Cell events are sent off the clock, and rendered
-                    // off it too while none of the job's attempts is in
-                    // flight, so no solve is ever hidden behind them.
-                    let render = Instant::now();
-                    let line = cell_line(&spec.name, next, was_hit, &report);
-                    let send = Instant::now();
-                    let _ = job.events.send(line);
-                    unclocked += if sup.solving.is_empty() {
-                        render.elapsed()
-                    } else {
-                        send.elapsed()
-                    };
+                    // Emitting is off the clock only while nothing of
+                    // the job is in flight, so no solve hides behind it.
+                    let emit = Instant::now();
+                    let _ = events.send(cell_line(&spec.name, next, was_hit, &report));
+                    if sup.solving.is_empty() {
+                        unclocked += emit.elapsed();
+                    }
                     reports.push(report);
                     continue;
                 }
@@ -1401,19 +1456,13 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
             sup.look_up_next(sup.cells.len() == next);
             continue;
         }
-        let note = match sup.next_deadline() {
-            Some(deadline) => inbox
-                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-                .ok(),
-            None => inbox.recv().ok(),
-        };
-        if let Some(note) = note {
+        if let Some(note) = sup.wait(&inbox) {
             sup.note(note);
         }
-        sup.expire(Instant::now());
+        sup.retry_expired();
     };
     if refusal.is_some() {
-        sup.abandon();
+        sup.withdraw();
     }
     let solve_ns = (started.elapsed() - unclocked).as_nanos() as f64;
     if refusal.is_none() {
@@ -1428,7 +1477,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .insert(spec.name.clone(), report);
     }
-    let _ = job.events.send(done_line(
+    let _ = events.send(done_line(
         &spec.name,
         spec.cells.len(),
         hits,
@@ -1437,6 +1486,10 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
         solve_ns,
         refusal.as_deref(),
     ));
+    // The stream is over: the handler can take the client's next request
+    // while the attempts still running are seen out.
+    drop(events);
+    sup.drain(&inbox);
 }
 
 fn status_line(shared: &Arc<Shared>) -> String {

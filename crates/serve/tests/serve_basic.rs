@@ -1058,3 +1058,73 @@ fn look_ahead_never_spends_a_deadline_in_the_queue() {
         h.join();
     }
 }
+
+#[test]
+fn an_aborting_job_still_times_out_its_running_look_ahead() {
+    // Chaos seed 102011 on `TINY_GRID` widened to three cells: cell 0's
+    // primary is clean, which widens the look-ahead window to two
+    // attempts; every attempt at cell 1 panics; cell 2's primary hangs
+    // 2 s, ten times the deadline. So when cell 1 runs out of retries,
+    // cell 2's primary is usually still hanging on a solver (unless the
+    // abort cancelled it before any solver took it). The two-cell sweep
+    // `h` draws no fault at all.
+    let handle = spawn(ServerConfig {
+        cell_timeout: Duration::from_millis(200),
+        chaos: Some(ChaosConfig {
+            seed: 102_011,
+            panic_per_mille: 333,
+            hang_per_mille: 333,
+            hang_ms: 2000,
+            every_attempt: true,
+            ..ChaosConfig::default()
+        }),
+        ..test_config(2)
+    })
+    .expect("spawn");
+    let mut client = Client::connect(handle.addr());
+    client.send(
+        &TINY_GRID
+            .replace('\n', " ")
+            .replace(r#""lambda":[0.5,1]"#, r#""lambda":[0.25,0.5,1]"#),
+    );
+    let (cells, done) = collect_stream(&mut client);
+    assert!(!is_ok(&done), "{done:?}");
+    assert_eq!(cells.len(), 1, "only the cell before the refusal streams");
+    let err = get_str(&done, "error");
+    assert!(err.contains("failed after 2 retries"), "{err}");
+    assert!(err.contains("solver panicked"), "{err}");
+
+    // Every fault is a panic or a hang past the deadline, so each one
+    // applied must end in exactly one replaced solver — the hangs still
+    // running when the job gave up included.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    loop {
+        let injected = metric_value(&mut client, "faults/injected");
+        let restarted = metric_value(&mut client, "workers/restarted");
+        if injected == restarted {
+            break;
+        }
+        assert!(
+            Instant::now() < give_up,
+            "{injected} faults applied, {restarted} solvers replaced: \
+             an attempt of the aborted job hangs unsupervised"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // The pool still serves the next job.
+    client.send(
+        &TINY_GRID
+            .replace('\n', " ")
+            .replace(r#""name":"g","seed":11"#, r#""name":"h","seed":12"#),
+    );
+    let (cells, done) = collect_stream(&mut client);
+    assert!(is_ok(&done), "{done:?}");
+    assert_eq!(cells.len(), 2);
+
+    client.send(r#"{"op":"shutdown"}"#);
+    drop(client);
+    join_in_background(handle)
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns");
+}
